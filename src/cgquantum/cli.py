@@ -12,9 +12,8 @@ import os
 import sys
 
 from .exactmath import rat
-from .schubert import (DEGREES, LABELS, MultiplicationTable,
-                       SchubertElement, TableFormatError, default_data_dir,
-                       gw_invariant, quantum_product, verify_table)
+from .schubert import (DEGREES, MultiplicationTable, TableFormatError,
+                       default_data_dir, gw_invariant, verify_table)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -132,9 +131,7 @@ def cmd_product(args) -> int:
             print(f"unknown label: {label}", file=sys.stderr)
             return EXIT_USAGE
     table = _load_table(args.table_file)
-    prod = quantum_product(table, SchubertElement.basis(args.a),
-                           SchubertElement.basis(args.b))
-    print(prod)
+    print(table.basis_product(args.a, args.b))
     return EXIT_OK
 
 

@@ -164,13 +164,11 @@ def derive_missing_products(table: MultiplicationTable,
     # the last count bundles two invariants: value = I(s2,s4,s6) + I(s2,s4,s6p)
     i_246 = rat(scenario_values["4.2.3"]) - i_246p
 
-    s2_sq = SchubertElement({l: QPolynomial.constant(c)
-                             for l, c in _classical_row(table, "s2", "s2").items()})
+    s2_sq = table.basis_product("s2", "s2").drop_quantum()
     if i_228:
         s2_sq = s2_sq + SchubertElement({"s0": QPolynomial.monomial(1, i_228)})
 
-    s4_s2 = SchubertElement({l: QPolynomial.constant(c)
-                             for l, c in _classical_row(table, "s4", "s2").items()})
+    s4_s2 = table.basis_product("s4", "s2").drop_quantum()
     quantum = {}
     if i_246:
         quantum["s2"] = QPolynomial.monomial(1, i_246)

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .exactmath import (GradedRing, MultiPolynomial, QPolynomial, rat, rref,
                         solve_linear)
-from .schubert import (DEGREES, LABELS, MultiplicationTable, SchubertElement,
-                       quantum_product, default_data_dir)
+from .schubert import (DEGREES, LABEL_INDEX, LABELS, MultiplicationTable,
+                       SchubertElement, quantum_product, default_data_dir)
 
 BETTI = (1, 1, 2, 2, 3, 2, 2, 1, 1)
 DEFAULT_MAX_DEGREE = 16
@@ -242,12 +242,8 @@ def expand_in_schubert(quotient: GradedQuotient,
     for exps, c in nf.terms.items():
         target[index[exps]] = c
     sol = solve_linear(matrix, target)
-    coeffs: dict[str, QPolynomial] = {}
-    for (label, qexp), c in zip(cols, sol):
-        if c:
-            coeffs[label] = coeffs.get(label, QPolynomial({})) \
-                + QPolynomial.monomial(qexp, c)
-    return SchubertElement(coeffs)
+    return SchubertElement.from_terms(
+        {(LABEL_INDEX[label], qexp): c for (label, qexp), c in zip(cols, sol)})
 
 
 def cross_check_presentation(table: MultiplicationTable,

@@ -11,6 +11,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from .exactmath import QPolynomial, Rational, rat
 
@@ -32,6 +33,10 @@ DIMENSION = 8   # complex dimension of the variety
 Q_DEGREE = 4    # Fano index, the degree of the quantum parameter
 
 LABEL_INDEX = {name: i for i, name in enumerate(LABELS)}
+
+
+# {(class index in LABELS, q-exponent): coefficient}
+Terms = dict[tuple[int, int], Rational]
 
 
 class TableFormatError(ValueError):
@@ -60,6 +65,20 @@ class SchubertElement:
     def zero(cls) -> "SchubertElement":
         return cls()
 
+    @classmethod
+    def from_terms(cls, terms: Terms) -> "SchubertElement":
+        """The element with these terms; zero coefficients drop out."""
+        coeffs: dict[str, dict[int, Rational]] = {}
+        for (k, e), c in terms.items():
+            if c:
+                coeffs.setdefault(LABELS[k], {})[e] = c
+        return cls({l: QPolynomial(p) for l, p in coeffs.items()})
+
+    def terms(self) -> Terms:
+        """Integral coefficients as ints, any other as an exact Fraction."""
+        return {(LABEL_INDEX[l], e): c.numerator if c.denominator == 1 else c
+                for l, poly in self.coeffs.items() for e, c in poly.coeffs.items()}
+
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -73,10 +92,7 @@ class SchubertElement:
         return SchubertElement(out)
 
     def __sub__(self, other: "SchubertElement") -> "SchubertElement":
-        out = dict(self.coeffs)
-        for label, poly in other.coeffs.items():
-            out[label] = out.get(label, QPolynomial({})) - poly
-        return SchubertElement(out)
+        return self + -other
 
     def __neg__(self) -> "SchubertElement":
         return SchubertElement({l: -p for l, p in self.coeffs.items()})
@@ -92,37 +108,17 @@ class SchubertElement:
         return SchubertElement({
             l: QPolynomial({0: p.coeff(0)}) for l, p in self.coeffs.items()})
 
-    def is_homogeneous(self) -> bool:
-        degs = {DEGREES[l] + Q_DEGREE * e
-                for l, p in self.coeffs.items() for e in p.coeffs}
-        return len(degs) <= 1
-
-    def degree(self) -> int:
-        degs = {DEGREES[l] + Q_DEGREE * e
-                for l, p in self.coeffs.items() for e in p.coeffs}
-        if not degs:
-            return -1
-        if len(degs) != 1:
-            raise ValueError("element is not homogeneous")
-        return degs.pop()
-
     def __eq__(self, other) -> bool:
         return isinstance(other, SchubertElement) and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
-    def sorted_terms(self) -> list[tuple[int, str, Fraction]]:
-        """(q-exponent, label, coefficient) with q ascending, then label order."""
-        out = []
-        for label, poly in self.coeffs.items():
-            for e, c in poly.coeffs.items():
-                out.append((e, label, c))
-        out.sort(key=lambda t: (t[0], LABEL_INDEX[t[1]]))
-        return out
-
     def __str__(self) -> str:
-        terms = self.sorted_terms()
+        # q ascending, then label order
+        terms = sorted(((e, label, c) for label, poly in self.coeffs.items()
+                        for e, c in poly.coeffs.items()),
+                       key=lambda t: (t[0], LABEL_INDEX[t[1]]))
         if not terms:
             return "0"
         parts = []
@@ -138,15 +134,39 @@ class SchubertElement:
         return f"SchubertElement({self})"
 
 
-def _pair_key(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if LABEL_INDEX[a] <= LABEL_INDEX[b] else (b, a)
+def _label_index(label) -> int | None:
+    return LABEL_INDEX.get(label) if isinstance(label, str) else None
+
+
+def _records(value, what: str) -> list[dict]:
+    if not isinstance(value, list) or not all(isinstance(r, dict) for r in value):
+        raise TableFormatError(f"{what} must be a list of objects")
+    return value
+
+
+def _parse_term(term: dict, pair) -> tuple[int, int, Fraction]:
+    k, e = _label_index(term.get("label")), term.get("q")
+    if k is None or type(e) is not int or e < 0 or "coeff" not in term:
+        raise TableFormatError(f"term of {pair} needs a known 'label', an "
+                               f"integer 'q' >= 0 and a 'coeff': {term!r}")
+    try:
+        return k, e, Fraction(term["coeff"])
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise TableFormatError(f"bad coefficient in {pair}: {term!r}") from None
 
 
 class MultiplicationTable:
-    """The 15x15 symmetric table of quantum products, loaded from JSON."""
+    """The symmetric 15x15 table of quantum products as exact structure
+    constants.  constants[(i, j)] (i <= j, in file order) and tensor[i][j]
+    (either order) map (k, e) to the coefficient of q^e * s_k in s_i * s_j:
+    an int, or an exact Fraction where the data is not integral.  The
+    q-exponent is kept as given, so a mis-graded term fails the grading check."""
 
-    def __init__(self, entries: dict[tuple[str, str], SchubertElement]):
-        self.entries = entries
+    def __init__(self, constants: dict[tuple[int, int], Terms]):
+        self.constants = constants
+        n = len(LABELS)
+        self.tensor = [[constants[min(i, j), max(i, j)] for j in range(n)]
+                       for i in range(n)]
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "MultiplicationTable":
@@ -161,53 +181,59 @@ class MultiplicationTable:
     def from_dict(cls, raw: dict) -> "MultiplicationTable":
         if not isinstance(raw, dict) or "labels" not in raw or "products" not in raw:
             raise TableFormatError("table must have 'labels' and 'products'")
-        names = tuple(rec.get("name") for rec in raw["labels"])
-        if names != LABELS:
+        labels = _records(raw["labels"], "'labels'")
+        if tuple(rec.get("name") for rec in labels) != LABELS:
             raise TableFormatError("label list does not match the 15 expected labels")
-        for rec in raw["labels"]:
+        for rec in labels:
             if DEGREES[rec["name"]] != rec.get("degree"):
                 raise TableFormatError(f"degree mismatch for {rec['name']}")
-        entries: dict[tuple[str, str], SchubertElement] = {}
-        for rec in raw["products"]:
-            a, b = rec.get("a"), rec.get("b")
-            if a not in DEGREES or b not in DEGREES:
-                raise TableFormatError(f"unknown labels in product record {a},{b}")
-            key = _pair_key(a, b)
-            if key in entries:
-                raise TableFormatError(f"duplicate product record {key}")
-            coeffs: dict[str, QPolynomial] = {}
-            for term in rec.get("terms", []):
-                label, qexp, coeff = term["label"], term["q"], term["coeff"]
-                if label not in DEGREES:
-                    raise TableFormatError(f"unknown label {label} in {key}")
-                poly = coeffs.get(label, QPolynomial({}))
-                coeffs[label] = poly + QPolynomial.monomial(int(qexp), coeff)
-            entries[key] = SchubertElement(coeffs)
+        constants: dict[tuple[int, int], Terms] = {}
+        for rec in _records(raw["products"], "'products'"):
+            a, b = _label_index(rec.get("a")), _label_index(rec.get("b"))
+            if a is None or b is None:
+                raise TableFormatError(
+                    f"unknown labels in product record {rec.get('a')},{rec.get('b')}")
+            key = (min(a, b), max(a, b))
+            pair = (LABELS[key[0]], LABELS[key[1]])
+            if key in constants:
+                raise TableFormatError(f"duplicate product record {pair}")
+            acc: Terms = {}
+            for term in _records(rec.get("terms", []), f"terms of {pair}"):
+                k, e, c = _parse_term(term, pair)
+                acc[k, e] = acc.get((k, e), 0) + c
+            # repeated terms add up; zero sums drop out and the terms are
+            # grouped by class, as in a SchubertElement
+            constants[key] = SchubertElement.from_terms(acc).terms()
         expected = (len(LABELS) * (len(LABELS) + 1)) // 2
-        if len(entries) != expected:
+        if len(constants) != expected:
             raise TableFormatError(
-                f"expected {expected} product records, found {len(entries)}")
-        return cls(entries)
+                f"expected {expected} product records, found {len(constants)}")
+        return cls(constants)
 
     def basis_product(self, a: str, b: str) -> SchubertElement:
-        return self.entries[_pair_key(a, b)]
+        terms = self.tensor[LABEL_INDEX[a]][LABEL_INDEX[b]]
+        return SchubertElement.from_terms(terms)
 
     def with_entry(self, a: str, b: str,
                    value: SchubertElement) -> "MultiplicationTable":
         """Copy of the table with one entry replaced (for fault injection)."""
-        entries = dict(self.entries)
-        entries[_pair_key(a, b)] = value
-        return MultiplicationTable(entries)
+        i, j = sorted((LABEL_INDEX[a], LABEL_INDEX[b]))
+        return MultiplicationTable({**self.constants, (i, j): value.terms()})
 
 
 def quantum_product(table: MultiplicationTable, x: SchubertElement,
                     y: SchubertElement) -> SchubertElement:
     """Bilinear extension of the table; q-coefficients multiply through."""
-    out = SchubertElement.zero()
-    for la, pa in x.coeffs.items():
-        for lb, pb in y.coeffs.items():
-            out = out + table.basis_product(la, lb).scale_poly(pa * pb)
-    return out
+    acc: Terms = {}
+    y_terms = y.terms()
+    for (i, ei), ci in x.terms().items():
+        row = table.tensor[i]
+        for (j, ej), cj in y_terms.items():
+            w, shift = ci * cj, ei + ej
+            for (k, e), c in row[j].items():
+                key = (k, e + shift)
+                acc[key] = acc.get(key, 0) + w * c
+    return SchubertElement.from_terms(acc)
 
 
 def classical_product(table: MultiplicationTable, x: SchubertElement,
@@ -229,12 +255,10 @@ def gw_invariant(table: MultiplicationTable, d: int, a: str, b: str,
     Returns 0 whenever the degrees do not sum to 8 + 4d, so exhaustive
     symmetry scans need no special-casing.
     """
-    if d < 0:
+    if d < 0 or DEGREES[a] + DEGREES[b] + DEGREES[c] != DIMENSION + Q_DEGREE * d:
         return rat(0)
-    if DEGREES[a] + DEGREES[b] + DEGREES[c] != DIMENSION + Q_DEGREE * d:
-        return rat(0)
-    prod = table.basis_product(a, b)
-    return prod.coeff(DUALS[c]).coeff(d)
+    terms = table.tensor[LABEL_INDEX[a]][LABEL_INDEX[b]]
+    return rat(terms.get((LABEL_INDEX[DUALS[c]], d), 0))
 
 
 # rows of the hyperplane-class product in degrees four through seven;
@@ -289,91 +313,79 @@ def verify_table(table: MultiplicationTable) -> VerificationReport:
     hyperplane rows in degrees up to seven.
     """
     report = VerificationReport()
+    tensor, idx = table.tensor, range(len(LABELS))
+    deg = [DEGREES[l] for l in LABELS]
+    dual = [LABEL_INDEX[DUALS[l]] for l in LABELS]
 
-    bad = [l for l in LABELS
-           if table.basis_product("s0", l) != SchubertElement.basis(l)]
-    report.add("identity", not bad,
-               "" if not bad else f"s0 row wrong at {bad}")
+    def add(check_id: str, bad: list, detail: str):
+        report.add(check_id, not bad, detail if bad else "")
 
-    bad_grading = []
-    bad_positive = []
-    for (a, b), elem in table.entries.items():
-        target = DEGREES[a] + DEGREES[b]
-        for label, poly in elem.coeffs.items():
-            for e, c in poly.coeffs.items():
-                if DEGREES[label] + Q_DEGREE * e != target:
-                    bad_grading.append((a, b, label, e))
-                if c < 0 or c.denominator != 1:
-                    bad_positive.append((a, b, label, e, str(c)))
-    report.add("grading", not bad_grading,
-               "" if not bad_grading else f"non-homogeneous entries: {bad_grading[:3]}")
-    report.add("positivity", not bad_positive,
-               "" if not bad_positive
-               else f"negative or non-integer coefficients: {bad_positive[:3]}")
+    bad = [LABELS[i] for i in idx if tensor[0][i] != {(i, 0): 1}]
+    add("identity", bad, f"s0 row wrong at {bad}")
+
+    bad_grading, bad_positive = [], []
+    for (i, j), terms in table.constants.items():
+        for (k, e), c in terms.items():
+            where = (LABELS[i], LABELS[j], LABELS[k], e)
+            if deg[k] + Q_DEGREE * e != deg[i] + deg[j]:
+                bad_grading.append(where)
+            if c < 0 or c.denominator != 1:
+                bad_positive.append(where + (str(c),))
+    add("grading", bad_grading, f"non-homogeneous entries: {bad_grading[:3]}")
+    add("positivity", bad_positive,
+        f"negative or non-integer coefficients: {bad_positive[:3]}")
 
     # pairing matrix per complementary degree must be the involution's
     # permutation matrix
-    bad_pairs = []
-    for a in LABELS:
-        for b in LABELS:
-            if DEGREES[a] + DEGREES[b] != DIMENSION:
-                continue
-            val = poincare_pairing(table, SchubertElement.basis(a),
-                                   SchubertElement.basis(b))
-            want = 1 if DUALS[a] == b else 0
-            if val != want:
-                bad_pairs.append((a, b, str(val)))
-    report.add("pairing", not bad_pairs,
-               "" if not bad_pairs else f"pairing mismatches: {bad_pairs[:3]}")
+    top = (LABEL_INDEX["s8"], 0)
+    bad_pairs = [(LABELS[a], LABELS[b], str(tensor[a][b].get(top, 0)))
+                 for a, b in product(idx, idx) if deg[a] + deg[b] == DIMENSION
+                 and tensor[a][b].get(top, 0) != int(dual[a] == b)]
+    add("pairing", bad_pairs, f"pairing mismatches: {bad_pairs[:3]}")
+
+    def gw(d: int, a: int, b: int, c: int) -> Rational:
+        return tensor[a][b].get((dual[c], d), 0)
 
     bad_sym = []
-    for a in LABELS:
-        for b in LABELS:
-            for c in LABELS:
-                total = DEGREES[a] + DEGREES[b] + DEGREES[c] - DIMENSION
-                if total % Q_DEGREE:
-                    continue
-                d = total // Q_DEGREE
-                if d < 0:
-                    continue
-                ref = gw_invariant(table, d, a, b, c)
-                for perm in ((a, c, b), (b, a, c), (b, c, a),
-                             (c, a, b), (c, b, a)):
-                    if gw_invariant(table, d, *perm) != ref:
-                        bad_sym.append((d, a, b, c, perm))
-                        break
-    report.add("gw_symmetry", not bad_sym,
-               "" if not bad_sym else f"asymmetric invariants: {bad_sym[:3]}")
+    for a, b, c in product(idx, idx, idx):
+        d, rest = divmod(deg[a] + deg[b] + deg[c] - DIMENSION, Q_DEGREE)
+        if rest or d < 0:
+            continue
+        for perm in ((a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)):
+            if gw(d, *perm) != gw(d, a, b, c):
+                bad_sym.append((d, LABELS[a], LABELS[b], LABELS[c],
+                                tuple(LABELS[x] for x in perm)))
+                break
+    add("gw_symmetry", bad_sym, f"asymmetric invariants: {bad_sym[:3]}")
 
+    def times(terms: Terms, c: int) -> Terms:
+        acc: Terms = {}
+        for (k, e), x in terms.items():
+            for (m, f), y in tensor[k][c].items():
+                acc[m, e + f] = acc.get((m, e + f), 0) + x * y
+        return {key: v for key, v in acc.items() if v}
+
+    # with (ba)c = (ab)c and (bc)a = a(bc), the triple (a, b, c) is
+    # associative iff (bx)y is symmetric in x, y at x = a, y = c
     bad_assoc = []
-    basis = {l: SchubertElement.basis(l) for l in LABELS}
-    # precompute basis-times-basis to reuse in both association orders
-    for a in LABELS:
-        for b in LABELS:
-            ab = table.basis_product(a, b)
-            for c in LABELS:
-                left = quantum_product(table, ab, basis[c])
-                right = quantum_product(table, basis[a],
-                                        table.basis_product(b, c))
-                if left != right:
-                    bad_assoc.append((a, b, c))
-    report.add("associativity", not bad_assoc,
-               "" if not bad_assoc
-               else f"{len(bad_assoc)} failing triples, first: {bad_assoc[:3]}")
+    for b in idx:
+        bxy = [[times(tensor[b][x], y) for y in idx] for x in idx]
+        bad_assoc += [(a, b, c) for a, c in product(idx, idx)
+                      if bxy[a][c] != bxy[c][a]]
+    bad_assoc = [tuple(LABELS[i] for i in t) for t in sorted(bad_assoc)]
+    add("associativity", bad_assoc,
+        f"{len(bad_assoc)} failing triples, first: {bad_assoc[:3]}")
 
     bad_chev = []
+    s1 = LABEL_INDEX["s1"]
     for label in ("s0", "s1", "s2", "s2p"):
-        row = table.basis_product(label, "s1")
-        if any(e > 0 for p in row.coeffs.values() for e in p.coeffs):
+        if any(e > 0 for _, e in tensor[LABEL_INDEX[label]][s1]):
             bad_chev.append((label, "unexpected quantum term"))
     for label, want in CHEVALLEY_ROWS.items():
-        row = table.basis_product(label, "s1")
-        got = {(l, e): c for l, p in row.coeffs.items()
-               for e, c in p.coeffs.items()}
-        if got != {k: rat(v) for k, v in want.items()}:
-            bad_chev.append((label, str(row)))
-    report.add("chevalley_rows", not bad_chev,
-               "" if not bad_chev else f"hyperplane row mismatches: {bad_chev[:3]}")
+        row = tensor[LABEL_INDEX[label]][s1].items()
+        if {(LABELS[k], e): c for (k, e), c in row} != want:
+            bad_chev.append((label, str(table.basis_product(label, "s1"))))
+    add("chevalley_rows", bad_chev, f"hyperplane row mismatches: {bad_chev[:3]}")
 
     return report
 

@@ -12,23 +12,23 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactmath import (Matrix, QPolynomial, charpoly, determinant,
-                        mat_mul, mat_rank, mat_trace, rat)
-from .schubert import (LABELS, MultiplicationTable, SchubertElement,
-                       quantum_product)
+                        mat_mul, rat)
+from .schubert import LABELS, MultiplicationTable, SchubertElement
 
 
 def multiplication_matrix(table: MultiplicationTable, x: SchubertElement,
                           q_value) -> Matrix:
     """15x15 matrix of quantum multiplication by x with q specialized,
-    columns indexed by the basis in label order."""
+    columns indexed by the basis in label order: entry (k, j) is the
+    coefficient of basis k in x * basis j."""
     qv = rat(q_value)
-    cols = []
-    for label in LABELS:
-        prod = quantum_product(table, x, SchubertElement.basis(label))
-        cols.append([prod.coeff(l)(qv) for l in LABELS])
-    # transpose: entry (i, j) = coefficient of basis i in x * basis j
-    return [[cols[j][i] for j in range(len(LABELS))]
-            for i in range(len(LABELS))]
+    n = len(LABELS)
+    m = [[rat(0)] * n for _ in range(n)]
+    for (i, ex), cx in x.terms().items():
+        for j in range(n):
+            for (k, e), c in table.tensor[i][j].items():
+                m[k][j] += cx * c * qv ** (ex + e)
+    return m
 
 
 def check_semisimple(table: MultiplicationTable, q_value) -> tuple[bool, Fraction]:
@@ -36,21 +36,14 @@ def check_semisimple(table: MultiplicationTable, q_value) -> tuple[bool, Fractio
     the Gram matrix B(e_i, e_j) = trace(mult by e_i e_j) has full rank.
     Returns (semisimple, exact Gram determinant)."""
     qv = rat(q_value)
-    n = len(LABELS)
-    mult = {label: multiplication_matrix(
-        table, SchubertElement.basis(label), qv) for label in LABELS}
-    gram = [[rat(0)] * n for _ in range(n)]
-    for i, a in enumerate(LABELS):
-        for j, b in enumerate(LABELS):
-            if j < i:
-                gram[i][j] = gram[j][i]
-                continue
-            prod = quantum_product(table, SchubertElement.basis(a),
-                                   SchubertElement.basis(b))
-            tr = rat(0)
-            for label, poly in prod.coeffs.items():
-                tr += poly(qv) * mat_trace(mult[label])
-            gram[i][j] = tr
+    tensor, n = table.tensor, len(LABELS)
+    # trace of multiplication by each basis class
+    trace = [sum((c * qv ** e for j in range(n)
+                  for (k, e), c in tensor[i][j].items() if k == j), rat(0))
+             for i in range(n)]
+    gram = [[sum((c * qv ** e * trace[k]
+                  for (k, e), c in tensor[i][j].items()), rat(0))
+             for j in range(n)] for i in range(n)]
     det = determinant(gram)
     return det != 0, det
 

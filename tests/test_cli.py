@@ -1,9 +1,11 @@
 """Command-line interface: output formats and exit codes."""
 import json
+import os
 
 import pytest
 
 from cgquantum.cli import main
+from cgquantum.schubert import default_data_dir
 
 
 def run_cli(capsys, *argv):
@@ -133,3 +135,26 @@ def test_conjecture_o_json(capsys):
     assert data["bound_T_gt_9"] is True
     assert data["shape_t3_f_t4"] is True
     assert data["char_poly"]["3"] == "-2048"
+
+
+def _write_shipped_table(tmp_path, mutate):
+    with open(os.path.join(default_data_dir(), "cg_table.json")) as fh:
+        raw = json.load(fh)
+    mutate(raw)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda raw: raw["products"][4]["terms"][0].pop("coeff"),
+    lambda raw: raw.update(products=5),
+], ids=["term-without-coeff", "products-not-a-list"])
+def test_table_schema_error_is_a_data_error(capsys, tmp_path, mutate):
+    path = _write_shipped_table(tmp_path, mutate)
+    code, out, err = run_cli(capsys, "--table-file", path,
+                             "verify", "--suite", "table")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("data error: ")
+    assert len(err.splitlines()) == 1

@@ -1,5 +1,7 @@
 """The Schubert-basis ring: table data, products, pairing, invariant
 extraction, and the built-in consistency suite."""
+import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,8 @@ from cgquantum.schubert import (DEGREES, DUALS, LABELS, SchubertElement,
                                 gw_invariant, load_default_table,
                                 poincare_pairing, quantum_product,
                                 verify_table)
+from cgquantum.cli import main
+from cgquantum.schubert import MultiplicationTable, default_data_dir
 
 
 @pytest.fixture(scope="module")
@@ -160,3 +164,83 @@ def test_malformed_table_rejected(tmp_path):
     bad.write_text('{"labels": [], "products": []}')
     with pytest.raises(TableFormatError):
         MultiplicationTable.load(str(bad))
+
+
+
+def _shipped_raw():
+    with open(os.path.join(default_data_dir(), "cg_table.json")) as fh:
+        return json.load(fh)
+
+
+def _record(raw, a, b):
+    return next(rec for rec in raw["products"]
+                if (rec["a"], rec["b"]) in ((a, b), (b, a)))
+
+
+@pytest.mark.parametrize("check, a, b, label, q", [
+    ("identity", "s0", "s3", "s3p", 0),       # s0 * s3 gains s3p
+    ("grading", "s2", "s2", "s1", 0),         # degree-1 term in degree 4
+    ("pairing", "s2", "s6", "s8", 0),         # s2 pairs to 2 with s6
+    ("gw_symmetry", "s2", "s2", "s4", 0),     # I_0(s2, s2, s4) becomes 2
+    ("chevalley_rows", "s1", "s3", "s0", 1),  # extra q term in the s3 row
+])
+def test_each_table_check_catches_its_fault(check, a, b, label, q):
+    raw = _shipped_raw()
+    _record(raw, a, b)["terms"].append({"label": label, "q": q, "coeff": 1})
+    report = verify_table(MultiplicationTable.from_dict(raw))
+    assert check in {c.check_id for c in report.failures()}
+
+
+def test_off_grade_term_is_a_verification_failure(tmp_path, capsys):
+    raw = _shipped_raw()
+    _record(raw, "s2", "s2")["terms"].append({"label": "s1", "q": 0,
+                                              "coeff": 1})
+    path = tmp_path / "offgrade.json"
+    path.write_text(json.dumps(raw))
+    code = main(["--table-file", str(path), "verify", "--suite", "table"])
+    assert code == 1
+    assert "[fail] table:grading" in capsys.readouterr().out
+
+
+def test_non_integral_coefficient_is_named_by_positivity():
+    raw = _shipped_raw()
+    term = next(t for t in _record(raw, "s2", "s2")["terms"]
+                if t["label"] == "s4")
+    term["coeff"] = "1/2"
+    report = verify_table(MultiplicationTable.from_dict(raw))
+    positivity = next(c for c in report.failures()
+                      if c.check_id == "positivity")
+    assert "'1/2'" in positivity.detail
+
+
+_DELETE = object()
+
+
+@pytest.mark.parametrize("path, value", [
+    (("products",), 5),
+    (("labels",), "nope"),
+    (("products", 4), ["s0", "s3"]),
+    (("products", 4, "terms"), 5),
+    (("products", 4, "terms", 0), "s3"),
+    (("products", 4, "terms", 0, "label"), _DELETE),
+    (("products", 4, "terms", 0, "q"), _DELETE),
+    (("products", 4, "terms", 0, "coeff"), _DELETE),
+    (("products", 4, "terms", 0, "q"), 1.5),
+    (("products", 4, "terms", 0, "q"), -1),
+    (("products", 4, "terms", 0, "coeff"), "one"),
+    (("products", 4, "terms", 0, "coeff"), "1/0"),
+    (("products", 4, "terms", 0, "coeff"), None),
+], ids=["products-int", "labels-str", "record-list", "terms-int",
+        "term-str", "no-label", "no-q", "no-coeff", "q-float", "q-negative",
+        "coeff-word", "coeff-div-zero", "coeff-null"])
+def test_schema_errors_raise_table_format_error(path, value):
+    raw = _shipped_raw()
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    with pytest.raises(TableFormatError):
+        MultiplicationTable.from_dict(raw)

@@ -8,6 +8,7 @@ precision, always in lowest terms, positive denominator).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 Rational = Fraction
@@ -434,8 +435,17 @@ def mat_trace(a: Matrix) -> Fraction:
 
 
 def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
-    """Reduced row echelon form; returns (reduced copy, rank, pivot columns)."""
-    r = [row[:] for row in m]
+    """Reduced row echelon form; returns (reduced copy, rank, pivot columns).
+
+    Fraction-free: each row is scaled to integers by the lcm of its
+    denominators and eliminated with integer row operations, every new row
+    divided by the gcd of its entries.  Fractions are formed only for the
+    returned rows, which are the unique reduced form.
+    """
+    r = []
+    for row in m:
+        den = lcm(*(x.denominator for x in row))
+        r.append([x.numerator * (den // x.denominator) for x in row])
     nrows = len(r)
     ncols = len(r[0]) if nrows else 0
     pivots: list[int] = []
@@ -449,17 +459,26 @@ def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
         if piv is None:
             continue
         r[lead], r[piv] = r[piv], r[lead]
-        inv = 1 / r[lead][col]
-        r[lead] = [x * inv for x in r[lead]]
+        prow = r[lead]
+        p = prow[col]
         for i in range(nrows):
-            if i != lead and r[i][col]:
-                f = r[i][col]
-                r[i] = [x - f * y for x, y in zip(r[i], r[lead])]
+            f = r[i][col]
+            if i != lead and f:
+                row = [p * x - f * y for x, y in zip(r[i], prow)]
+                g = 0
+                for x in row:
+                    g = gcd(g, x)
+                    if g == 1:
+                        break
+                r[i] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
         lead += 1
         if lead == nrows:
             break
-    return r, len(pivots), pivots
+    out = [[Fraction(x, row[col]) if x else ZERO for x in row]
+           for row, col in zip(r, pivots)]
+    out += [[ZERO] * ncols for _ in range(nrows - lead)]
+    return out, len(pivots), pivots
 
 
 def mat_rank(m: Matrix) -> int:

@@ -35,10 +35,8 @@ class SpaceModel:
     def __init__(self, names, degrees, relations, top_degree: int,
                  normalization: tuple[int, ...]):
         self.ring = GradedRing(names, degrees)
-        rels = []
-        for rel in relations:
-            rels.append(rel if isinstance(rel, MultiPolynomial) else rel)
-        self.quotient = GradedQuotient(self.ring, rels, max_degree=top_degree)
+        self.quotient = GradedQuotient(self.ring, relations,
+                                       max_degree=top_degree)
         self.top_degree = top_degree
         self.normalization = tuple(normalization)
         top = self.quotient.basis(top_degree)
@@ -86,9 +84,6 @@ class FormalBundle:
     def chern_class(self, i: int) -> MultiPolynomial:
         return self.chern.component(i)
 
-    def c(self, i: int) -> MultiPolynomial:
-        return self.chern_class(i)
-
     def dual(self) -> "FormalBundle":
         total = self.space.ring.zero()
         for d, comp in self.chern.homogeneous_components().items():
@@ -100,8 +95,7 @@ class FormalBundle:
         return FormalBundle(self.space, self.rank + other.rank, chern)
 
     def minus(self, other: "FormalBundle") -> "FormalBundle":
-        inv = series_inverse(other.chern, self.space.top_degree)
-        chern = (self.chern * inv).truncate(self.space.top_degree)
+        chern = quotient_chern(self.chern, other.chern, self.space.top_degree)
         return FormalBundle(self.space, self.rank - other.rank, chern)
 
     def twist_by_line(self, ell: MultiPolynomial) -> "FormalBundle":
@@ -141,11 +135,12 @@ class FormalBundle:
                               f"{self.rank}")
 
 
-def quotient_chern(space: SpaceModel, numerator: MultiPolynomial,
-                   denominator: MultiPolynomial) -> MultiPolynomial:
-    """Truncated total Chern class of a quotient bundle E/F."""
-    inv = series_inverse(denominator, space.top_degree)
-    return (numerator * inv).truncate(space.top_degree)
+def quotient_chern(numerator: MultiPolynomial, denominator: MultiPolynomial,
+                   max_degree: int) -> MultiPolynomial:
+    """Total Chern class of a quotient bundle E/F from c(E) and c(F),
+    truncated at the given degree."""
+    return (numerator * series_inverse(denominator, max_degree)) \
+        .truncate(max_degree)
 
 
 def projective_space(n: int, var: str = "h") -> SpaceModel:
@@ -182,7 +177,7 @@ def _scenario_4_1_1() -> tuple[Fraction, Fraction]:
     sp = projective_space(1)
     a3 = FormalBundle.from_total_chern(sp, 3, sp.constant(1) + sp.gen("h"))
     w = a3.exterior_square()
-    return sp.integrate(w.c(1)), rat(0)
+    return sp.integrate(w.chern_class(1)), rat(0)
 
 
 def _scenario_4_1_2() -> tuple[Fraction, Fraction]:
@@ -191,7 +186,7 @@ def _scenario_4_1_2() -> tuple[Fraction, Fraction]:
     h = sp.gen("h")
     total = sp.constant(1) + h + h**2 + h**3
     a3 = FormalBundle.from_total_chern(sp, 3, total)
-    return sp.integrate(a3.exterior_square().c(3)), rat(0)
+    return sp.integrate(a3.exterior_square().chern_class(3)), rat(0)
 
 
 def _scenario_4_1_3() -> tuple[Fraction, Fraction]:
@@ -200,8 +195,9 @@ def _scenario_4_1_3() -> tuple[Fraction, Fraction]:
     h = sp.gen("h")
     a3 = FormalBundle.from_total_chern(sp, 3, sp.constant(1) + h)
     quot = FormalBundle.from_total_chern(
-        sp, 3, quotient_chern(sp, sp.constant(1), sp.constant(1) - h))
-    cls = a3.exterior_square().c(1) - quot.c(1)
+        sp, 3, quotient_chern(sp.constant(1), sp.constant(1) - h,
+                              sp.top_degree))
+    cls = a3.exterior_square().chern_class(1) - quot.chern_class(1)
     return sp.integrate(cls), rat(0)
 
 
@@ -209,14 +205,14 @@ def _scenario_4_1_4() -> tuple[Fraction, Fraction]:
     sp = product_of_lines(("h", "hp"))
     total = (sp.constant(1) + sp.gen("h")) * (sp.constant(1) + sp.gen("hp"))
     a3 = FormalBundle.from_total_chern(sp, 3, total)
-    return sp.integrate(a3.exterior_square().c(2)), rat(0)
+    return sp.integrate(a3.exterior_square().chern_class(2)), rat(0)
 
 
 def _scenario_4_1_5() -> tuple[Fraction, Fraction]:
     sp = projective_space(2)
     h = sp.gen("h")
     a3 = FormalBundle.from_total_chern(sp, 3, sp.constant(1) + h + h**2)
-    return sp.integrate(a3.exterior_square().c(2)), rat(0)
+    return sp.integrate(a3.exterior_square().chern_class(2)), rat(0)
 
 
 def _scenario_4_1_6() -> tuple[Fraction, Fraction]:
@@ -229,7 +225,7 @@ def _scenario_4_1_6() -> tuple[Fraction, Fraction]:
     h1, h2 = sp.gen("h1"), sp.gen("h2")
     u3 = FormalBundle.from_total_chern(sp, 3, sp.constant(1) + h2 + h2**2)
     w = u3.exterior_square().twist_by_line(h1)
-    return sp.integrate(w.c(3)), rat(0)
+    return sp.integrate(w.chern_class(3)), rat(0)
 
 
 def _scenario_4_1_7() -> tuple[Fraction, Fraction]:
@@ -238,7 +234,7 @@ def _scenario_4_1_7() -> tuple[Fraction, Fraction]:
     total = (sp.constant(1) + h1) * (sp.constant(1) + h2)
     u3 = FormalBundle.from_total_chern(sp, 3, total)
     w = u3.exterior_square().twist_by_line(h3)
-    return sp.integrate(w.c(3)), rat(0)
+    return sp.integrate(w.chern_class(3)), rat(0)
 
 
 def _grassmann_bundle_4_1_8() -> SpaceModel:
@@ -251,7 +247,7 @@ def _grassmann_bundle_4_1_8() -> SpaceModel:
     h, a1, a2 = (ring.gen(n) for n in names)
     c_s = ring.one() - a1 + a2          # tautological subbundle
     c_e = ring.one() + h
-    q_total = (c_e * series_inverse(c_s, 5)).truncate(5)
+    q_total = quotient_chern(c_e, c_s, 5)
     rels = [h ** 2, q_total.component(3), q_total.component(4)]
     return SpaceModel(names, degs, rels, 5, (1, 0, 2))
 
@@ -263,9 +259,11 @@ def _scenario_4_1_8() -> tuple[Fraction, Fraction]:
         sp, 3, (sp.constant(1) + h) * (sp.constant(1) + a1 + a2))
     b1 = d3.exterior_square()
     v3_over_d1 = FormalBundle.from_total_chern(
-        sp, 2, quotient_chern(sp, sp.constant(1), sp.constant(1) - h))
+        sp, 2, quotient_chern(sp.constant(1), sp.constant(1) - h,
+                              sp.top_degree))
     diff = b1.minus(v3_over_d1)
-    main = sp.integrate(d3.c(1) * b1.c(2) * diff.c(2))
+    main = sp.integrate(d3.chern_class(1) * b1.chern_class(2)
+                        * diff.chern_class(2))
 
     # degenerate locus: D_3 containing the distinguished line, a P(E') of
     # rank-three E' with c(E') = 1 + h over the same P^1
@@ -279,9 +277,10 @@ def _scenario_4_1_8() -> tuple[Fraction, Fraction]:
         corr_sp, 3, (corr_sp.constant(1) + h_) * (corr_sp.constant(1) + m))
     v3_over_d1c = FormalBundle.from_total_chern(
         corr_sp, 2,
-        quotient_chern(corr_sp, corr_sp.constant(1), corr_sp.constant(1) - h_))
+        quotient_chern(corr_sp.constant(1), corr_sp.constant(1) - h_,
+                       corr_sp.top_degree))
     diffc = d3c.exterior_square().minus(v3_over_d1c)
-    correction = corr_sp.integrate(d3c.c(1) * diffc.c(2))
+    correction = corr_sp.integrate(d3c.chern_class(1) * diffc.chern_class(2))
     return main, correction
 
 
@@ -291,7 +290,7 @@ def _scenario_4_1_9() -> tuple[Fraction, Fraction]:
     names, degs = ("h", "l", "m"), (1, 1, 1)
     ring = GradedRing(names, degs)
     h, l, m = (ring.gen(n) for n in names)
-    c_e = (quotient_chern_ring(ring, 6, (h, l)))
+    c_e = quotient_chern(ring.one(), (ring.one() - h) * (ring.one() - l), 6)
     proj_rel = sum(((c_e.component(i) * m ** (4 - i)) for i in range(1, 5)),
                    m ** 4)
     sp = SpaceModel(names, degs, [h ** 2, l ** 3, proj_rel], 6, (1, 2, 3))
@@ -301,19 +300,12 @@ def _scenario_4_1_9() -> tuple[Fraction, Fraction]:
         * (sp.constant(1) + m))
     w = d3.exterior_square()
     v3_over_d1p = FormalBundle.from_total_chern(
-        sp, 2, quotient_chern(sp, sp.constant(1), sp.constant(1) - l))
+        sp, 2, quotient_chern(sp.constant(1), sp.constant(1) - l,
+                              sp.top_degree))
     diff = w.minus(v3_over_d1p)
-    main = sp.integrate(d3.c(1) * w.c(3) * diff.c(2))
+    main = sp.integrate(d3.chern_class(1) * w.chern_class(3)
+                        * diff.chern_class(2))
     return main, rat(0)
-
-
-def quotient_chern_ring(ring: GradedRing, max_degree: int,
-                        line_classes) -> MultiPolynomial:
-    """Total Chern class of (trivial)/(sum of lines with c1 = -x)."""
-    denom = ring.one()
-    for x in line_classes:
-        denom = denom * (ring.one() - x)
-    return series_inverse(denom, max_degree)
 
 
 def _scenario_4_2_1() -> tuple[Fraction, Fraction]:
@@ -322,14 +314,14 @@ def _scenario_4_2_1() -> tuple[Fraction, Fraction]:
     h = sp.gen("h")
     total = sp.constant(1) + h + h**2 + h**3
     d3 = FormalBundle.from_total_chern(sp, 3, total)
-    return sp.integrate(d3.exterior_square().c(3)), rat(0)
+    return sp.integrate(d3.exterior_square().chern_class(3)), rat(0)
 
 
 def _scenario_4_2_2() -> tuple[Fraction, Fraction]:
     sp = projective_space(2)
     h = sp.gen("h")
     d3 = FormalBundle.from_total_chern(sp, 3, sp.constant(1) + h + h**2)
-    return sp.integrate(d3.exterior_square().c(2)), rat(0)
+    return sp.integrate(d3.exterior_square().chern_class(2)), rat(0)
 
 
 def _scenario_4_2_3() -> tuple[Fraction, Fraction]:
@@ -339,14 +331,14 @@ def _scenario_4_2_3() -> tuple[Fraction, Fraction]:
     names, degs = ("h", "t1", "t11"), (1, 1, 2)
     ring = GradedRing(names, degs)
     h, t1, t11 = (ring.gen(n) for n in names)
-    q_total = series_inverse(ring.one() - t1 + t11, 7)
+    q_total = quotient_chern(ring.one(), ring.one() - t1 + t11, 7)
     rels = [h ** 2, q_total.component(4), q_total.component(5)]
     sp = SpaceModel(names, degs, rels, 7, (1, 0, 3))
     h, t1, t11 = (sp.gen(n) for n in names)
     d3 = FormalBundle.from_total_chern(sp, 3, sp.constant(1) + t1 + t11)
     w = d3.exterior_square()
     tw = w.twist_by_line(h)
-    main = sp.integrate(t1 * w.c(3) * tw.c(3))
+    main = sp.integrate(t1 * w.chern_class(3) * tw.chern_class(3))
 
     # remove the locus where the second and third marked points coincide:
     # P(A_6/D_2) over a P^1, same shape as the 4.1.8 correction one rank up
@@ -358,7 +350,7 @@ def _scenario_4_2_3() -> tuple[Fraction, Fraction]:
     d3c = FormalBundle.from_total_chern(
         corr_sp, 3, (corr_sp.constant(1) + l) * (corr_sp.constant(1) + m))
     wc = d3c.exterior_square()
-    correction = corr_sp.integrate(d3c.c(1) * wc.c(3))
+    correction = corr_sp.integrate(d3c.chern_class(1) * wc.chern_class(3))
     return main, correction
 
 

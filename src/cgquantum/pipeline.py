@@ -12,13 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .exactmath import (GradedRing, InconsistentSystem, MultiPolynomial,
                         QPolynomial, UnderdeterminedSystem, rat, solve_linear)
 from .presentation import (GradedQuotient, build_graded_basis,
-                           expand_in_schubert, expected_dimension,
-                           generator_ring)
+                           generator_ring, products_via_presentation)
 from .schubert import (DEGREES, DUALS, LABELS, MultiplicationTable,
                        SchubertElement)
 
@@ -91,7 +89,6 @@ class ChevalleyUnknowns:
     b5: Fraction
     a5p: Fraction
     b5p: Fraction
-    a7: Optional[Fraction] = None
 
     def as_tuple(self):
         return (self.a3, self.a3p, self.a4, self.a4p, self.a4pp,
@@ -318,7 +315,6 @@ def derive_presentation(table: MultiplicationTable,
         a7 = ratio
     g["s8"] = g8_shifted - a7 * q ** 2
 
-    unknowns.a7 = a7
     return DerivedPresentation([r5, r6], g, a7)
 
 
@@ -338,17 +334,14 @@ def close_loop(table: MultiplicationTable,
     quotient = build_graded_basis(relations=derived.relations,
                                   check_dimensions=False)
     diffs = []
-    for i, a in enumerate(LABELS):
-        for b in LABELS[i:]:
-            product = derived.giambelli[a] * derived.giambelli[b]
-            try:
-                got = expand_in_schubert(quotient, derived.giambelli, product)
-            except (InconsistentSystem, UnderdeterminedSystem) as exc:
-                diffs.append((a, b, f"<{exc}>", str(table.basis_product(a, b))))
-                continue
-            want = table.basis_product(a, b)
-            if got != want:
-                diffs.append((a, b, str(got), str(want)))
+    for a, b, got in products_via_presentation(quotient, derived.giambelli):
+        want = table.basis_product(a, b)
+        if isinstance(got, (InconsistentSystem, UnderdeterminedSystem)):
+            diffs.append((a, b, f"<{got}>", str(want)))
+        elif isinstance(got, Exception):
+            raise got
+        elif got != want:
+            diffs.append((a, b, str(got), str(want)))
     return LoopReport(diffs)
 
 
@@ -366,8 +359,8 @@ def run_pipeline(table: MultiplicationTable,
     loop = close_loop(table, derived)
     return {
         "scenario_values": {k: str(v) for k, v in sorted(scenario_values.items())},
-        "unknowns": {name: str(getattr(unknowns, name))
-                     for name in UNKNOWN_NAMES + ("a7",)},
+        "unknowns": {**{name: str(unknowns[name]) for name in UNKNOWN_NAMES},
+                     "a7": str(derived.a7)},
         "relations": [str(r) for r in derived.relations],
         "giambelli": {l: str(derived.giambelli[l]) for l in LABELS},
         "diff_count": len(loop.diffs),

@@ -12,9 +12,11 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .exactmath import (GradedRing, MultiPolynomial, QPolynomial, rat, rref,
-                        solve_linear)
+from .exactmath import (ZERO, GradedRing, InconsistentSystem,
+                        MultiPolynomial, QPolynomial, UnderdeterminedSystem,
+                        identity, rref)
 from .schubert import (DEGREES, LABEL_INDEX, LABELS, MultiplicationTable,
                        SchubertElement, quantum_product, default_data_dir)
 
@@ -59,9 +61,10 @@ def standard_relations(ring: GradedRing) -> list[MultiPolynomial]:
 class DegreeSlice:
     monomials: list[tuple[int, ...]]          # graded-lex descending
     index: dict[tuple[int, ...], int]
-    pivots: list[int]                         # pivot columns of relation span
     basis: list[tuple[int, ...]]              # non-pivot monomials
-    reduced_rows: list[list[Fraction]]        # rref of the relation span
+    # rref of the relation span: each pivot column with the nonzero
+    # entries of its row in the non-pivot columns
+    reducers: list[tuple[int, list[tuple[int, Fraction]]]]
 
 
 class GradedQuotient:
@@ -77,9 +80,17 @@ class GradedQuotient:
         self.ring = ring
         self.relations = list(relations)
         self.max_degree = max_degree
+        # each relation as (degree, integer terms): scaling by the lcm of
+        # its denominators leaves the span of its multiples unchanged
+        integral = []
+        for rel in self.relations:
+            den = lcm(*(c.denominator for c in rel.terms.values()))
+            integral.append((rel.degree(), [
+                (exps, c.numerator * (den // c.denominator))
+                for exps, c in rel.terms.items()]))
         self.slices: dict[int, DegreeSlice] = {}
         for d in range(max_degree + 1):
-            self.slices[d] = self._build_slice(d)
+            self.slices[d] = self._build_slice(d, integral)
             if expected_dims is not None:
                 want = expected_dims(d)
                 got = len(self.slices[d].basis)
@@ -87,26 +98,29 @@ class GradedQuotient:
                     raise DimensionMismatch(
                         f"degree {d}: quotient dimension {got}, expected {want}")
 
-    def _build_slice(self, degree: int) -> DegreeSlice:
+    def _build_slice(self, degree: int, integral) -> DegreeSlice:
+        """Row-reduce the span of the relation multiples of one degree;
+        each multiple is written straight into an integer row by shifting
+        the exponents of its relation."""
         monomials = self.ring.monomials(degree)
         index = {m: i for i, m in enumerate(monomials)}
-        rows: list[list[Fraction]] = []
-        for rel in self.relations:
-            shift = degree - rel.degree()
+        rows: list[list[int]] = []
+        for rel_degree, terms in integral:
+            shift = degree - rel_degree
             if shift < 0:
                 continue
             for mono in self.ring.monomials(shift):
-                prod = rel * self.ring.monomial(mono)
-                row = [rat(0)] * len(monomials)
-                for exps, c in prod.terms.items():
-                    row[index[exps]] = c
+                row = [0] * len(monomials)
+                for exps, c in terms:
+                    row[index[tuple(a + b for a, b in zip(exps, mono))]] = c
                 rows.append(row)
-        if rows:
-            reduced, _, pivots = rref(rows)
-        else:
-            reduced, pivots = [], []
-        basis = [m for i, m in enumerate(monomials) if i not in set(pivots)]
-        return DegreeSlice(monomials, index, pivots, basis, reduced)
+        reduced, _, pivots = rref(rows)
+        pivot_set = set(pivots)
+        basis = [m for i, m in enumerate(monomials) if i not in pivot_set]
+        reducers = [(col, [(j, c) for j, c in enumerate(row)
+                           if c and j != col])
+                    for row, col in zip(reduced, pivots)]
+        return DegreeSlice(monomials, index, basis, reducers)
 
     def dimension(self, degree: int) -> int:
         return len(self._slice(degree).basis)
@@ -125,17 +139,15 @@ class GradedQuotient:
         if not p.is_homogeneous():
             raise ValueError("normal_form expects a homogeneous polynomial")
         sl = self._slice(p.degree())
-        vec = [rat(0)] * len(sl.monomials)
+        vec = [ZERO] * len(sl.monomials)
         for exps, c in p.terms.items():
             vec[sl.index[exps]] = c
         # eliminate pivot coordinates using the reduced relation rows
-        for row_i, col in enumerate(sl.pivots):
+        for col, row in sl.reducers:
             f = vec[col]
             if f:
-                row = sl.reduced_rows[row_i]
-                for j in range(col, len(vec)):
-                    if row[j]:
-                        vec[j] -= f * row[j]
+                for j, c in row:
+                    vec[j] -= f * c
         terms = {m: vec[sl.index[m]] for m in sl.basis}
         return MultiPolynomial(self.ring, terms)
 
@@ -159,6 +171,27 @@ def build_graded_basis(relations: list[MultiPolynomial] | None = None,
 # Giambelli dictionary and evaluation into the Schubert basis
 
 
+class GiambelliFormatError(ValueError):
+    """The dictionary file does not match the documented schema."""
+
+
+def _parse_monomial(label: str, term, ngens: int):
+    if not isinstance(term, dict) or "exponents" not in term \
+            or "coeff" not in term:
+        raise GiambelliFormatError(f"term of {label} needs 'exponents' and "
+                                   f"a 'coeff': {term!r}")
+    exps = term["exponents"]
+    if not isinstance(exps, list) or len(exps) != ngens \
+            or any(type(e) is not int or e < 0 for e in exps):
+        raise GiambelliFormatError(f"exponents of a {label} term must be "
+                                   f"{ngens} integers >= 0: {term!r}")
+    try:
+        return exps, Fraction(term["coeff"])
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise GiambelliFormatError(
+            f"bad coefficient in {label}: {term!r}") from None
+
+
 def load_giambelli(path: str | os.PathLike | None = None,
                    ring: GradedRing | None = None) -> dict[str, MultiPolynomial]:
     if path is None:
@@ -167,13 +200,18 @@ def load_giambelli(path: str | os.PathLike | None = None,
         ring = generator_ring()
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise GiambelliFormatError("dictionary must be a JSON object")
     out: dict[str, MultiPolynomial] = {}
     for label, terms in raw.items():
         if label not in DEGREES:
             raise ValueError(f"unknown label {label!r} in dictionary")
+        if not isinstance(terms, list):
+            raise GiambelliFormatError(f"terms of {label} must be a list")
         poly = ring.zero()
         for term in terms:
-            poly = poly + ring.monomial(term["exponents"], rat(term["coeff"]))
+            poly = poly + ring.monomial(
+                *_parse_monomial(label, term, len(ring.names)))
         if not poly.is_homogeneous() or poly.degree() != DEGREES[label]:
             raise ValueError(f"dictionary entry for {label} is not "
                              f"homogeneous of degree {DEGREES[label]}")
@@ -217,7 +255,7 @@ def schubert_to_normal_form(quotient: GradedQuotient,
             cols.append((label, rem // 4))
     basis = quotient.basis(degree)
     index = {m: i for i, m in enumerate(basis)}
-    matrix = [[rat(0)] * len(cols) for _ in basis]
+    matrix = [[ZERO] * len(cols) for _ in basis]
     for j, (label, qexp) in enumerate(cols):
         poly = giambelli[label] * ring.gen("q") ** qexp
         nf = quotient.normal_form(poly)
@@ -226,24 +264,87 @@ def schubert_to_normal_form(quotient: GradedQuotient,
     return cols, matrix
 
 
+def _change_of_basis(quotient: GradedQuotient,
+                      giambelli: dict[str, MultiPolynomial], degree: int):
+    """Factor one degree's change of basis once, for any number of
+    right-hand sides.
+
+    Row-reducing [M | I], for the matrix M of schubert_to_normal_form,
+    gives [E M | E] with E M in reduced echelon form, so M x = b costs one
+    product E b.  The returned function expands a homogeneous polynomial
+    of that degree and raises what solve_linear(M, b) raises, in the same
+    order: InconsistentSystem when E b is nonzero below the rank, then
+    UnderdeterminedSystem when the rank is short of the columns.
+    """
+    cols, matrix = schubert_to_normal_form(quotient, giambelli, degree)
+    n = len(matrix)
+    # like solve_linear, read a matrix without rows as having no columns
+    k = len(cols) if n else 0
+    reduced, _, pivots = rref([row + unit for row, unit in
+                               zip(matrix, identity(n))])
+    rank = sum(1 for col in pivots if col < k)
+    transform = [row[k:] for row in reduced]
+    targets = [(LABEL_INDEX[cols[col][0]], cols[col][1])
+               for col in pivots[:rank]]
+    index = {m: i for i, m in enumerate(quotient.basis(degree))}
+
+    def expand(p: MultiPolynomial) -> SchubertElement:
+        b = [ZERO] * n
+        for exps, c in quotient.normal_form(p).terms.items():
+            b[index[exps]] = c
+        y = [sum((e * v for e, v in zip(row, b) if e and v), ZERO)
+             for row in transform]
+        if any(y[rank:]):
+            raise InconsistentSystem("no solution")
+        if rank < k:
+            raise UnderdeterminedSystem("solution not unique")
+        return SchubertElement.from_terms(dict(zip(targets, y)))
+
+    return expand
+
+
+def _expander(quotient: GradedQuotient,
+              giambelli: dict[str, MultiPolynomial]):
+    """expand_in_schubert for one quotient and dictionary, factoring each
+    degree's change of basis on first use."""
+    solvers = {}
+
+    def expand(p: MultiPolynomial) -> SchubertElement:
+        if p.is_zero():
+            return SchubertElement.zero()
+        degree = p.degree()
+        if degree not in solvers:
+            solvers[degree] = _change_of_basis(quotient, giambelli, degree)
+        return solvers[degree](p)
+
+    return expand
+
+
 def expand_in_schubert(quotient: GradedQuotient,
                        giambelli: dict[str, MultiPolynomial],
                        p: MultiPolynomial) -> SchubertElement:
     """Rewrite a homogeneous polynomial, via its normal form, as an exact
     combination of q-power multiples of Schubert classes."""
-    if p.is_zero():
-        return SchubertElement.zero()
-    degree = p.degree()
-    cols, matrix = schubert_to_normal_form(quotient, giambelli, degree)
-    basis = quotient.basis(degree)
-    index = {m: i for i, m in enumerate(basis)}
-    nf = quotient.normal_form(p)
-    target = [rat(0)] * len(basis)
-    for exps, c in nf.terms.items():
-        target[index[exps]] = c
-    sol = solve_linear(matrix, target)
-    return SchubertElement.from_terms(
-        {(LABEL_INDEX[label], qexp): c for (label, qexp), c in zip(cols, sol)})
+    return _expander(quotient, giambelli)(p)
+
+
+def products_via_presentation(quotient: GradedQuotient,
+                              giambelli: dict[str, MultiPolynomial]):
+    """All 120 unordered products of dictionary entries, recomputed
+    through the quotient with each degree's change of basis factored once.
+
+    Yields (a, b, result) in table order; result is the product expanded
+    in the Schubert basis, or the exception its expansion raised.
+    """
+    expand = _expander(quotient, giambelli)
+    for i, a in enumerate(LABELS):
+        for b in LABELS[i:]:
+            product = giambelli[a] * giambelli[b]
+            try:
+                result = expand(product)
+            except Exception as exc:
+                result = exc
+            yield a, b, result
 
 
 def cross_check_presentation(table: MultiplicationTable,
@@ -278,16 +379,11 @@ def cross_check_presentation(table: MultiplicationTable,
                "" if not bad_g else f"mismatches: {bad_g[:3]}")
 
     bad_prod = []
-    for i, a in enumerate(LABELS):
-        for b in LABELS[i:]:
-            product = giambelli[a] * giambelli[b]
-            try:
-                via_quotient = expand_in_schubert(quotient, giambelli, product)
-            except Exception as exc:
-                bad_prod.append((a, b, f"expansion failed: {exc}"))
-                continue
-            if via_quotient != table.basis_product(a, b):
-                bad_prod.append((a, b, str(via_quotient)))
+    for a, b, via_quotient in products_via_presentation(quotient, giambelli):
+        if isinstance(via_quotient, Exception):
+            bad_prod.append((a, b, f"expansion failed: {via_quotient}"))
+        elif via_quotient != table.basis_product(a, b):
+            bad_prod.append((a, b, str(via_quotient)))
     report.add("products_match", not bad_prod,
                "" if not bad_prod else f"{len(bad_prod)} mismatches, "
                f"first: {bad_prod[:3]}")

@@ -158,3 +158,31 @@ def test_table_schema_error_is_a_data_error(capsys, tmp_path, mutate):
     assert out == ""
     assert err.startswith("data error: ")
     assert len(err.splitlines()) == 1
+
+
+def _write_shipped_giambelli(tmp_path, mutate):
+    with open(os.path.join(default_data_dir(), "cg_giambelli.json")) as fh:
+        raw = json.load(fh)
+    mutate(raw)
+    path = tmp_path / "giambelli.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda raw: raw.update(s2=5),
+    lambda raw: raw["s3"][0].pop("exponents"),
+    lambda raw: raw["s3"][0].pop("coeff"),
+    lambda raw: raw["s3"][0].update(exponents=[3, 0]),
+    lambda raw: raw["s3"][0].update(exponents=[4, -1, 0]),
+    lambda raw: raw["s3"][0].update(exponents=["3", 0, 0]),
+], ids=["terms-not-a-list", "term-without-exponents", "term-without-coeff",
+        "two-exponents", "negative-exponent", "string-exponent"])
+def test_giambelli_schema_error_is_a_data_error(capsys, tmp_path, mutate):
+    path = _write_shipped_giambelli(tmp_path, mutate)
+    code, out, err = run_cli(capsys, "--giambelli-file", path,
+                             "verify", "--suite", "presentation")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("data error: ")
+    assert len(err.splitlines()) == 1

@@ -118,3 +118,59 @@ def test_qpolynomial_divmod_and_gcd():
 def test_qpolynomial_evaluation_exact():
     p = QPolynomial({3: Fraction(1, 3), 0: Fraction(1, 6)})
     assert p(Fraction(1, 2)) == Fraction(1, 24) + Fraction(1, 6)
+
+
+def _reference_rref(m):
+    """Textbook Gauss-Jordan elimination over Fractions."""
+    r = [[Fraction(x) for x in row] for row in m]
+    nrows = len(r)
+    ncols = len(r[0]) if nrows else 0
+    pivots = []
+    for col in range(ncols):
+        lead = len(pivots)
+        piv = next((i for i in range(lead, nrows) if r[i][col]), None)
+        if piv is None:
+            continue
+        r[lead], r[piv] = r[piv], r[lead]
+        r[lead] = [x / r[lead][col] for x in r[lead]]
+        for i in range(nrows):
+            if i != lead and r[i][col]:
+                f = r[i][col]
+                r[i] = [x - f * y for x, y in zip(r[i], r[lead])]
+        pivots.append(col)
+    return r, len(pivots), pivots
+
+
+def _random_matrix(rng, nrows, ncols):
+    rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+             if rng.random() < 0.6 else Fraction(0) for _ in range(ncols)]
+            for _ in range(nrows)]
+    if nrows >= 2 and rng.random() < 0.5:
+        # a combination of two rows makes the matrix rank-deficient
+        a, b = rng.sample(range(nrows), 2)
+        f = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        rows[rng.randrange(nrows)] = [x + f * y
+                                      for x, y in zip(rows[a], rows[b])]
+    if nrows and rng.random() < 0.3:
+        rows[rng.randrange(nrows)] = [Fraction(0)] * ncols
+    return rows
+
+
+def test_rref_matches_reference_elimination():
+    rng = random.Random(2024)
+    shapes = [(r, c) for r in range(1, 8) for c in range(1, 9)]
+    for trial in range(600):
+        nrows, ncols = shapes[trial % len(shapes)]
+        m = _random_matrix(rng, nrows, ncols)
+        before = [row[:] for row in m]
+        got = rref(m)
+        assert got == _reference_rref(m), m
+        assert m == before
+        assert all(type(x) is Fraction for row in got[0] for x in row)
+
+
+def test_rref_integer_and_empty_input():
+    assert rref([]) == ([], 0, [])
+    m = [[2, 4, 6], [1, 1, 1], [3, 5, 7]]
+    assert rref(m) == _reference_rref(m)
+    assert rref([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], 0, [])

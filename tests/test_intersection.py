@@ -16,7 +16,7 @@ def test_dual_of_line_bundle():
     space = projective_space(1)
     h = space.gen("h")
     line = FormalBundle.from_total_chern(space, 1, space.constant(1) + h)
-    assert line.dual().c(1) == -h
+    assert line.dual().chern_class(1) == -h
 
 
 def test_dual_of_trivial_is_trivial():
@@ -31,8 +31,8 @@ def test_dual_sign_rule_rank_2():
     b = FormalBundle.from_total_chern(space, 2,
                                       space.constant(1) + h + h * h)
     d = b.dual()
-    assert d.c(1) == -h
-    assert d.c(2) == h * h
+    assert d.chern_class(1) == -h
+    assert d.chern_class(2) == h * h
 
 
 def test_exterior_square_of_split_rank_3():
@@ -59,8 +59,8 @@ def test_exterior_square_with_only_c1():
     h = space.gen("h")
     b = FormalBundle.from_total_chern(space, 3, space.constant(1) + h)
     got = b.exterior_square()
-    assert got.c(1) == 2 * h
-    assert got.c(2) == h * h  # c1^2 + c2 with c2 = 0
+    assert got.chern_class(1) == 2 * h
+    assert got.chern_class(2) == h * h  # c1^2 + c2 with c2 = 0
 
 
 def test_exterior_square_of_rank_2_is_determinant():
@@ -70,7 +70,7 @@ def test_exterior_square_of_rank_2_is_determinant():
                                       space.constant(1) + h + 3 * h * h)
     sq = b.exterior_square()
     assert sq.rank == 1
-    assert sq.c(1) == h
+    assert sq.chern_class(1) == h
 
 
 def test_exterior_square_rank_limit():
@@ -103,7 +103,7 @@ def test_twist_line_bundle():
     space = product_of_lines(("x", "y"))
     x, y = space.gen("x"), space.gen("y")
     b = FormalBundle.from_total_chern(space, 1, space.constant(1) + x)
-    assert b.twist_by_line(y).c(1) == x + y
+    assert b.twist_by_line(y).chern_class(1) == x + y
 
 
 def test_whitney_sum_and_difference():

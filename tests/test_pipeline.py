@@ -126,3 +126,13 @@ def test_run_pipeline_report(table):
     assert len(result["relations"]) == 2
     assert len(result["giambelli"]) == 15
     assert set(result["scenario_values"]) == set(ALL_SCENARIOS)
+
+
+def test_derive_presentation_leaves_unknowns_unchanged(table,
+                                                       scenario_values):
+    unknowns = solve_chevalley(scenario_values)
+    before = dict(vars(unknowns))
+    missing = derive_missing_products(table, scenario_values)
+    presentation = derive_presentation(table, unknowns, missing)
+    assert vars(unknowns) == before
+    assert presentation.a7 == 0

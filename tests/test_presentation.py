@@ -1,19 +1,24 @@
 """Generator-and-relations model of the ring and its cross-checks
 against the Schubert-basis table."""
+import json
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
-from cgquantum.exactmath import mat_rank, rat
+from cgquantum.exactmath import (InconsistentSystem, UnderdeterminedSystem,
+                                 mat_rank, rat, solve_linear)
 from cgquantum.presentation import (DegreeOutOfRange, DimensionMismatch,
-                                    build_graded_basis,
+                                    GiambelliFormatError, build_graded_basis,
                                     cross_check_presentation,
-                                    evaluate_in_schubert, expected_dimension,
-                                    generator_ring, load_giambelli,
+                                    evaluate_in_schubert, expand_in_schubert,
+                                    expected_dimension, generator_ring,
+                                    load_giambelli, products_via_presentation,
                                     schubert_to_normal_form,
                                     standard_relations)
-from cgquantum.schubert import (DEGREES, LABELS, SchubertElement,
+from cgquantum.schubert import (DEGREES, LABEL_INDEX, LABELS,
+                                SchubertElement, default_data_dir,
                                 load_default_table, quantum_product)
 
 
@@ -160,3 +165,91 @@ def test_miscopied_relation_detected(table):
     report = cross_check_presentation(
         table, bad_quotient, load_giambelli(ring=bad_quotient.ring))
     assert not report.ok
+
+
+def test_products_via_presentation_match_table(table, quotient, giambelli):
+    results = list(products_via_presentation(quotient, giambelli))
+    pairs = [(a, b) for i, a in enumerate(LABELS) for b in LABELS[i:]]
+    assert [(a, b) for a, b, _ in results] == pairs
+    for a, b, got in results:
+        assert got == table.basis_product(a, b), (a, b, got)
+
+
+def _expansion_by_solve_linear(quotient, giambelli, p):
+    """Reference: one solve_linear per right-hand side, reported the way
+    the cross-check reports a product."""
+    degree = p.degree()
+    cols, matrix = schubert_to_normal_form(quotient, giambelli, degree)
+    index = {m: i for i, m in enumerate(quotient.basis(degree))}
+    target = [Fraction(0)] * len(index)
+    for exps, c in quotient.normal_form(p).terms.items():
+        target[index[exps]] = c
+    try:
+        sol = solve_linear(matrix, target)
+    except (InconsistentSystem, UnderdeterminedSystem) as exc:
+        return f"expansion failed: {exc}"
+    return str(SchubertElement.from_terms(
+        {(LABEL_INDEX[label], e): c for (label, e), c in zip(cols, sol)}))
+
+
+@pytest.mark.parametrize("replaced,by", [("s4", "s4p"), ("s2", "s2p"),
+                                         ("s6", "s6p")])
+def test_singular_change_of_basis_fails_like_solve_linear(
+        table, quotient, giambelli, replaced, by):
+    # two equal entries of one degree make that degree's change of basis
+    # singular: some products have no expansion, some no unique one
+    broken = dict(giambelli)
+    broken[replaced] = giambelli[by]
+    want = {}
+    for i, a in enumerate(LABELS):
+        for b in LABELS[i:]:
+            want[a, b] = _expansion_by_solve_linear(
+                quotient, broken, broken[a] * broken[b])
+    got = {}
+    for a, b, result in products_via_presentation(quotient, broken):
+        got[a, b] = (f"expansion failed: {result}"
+                     if isinstance(result, Exception) else str(result))
+    assert got == want
+    failures = set(want.values())
+    assert "expansion failed: no solution" in failures
+    assert "expansion failed: solution not unique" in failures
+    bad = [(a, b, detail) for (a, b), detail in want.items()
+           if detail.startswith("expansion failed")
+           or detail != str(table.basis_product(a, b))]
+    report = cross_check_presentation(table, quotient, broken)
+    products = [c for c in report.checks if c.check_id == "products_match"]
+    assert products[0].detail == f"{len(bad)} mismatches, first: {bad[:3]}"
+    p = broken["s0"] * broken[replaced]
+    with pytest.raises(UnderdeterminedSystem, match="solution not unique"):
+        expand_in_schubert(quotient, broken, p)
+
+
+def _write_shipped_giambelli(tmp_path, mutate):
+    with open(os.path.join(default_data_dir(), "cg_giambelli.json")) as fh:
+        raw = json.load(fh)
+    mutate(raw)
+    path = tmp_path / "giambelli.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+GIAMBELLI_SCHEMA_ERRORS = {
+    "terms-not-a-list": lambda raw: raw.update(s3={"exponents": [3, 0, 0]}),
+    "term-without-exponents": lambda raw: raw["s3"][0].pop("exponents"),
+    "term-without-coeff": lambda raw: raw["s3"][0].pop("coeff"),
+    "exponents-too-short": lambda raw: raw["s3"][0].update(exponents=[3, 0]),
+    "exponent-negative": lambda raw: raw["s3"][0].update(
+        exponents=[4, -1, 0]),
+    "exponent-not-an-int": lambda raw: raw["s3"][0].update(
+        exponents=[3.0, 0, 0]),
+    "term-not-an-object": lambda raw: raw["s3"].append(7),
+    "coeff-unparseable": lambda raw: raw["s3"][0].update(coeff="1/0"),
+}
+
+
+@pytest.mark.parametrize("mutate", list(GIAMBELLI_SCHEMA_ERRORS.values()),
+                         ids=list(GIAMBELLI_SCHEMA_ERRORS))
+def test_giambelli_schema_errors_raise_format_error(tmp_path, mutate):
+    path = _write_shipped_giambelli(tmp_path, mutate)
+    with pytest.raises(GiambelliFormatError):
+        load_giambelli(path)

@@ -198,21 +198,17 @@ class GradedRing:
     def monomials(self, degree: int) -> list[tuple[int, ...]]:
         """All exponent tuples of the given weighted degree, graded-lex
         descending (first generator heaviest)."""
-        out: list[tuple[int, ...]] = []
-
-        def rec(i: int, remaining: int, prefix: tuple[int, ...]):
-            if i == len(self.names) - 1:
-                d = self.degrees[i]
-                if remaining % d == 0:
-                    out.append(prefix + (remaining // d,))
-                return
-            d = self.degrees[i]
-            for e in range(remaining // d, -1, -1):
-                rec(i + 1, remaining - e * d, prefix + (e,))
-
-        if degree >= 0:
-            rec(0, degree, ())
-        return out
+        if degree < 0:
+            return []
+        # prefixes over all but the last generator, each with the degree
+        # it leaves; the last exponent is then fixed, if it divides
+        partial: list[tuple[tuple[int, ...], int]] = [((), degree)]
+        *heads, last = self.degrees
+        for d in heads:
+            partial = [(prefix + (e,), rest - e * d) for prefix, rest in partial
+                       for e in range(rest // d, -1, -1)]
+        return [prefix + (rest // last,) for prefix, rest in partial
+                if rest % last == 0]
 
     def zero(self) -> "MultiPolynomial":
         return MultiPolynomial(self, {})
@@ -434,6 +430,13 @@ def mat_trace(a: Matrix) -> Fraction:
     return sum((a[i][i] for i in range(len(a))), ZERO)
 
 
+def clear_denominators(values: Sequence) -> tuple[list[int], int]:
+    """The values (ints or Fractions) times the lcm of their denominators,
+    as ints, and that lcm."""
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
 def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
     """Reduced row echelon form; returns (reduced copy, rank, pivot columns).
 
@@ -442,10 +445,7 @@ def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
     divided by the gcd of its entries.  Fractions are formed only for the
     returned rows, which are the unique reduced form.
     """
-    r = []
-    for row in m:
-        den = lcm(*(x.denominator for x in row))
-        r.append([x.numerator * (den // x.denominator) for x in row])
+    r = [clear_denominators(row)[0] for row in m]
     nrows = len(r)
     ncols = len(r[0]) if nrows else 0
     pivots: list[int] = []
@@ -512,29 +512,32 @@ def solve_linear(a: Matrix, b: Sequence) -> list[Fraction]:
 
 
 def determinant(m: Matrix) -> Fraction:
+    """Exact determinant, fraction-free: each row is scaled to integers by
+    the lcm of its denominators and reduced by Bareiss elimination, whose
+    every division is exact; the scales are divided out at the end."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise NonSquareMatrixError("determinant needs a square matrix")
-    a = [row[:] for row in m]
-    det = ONE
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if a[i][col]:
-                piv = i
-                break
+    rows, scale = [], 1
+    for row in m:
+        ints, den = clear_denominators(row)
+        rows.append(ints)
+        scale *= den
+    # rows holds the trailing block still to be eliminated; prev is the
+    # last pivot, which the next step divides out
+    sign, prev = 1, 1
+    while rows:
+        piv = next((i for i, row in enumerate(rows) if row[0]), None)
         if piv is None:
             return ZERO
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for i in range(col + 1, n):
-            if a[i][col]:
-                f = a[i][col] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return det
+        if piv:
+            rows[0], rows[piv] = rows[piv], rows[0]
+            sign = -sign
+        p, *ptail = rows[0]
+        rows = [[(p * x - row[0] * y) // prev for x, y in zip(row[1:], ptail)]
+                for row in rows[1:]]
+        prev = p
+    return Fraction(sign * prev, scale)
 
 
 def charpoly(m: Matrix, var: str = "t") -> QPolynomial:

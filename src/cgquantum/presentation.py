@@ -12,11 +12,10 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .exactmath import (ZERO, GradedRing, InconsistentSystem,
                         MultiPolynomial, QPolynomial, UnderdeterminedSystem,
-                        identity, rref)
+                        clear_denominators, identity, rref)
 from .schubert import (DEGREES, LABEL_INDEX, LABELS, MultiplicationTable,
                        SchubertElement, quantum_product, default_data_dir)
 
@@ -84,10 +83,8 @@ class GradedQuotient:
         # its denominators leaves the span of its multiples unchanged
         integral = []
         for rel in self.relations:
-            den = lcm(*(c.denominator for c in rel.terms.values()))
-            integral.append((rel.degree(), [
-                (exps, c.numerator * (den // c.denominator))
-                for exps, c in rel.terms.items()]))
+            ints, _ = clear_denominators(list(rel.terms.values()))
+            integral.append((rel.degree(), list(zip(rel.terms, ints))))
         self.slices: dict[int, DegreeSlice] = {}
         for d in range(max_degree + 1):
             self.slices[d] = self._build_slice(d, integral)

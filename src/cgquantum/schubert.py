@@ -202,8 +202,15 @@ class MultiplicationTable:
                 k, e, c = _parse_term(term, pair)
                 acc[k, e] = acc.get((k, e), 0) + c
             # repeated terms add up; zero sums drop out and the terms are
-            # grouped by class, as in a SchubertElement
-            constants[key] = SchubertElement.from_terms(acc).terms()
+            # grouped by class in order of first appearance, integral
+            # coefficients as ints
+            by_class: dict[int, dict[int, Rational]] = {}
+            for (k, e), c in acc.items():
+                if c:
+                    by_class.setdefault(k, {})[e] = \
+                        c.numerator if c.denominator == 1 else c
+            constants[key] = {(k, e): c for k, cs in by_class.items()
+                              for e, c in cs.items()}
         expected = (len(LABELS) * (len(LABELS) + 1)) // 2
         if len(constants) != expected:
             raise TableFormatError(

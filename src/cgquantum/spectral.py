@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactmath import (Matrix, QPolynomial, charpoly, determinant,
-                        mat_mul, rat)
+from .exactmath import (Matrix, QPolynomial, charpoly, clear_denominators,
+                        determinant, mat_mul, rat)
 from .schubert import LABELS, MultiplicationTable, SchubertElement
 
 
@@ -36,13 +36,15 @@ def check_semisimple(table: MultiplicationTable, q_value) -> tuple[bool, Fractio
     the Gram matrix B(e_i, e_j) = trace(mult by e_i e_j) has full rank.
     Returns (semisimple, exact Gram determinant)."""
     qv = rat(q_value)
+    if qv.denominator == 1:
+        qv = qv.numerator  # so that integral data sums on ints
     tensor, n = table.tensor, len(LABELS)
+    qpow = {e: qv ** e for terms in table.constants.values() for _, e in terms}
     # trace of multiplication by each basis class
-    trace = [sum((c * qv ** e for j in range(n)
-                  for (k, e), c in tensor[i][j].items() if k == j), rat(0))
+    trace = [sum(c * qpow[e] for j in range(n)
+                 for (k, e), c in tensor[i][j].items() if k == j)
              for i in range(n)]
-    gram = [[sum((c * qv ** e * trace[k]
-                  for (k, e), c in tensor[i][j].items()), rat(0))
+    gram = [[sum(c * qpow[e] * trace[k] for (k, e), c in tensor[i][j].items())
              for j in range(n)] for i in range(n)]
     det = determinant(gram)
     return det != 0, det
@@ -57,44 +59,64 @@ def sigma1_charpoly(table: MultiplicationTable, q_value) -> QPolynomial:
 # certified real root isolation for the cubic factor
 
 
-def sturm_sequence(p: QPolynomial) -> list[QPolynomial]:
+def sturm_sequence(p: QPolynomial) -> list[list[int]]:
+    """Sturm sequence of p, each member scaled by a positive integer to
+    integer coefficients (which keeps its signs) and listed densely from
+    the leading coefficient down."""
     seq = [p, p.derivative()]
     while not seq[-1].is_zero():
         rem = seq[-2].divmod(seq[-1])[1]
         if rem.is_zero():
             break
         seq.append(-rem)
-    return seq
+    return [clear_denominators([poly.coeff(e) for e in
+                                range(poly.degree(), -1, -1)])[0]
+            for poly in seq]
 
 
-def sign_changes(seq: list[QPolynomial], x: Fraction) -> int:
-    signs = []
-    for p in seq:
-        v = p(x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def sign_changes(seq: list[list[int]], n: int, d: int) -> int:
+    """Sign changes of the sequence at n/d, d > 0, zeros skipped.  Each
+    sign is that of the homogenised sum d^deg * p(n/d), read on ints."""
+    changes, last = 0, 0
+    for coeffs in seq:
+        value, dpow = 0, 1
+        for c in coeffs:
+            value = value * n + c * dpow
+            dpow *= d
+        if value:
+            sign = 1 if value > 0 else -1
+            if last and sign != last:
+                changes += 1
+            last = sign
+    return changes
 
 
-def count_real_roots(p: QPolynomial, lo: Fraction, hi: Fraction) -> int:
-    seq = sturm_sequence(p)
-    return sign_changes(seq, lo) - sign_changes(seq, hi)
+def count_real_roots(seq: list[list[int]], lo, hi) -> int:
+    """Distinct real roots in (lo, hi] of the polynomial whose Sturm
+    sequence this is."""
+    (a, b), d = clear_denominators([rat(lo), rat(hi)])
+    return sign_changes(seq, a, d) - sign_changes(seq, b, d)
 
 
-def isolate_root(p: QPolynomial, lo: Fraction, hi: Fraction,
-                 width: Fraction) -> tuple[Fraction, Fraction]:
+def isolate_root(seq: list[list[int]], lo, hi,
+                 width) -> tuple[Fraction, Fraction]:
     """Shrink a bracket known to contain exactly one real root down to the
-    requested width by exact bisection on Sturm counts."""
-    lo, hi = rat(lo), rat(hi)
-    if count_real_roots(p, lo, hi) != 1:
+    requested width by exact bisection on Sturm counts.  The bracket is
+    kept as integer numerators a, b over a common denominator d, which
+    doubles at each step; only the midpoint is evaluated."""
+    (a, b), d = clear_denominators([rat(lo), rat(hi)])
+    va = sign_changes(seq, a, d)
+    if va - sign_changes(seq, b, d) != 1:
         raise ValueError("bracket does not isolate a single root")
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        if count_real_roots(p, lo, mid) == 1:
-            hi = mid
+    width = rat(width)
+    while (b - a) * width.denominator > width.numerator * d:
+        mid, d = a + b, 2 * d
+        vmid = sign_changes(seq, mid, d)
+        if va - vmid == 1:
+            a, b = 2 * a, mid
         else:
-            lo = mid
-    return lo, hi
+            a, b, va = mid, 2 * b, vmid
+    return Fraction(a, d), Fraction(b, d)
 
 
 def newton_polish(p: QPolynomial, x0, iterations: int = 60) -> float:
@@ -176,13 +198,18 @@ def conjecture_o_check(table: MultiplicationTable) -> SpectralReport:
     # count and isolate real roots of f over a bracket certain to contain
     # them all (Cauchy bound)
     bound = 1 + max(abs(f.coeff(i)) for i in range(3))
-    n_real = count_real_roots(f, -bound, bound)
+    seq = sturm_sequence(f)
+    n_real = count_real_roots(seq, -bound, bound)
     if n_real != 1:
         report.notes.append(f"cubic has {n_real} real roots, expected 1 "
                             "(one real plus a complex pair)")
         report.dominant_real_simple = False
         return report
-    lo, hi = isolate_root(f, rat(0), bound, Fraction(1, 10**14))
+    if count_real_roots(seq, 0, bound) != 1:
+        report.notes.append("the real root of the cubic is not positive")
+        report.dominant_real_simple = False
+        return report
+    lo, hi = isolate_root(seq, 0, bound, Fraction(1, 10**14))
     report.y_max_bracket = (lo, hi)
     report.y_max = newton_polish(f, float((lo + hi) / 2))
 

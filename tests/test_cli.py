@@ -137,6 +137,21 @@ def test_conjecture_o_json(capsys):
     assert data["char_poly"]["3"] == "-2048"
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["conjecture-o"], "conjecture_o.txt"),
+    (["--json", "conjecture-o"], "conjecture_o.json"),
+    (["--json", "verify", "--suite", "spectral"], "verify_spectral.json"),
+])
+def test_spectral_output_is_pinned(capsys, argv, golden):
+    code, out, err = run_cli(capsys, *argv)
+    with open(os.path.join(GOLDEN, golden)) as fh:
+        assert out == fh.read()
+    assert (code, err) == (0, "")
+
+
 def _write_shipped_table(tmp_path, mutate):
     with open(os.path.join(default_data_dir(), "cg_table.json")) as fh:
         raw = json.load(fh)
@@ -186,3 +201,25 @@ def test_giambelli_schema_error_is_a_data_error(capsys, tmp_path, mutate):
     assert out == ""
     assert err.startswith("data error: ")
     assert len(err.splitlines()) == 1
+
+
+def _s1_s1_coefficient_of_s2(value):
+    def mutate(raw):
+        rec = next(r for r in raw["products"] if (r["a"], r["b"]) == ("s1", "s1"))
+        next(t for t in rec["terms"] if t["label"] == "s2")["coeff"] = value
+    return mutate
+
+
+@pytest.mark.parametrize("argv, failing", [
+    (["conjecture-o"], "dominant eigenvalue real and simple: False"),
+    (["verify", "--suite", "spectral"], "[fail] spectral:dominant_real_simple"),
+], ids=["conjecture-o", "verify-spectral"])
+def test_cubic_without_positive_root_is_a_verification_failure(
+        capsys, tmp_path, argv, failing):
+    # f = y^3 - 48 y^2 + 455 y + 4864 has a single real root, and it is
+    # negative, so there is no dominant root to isolate in (0, bound]
+    path = _write_shipped_table(tmp_path, _s1_s1_coefficient_of_s2(-5))
+    code, out, err = run_cli(capsys, "--table-file", path, *argv)
+    assert code == 1
+    assert err == ""
+    assert failing in out

@@ -1,13 +1,18 @@
 """Exact rational linear algebra and polynomial arithmetic."""
+import gc
 import random
 from fractions import Fraction
 
 import pytest
 
-from cgquantum.exactmath import (InconsistentSystem, NonSquareMatrixError,
-                                 QPolynomial, UnderdeterminedSystem, charpoly,
+from itertools import product
+
+from cgquantum.exactmath import (GradedRing, InconsistentSystem,
+                                 NonSquareMatrixError, QPolynomial,
+                                 UnderdeterminedSystem, charpoly, determinant,
                                  identity, mat, mat_mul, mat_rank, rat, rref,
                                  solve_linear, zeros)
+from cgquantum.presentation import generator_ring
 
 
 def test_rref_identity_unchanged():
@@ -174,3 +179,77 @@ def test_rref_integer_and_empty_input():
     m = [[2, 4, 6], [1, 1, 1], [3, 5, 7]]
     assert rref(m) == _reference_rref(m)
     assert rref([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], 0, [])
+
+
+def _reference_determinant(m):
+    """Textbook Gaussian elimination over Fractions."""
+    a = [[Fraction(x) for x in row] for row in m]
+    n, det = len(a), Fraction(1)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for i in range(col + 1, n):
+            f = a[i][col] / a[col][col]
+            a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return det
+
+
+def test_determinant_matches_reference_elimination():
+    rng = random.Random(1968)
+    for trial in range(600):
+        n = trial % 8
+        m = _random_matrix(rng, n, n)
+        if trial % 3 == 0:
+            m = [[int(x * 12) for x in row] for row in m]  # int entries
+        before = [row[:] for row in m]
+        got = determinant(m)
+        assert got == _reference_determinant(m), m
+        assert type(got) is Fraction
+        assert m == before
+
+
+def test_determinant_edge_cases():
+    assert determinant([]) == 1 and type(determinant([])) is Fraction
+    assert determinant([[Fraction(-3, 7)]]) == Fraction(-3, 7)
+    assert determinant([[5]]) == 5
+    assert determinant(zeros(4, 4)) == 0
+    assert determinant([[1, 2], [2, 4]]) == 0
+    assert determinant([[0, 1], [1, 0]]) == -1
+    with pytest.raises(NonSquareMatrixError):
+        determinant([[1, 2]])
+
+
+def _brute_force_monomials(ring, degree):
+    """Every exponent tuple of the weighted degree, sorted lexicographically
+    descending, which is graded-lex descending within one degree."""
+    ranges = [range(degree // d + 1) for d in ring.degrees]
+    return sorted((e for e in product(*ranges)
+                   if ring.monomial_degree(e) == degree), reverse=True)
+
+
+@pytest.mark.parametrize("ring", [
+    generator_ring(),
+    GradedRing(("x",), (1,)),
+    GradedRing(("c1", "c2", "d1"), (1, 2, 1)),
+    GradedRing(("a", "b", "c", "d"), (3, 1, 2, 5)),
+], ids=["quotient-and-pipeline-ring", "one-generator", "chern-ring", "four-generators"])
+def test_monomials_match_brute_force(ring):
+    for degree in range(21):
+        assert ring.monomials(degree) == _brute_force_monomials(ring, degree)
+    assert ring.monomials(-1) == []
+
+
+def test_monomials_leave_no_reference_cycle():
+    ring = generator_ring()
+    gc.collect()
+    gc.disable()
+    try:
+        ring.monomials(12)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

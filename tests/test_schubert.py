@@ -244,3 +244,60 @@ def test_schema_errors_raise_table_format_error(path, value):
         node[path[-1]] = value
     with pytest.raises(TableFormatError):
         MultiplicationTable.from_dict(raw)
+
+
+def _normalised_through_elements(raw):
+    """The table constants as built by summing each record's terms and
+    normalising them through a SchubertElement."""
+    out = {}
+    for rec in raw["products"]:
+        a, b = LABELS.index(rec["a"]), LABELS.index(rec["b"])
+        acc = {}
+        for term in rec["terms"]:
+            key = (LABELS.index(term["label"]), term["q"])
+            acc[key] = acc.get(key, 0) + Fraction(term["coeff"])
+        out[min(a, b), max(a, b)] = SchubertElement.from_terms(acc).terms()
+    return out
+
+
+def _typed_items(constants):
+    return [(pair, [(key, type(c), c) for key, c in terms.items()])
+            for pair, terms in constants.items()]
+
+
+def test_direct_table_build_matches_element_normalisation():
+    raw = _shipped_raw()
+    assert _typed_items(MultiplicationTable.from_dict(raw).constants) == \
+        _typed_items(_normalised_through_elements(raw))
+    hand_made = {
+        # a repeated term adds up
+        ("s2", "s2"): [{"label": "s4", "q": 0, "coeff": 1},
+                       {"label": "s4p", "q": 0, "coeff": 2},
+                       {"label": "s4", "q": 0, "coeff": 3}],
+        # the first class cancels, so the second one now leads
+        ("s1", "s3"): [{"label": "s4", "q": 0, "coeff": 2},
+                       {"label": "s4p", "q": 0, "coeff": 2},
+                       {"label": "s4", "q": 0, "coeff": -2},
+                       {"label": "s0", "q": 1, "coeff": 2},
+                       {"label": "s4", "q": 0, "coeff": 0}],
+        # Fractions: one sums to an int, one stays a Fraction, one cancels
+        ("s2", "s2p"): [{"label": "s4p", "q": 0, "coeff": "3/2"},
+                        {"label": "s4pp", "q": 0, "coeff": "1/3"},
+                        {"label": "s4p", "q": 0, "coeff": "1/2"},
+                        {"label": "s4", "q": 0, "coeff": "-1/4"},
+                        {"label": "s4", "q": 0, "coeff": "1/4"}],
+        # every term cancels: an empty product
+        ("s1", "s8"): [{"label": "s1", "q": 1, "coeff": 1},
+                       {"label": "s1", "q": 1, "coeff": -1}],
+        # two q-powers of one class are grouped behind its first term
+        ("s7", "s7"): [{"label": "s6", "q": 2, "coeff": 1},
+                       {"label": "s2", "q": 3, "coeff": 1},
+                       {"label": "s6", "q": 0, "coeff": "2/1"}],
+    }
+    for (a, b), terms in hand_made.items():
+        _record(raw, a, b)["terms"] = terms
+    built = MultiplicationTable.from_dict(raw).constants
+    assert _typed_items(built) == _typed_items(_normalised_through_elements(raw))
+    assert list(built[LABELS.index("s1"), LABELS.index("s3")]) == \
+        [(LABELS.index("s4p"), 0), (LABELS.index("s0"), 1)]
+    assert built[LABELS.index("s1"), LABELS.index("s8")] == {}

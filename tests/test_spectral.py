@@ -1,4 +1,5 @@
 """Spectral structure of hyperplane multiplication."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,9 @@ from cgquantum.exactmath import QPolynomial, identity, mat_rank, rat
 from cgquantum.schubert import LABELS, SchubertElement, load_default_table
 from cgquantum.spectral import (check_semisimple, conjecture_o_check,
                                 covariance_check, galkin_bound_check,
-                                multiplication_matrix, nilpotency_index,
-                                sigma1_charpoly)
+                                isolate_root, multiplication_matrix,
+                                nilpotency_index, sigma1_charpoly,
+                                sturm_sequence)
 
 Y_MAX_REFERENCE = 99.00713881372502
 T_REFERENCE = 12.6175960332
@@ -107,3 +109,75 @@ def test_charpoly_scaling_with_q(table):
     assert p16.coeff(11) == -102 * 16
     assert p16.coeff(7) == 317 * 16 ** 2
     assert p16.coeff(3) == -2048 * 16 ** 3
+
+
+def _reference_isolate_root(p, lo, hi, width):
+    """Bisection that rebuilds the Sturm sequence over Fractions and
+    evaluates both bracket ends at every step."""
+    def count(a, b):
+        seq = [p, p.derivative()]
+        while not seq[-1].is_zero():
+            rem = seq[-2].divmod(seq[-1])[1]
+            if rem.is_zero():
+                break
+            seq.append(-rem)
+
+        def changes(x):
+            signs = [1 if v > 0 else -1 for v in (q(x) for q in seq) if v]
+            return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+        return changes(a) - changes(b)
+
+    lo, hi = rat(lo), rat(hi)
+    if count(lo, hi) != 1:
+        raise ValueError("bracket does not isolate a single root")
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if count(lo, mid) == 1:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def _random_cubic(rng):
+    def r():
+        return Fraction(rng.randint(-40, 40), rng.randint(1, 6))
+    if rng.random() < 0.4:
+        # rational roots, some repeated, so bracket ends can hit a root
+        roots = [r() for _ in range(3)]
+        if rng.random() < 0.5:
+            roots[1] = roots[0]
+        p = QPolynomial.constant(rng.choice([1, -2, Fraction(3, 5)]), "y")
+        for x in roots:
+            p = p * QPolynomial({1: rat(1), 0: -x}, "y")
+        return p, roots
+    coeffs = {3: Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))}
+    coeffs.update((e, r()) for e in range(3))
+    return QPolynomial(coeffs, "y"), []
+
+
+def test_isolate_root_matches_per_step_reference():
+    rng = random.Random(1829)
+    raised = 0
+    for _ in range(250):
+        p, roots = _random_cubic(rng)
+        ends = [Fraction(rng.randint(-60, 60), rng.randint(1, 7))
+                for _ in range(2)]
+        if roots and rng.random() < 0.5:
+            ends[rng.randrange(2)] = rng.choice(roots)
+        lo, hi = sorted(ends) if rng.random() < 0.9 else ends
+        width = Fraction(1, rng.choice([1, 3, 10]) ** rng.randint(0, 8))
+        if rng.random() < 0.3:
+            # a width the bisection reaches exactly
+            width = abs(hi - lo) / 2 ** rng.randint(0, 12)
+        try:
+            want = _reference_isolate_root(p, lo, hi, width)
+        except ValueError as exc:
+            raised += 1
+            with pytest.raises(ValueError, match=str(exc)):
+                isolate_root(sturm_sequence(p), lo, hi, width)
+            continue
+        got = isolate_root(sturm_sequence(p), lo, hi, width)
+        assert got == want, (p, lo, hi, width)
+        assert all(type(x) is Fraction for x in got)
+    assert 20 < raised < 230  # both outcomes are exercised

@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cached_property
 
 from .exactmath import rat
 from .schubert import (DEGREES, MultiplicationTable, TableFormatError,
@@ -45,16 +46,32 @@ def _print_report(name: str, report, as_json: bool) -> int:
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
-def _suite_table(args) -> int:
-    table = _load_table(args.table_file)
-    return _print_report("table", verify_table(table), args.json)
+class _Inputs:
+    """What the suites of one verify call share: the table and the scenario
+    results, each computed on first use and then kept."""
+
+    def __init__(self, args):
+        self._args = args
+
+    @cached_property
+    def table(self) -> MultiplicationTable:
+        return _load_table(self._args.table_file)
+
+    @cached_property
+    def scenarios(self) -> dict:
+        from .intersection import run_all_scenarios
+        return run_all_scenarios()
 
 
-def _suite_presentation(args) -> int:
+def _suite_table(args, inputs: _Inputs) -> int:
+    return _print_report("table", verify_table(inputs.table), args.json)
+
+
+def _suite_presentation(args, inputs: _Inputs) -> int:
     from .presentation import (DimensionMismatch, build_graded_basis,
                                cross_check_presentation, load_giambelli)
     from .schubert import VerificationReport
-    table = _load_table(args.table_file)
+    table = inputs.table
     try:
         quotient = build_graded_basis()
         giambelli = load_giambelli(_resolve(args.giambelli_file),
@@ -67,16 +84,18 @@ def _suite_presentation(args) -> int:
     return _print_report("presentation", report, args.json)
 
 
-def _suite_scenarios(args) -> int:
+def _suite_scenarios(args, inputs: _Inputs) -> int:
     from .intersection import verify_scenarios
-    return _print_report("scenarios", verify_scenarios(), args.json)
+    return _print_report("scenarios", verify_scenarios(inputs.scenarios),
+                         args.json)
 
 
-def _suite_pipeline(args) -> int:
+def _suite_pipeline(args, inputs: _Inputs) -> int:
     from .pipeline import run_pipeline
     from .schubert import VerificationReport
-    table = _load_table(args.table_file)
-    result = run_pipeline(table)
+    table = inputs.table
+    result = run_pipeline(table, {sid: res.value
+                                  for sid, res in inputs.scenarios.items()})
     report = VerificationReport()
     report.add("chevalley_solved", True,
                " ".join(f"{k}={v}" for k, v in result["unknowns"].items()))
@@ -88,11 +107,11 @@ def _suite_pipeline(args) -> int:
     return _print_report("pipeline", report, args.json)
 
 
-def _suite_spectral(args) -> int:
+def _suite_spectral(args, inputs: _Inputs) -> int:
     from .schubert import VerificationReport
     from .spectral import (check_semisimple, covariance_check,
                            galkin_bound_check, nilpotency_index)
-    table = _load_table(args.table_file)
+    table = inputs.table
     t_cg, bound_ok, spec = galkin_bound_check(table)
     report = VerificationReport()
     report.add("charpoly_shape", spec.shape_ok, str(spec.char_poly))
@@ -118,9 +137,10 @@ _SUITES = {
 
 def cmd_verify(args) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
+    inputs = _Inputs(args)
     worst = EXIT_OK
     for name in names:
-        code = _SUITES[name](args)
+        code = _SUITES[name](args, inputs)
         worst = max(worst, code)
     return worst
 

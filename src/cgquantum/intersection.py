@@ -389,11 +389,15 @@ def run_all_scenarios() -> dict[str, ScenarioResult]:
     return {sid: run_scenario(sid) for sid in SCENARIO_IDS}
 
 
-def verify_scenarios():
+def verify_scenarios(results: dict[str, ScenarioResult] | None = None):
+    """Check each scenario against its expected counts; results, if given,
+    are those of run_all_scenarios, so they are not computed again."""
     from .schubert import VerificationReport
+    if results is None:
+        results = run_all_scenarios()
     report = VerificationReport()
     for sid in SCENARIO_IDS:
-        res = run_scenario(sid)
+        res = results[sid]
         want_main, want_corr = EXPECTED[sid]
         ok = res.main == want_main and res.correction == want_corr
         report.add(f"scenario_{sid}", ok,

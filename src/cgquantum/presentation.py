@@ -12,6 +12,8 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 
 from .exactmath import (ZERO, GradedRing, InconsistentSystem,
                         MultiPolynomial, QPolynomial, UnderdeterminedSystem,
@@ -202,7 +204,8 @@ def load_giambelli(path: str | os.PathLike | None = None,
     out: dict[str, MultiPolynomial] = {}
     for label, terms in raw.items():
         if label not in DEGREES:
-            raise ValueError(f"unknown label {label!r} in dictionary")
+            raise GiambelliFormatError(
+                f"unknown label {label!r} in dictionary")
         if not isinstance(terms, list):
             raise GiambelliFormatError(f"terms of {label} must be a list")
         poly = ring.zero()
@@ -210,11 +213,12 @@ def load_giambelli(path: str | os.PathLike | None = None,
             poly = poly + ring.monomial(
                 *_parse_monomial(label, term, len(ring.names)))
         if not poly.is_homogeneous() or poly.degree() != DEGREES[label]:
-            raise ValueError(f"dictionary entry for {label} is not "
-                             f"homogeneous of degree {DEGREES[label]}")
+            raise GiambelliFormatError(
+                f"dictionary entry for {label} is not homogeneous of "
+                f"degree {DEGREES[label]}")
         out[label] = poly
     if set(out) != set(LABELS):
-        raise ValueError("dictionary must cover all 15 labels")
+        raise GiambelliFormatError("dictionary must cover all 15 labels")
     return out
 
 
@@ -253,8 +257,9 @@ def schubert_to_normal_form(quotient: GradedQuotient,
     basis = quotient.basis(degree)
     index = {m: i for i, m in enumerate(basis)}
     matrix = [[ZERO] * len(cols) for _ in basis]
+    (q_exps,) = ring.gen("q").terms
     for j, (label, qexp) in enumerate(cols):
-        poly = giambelli[label] * ring.gen("q") ** qexp
+        poly = giambelli[label] * ring.monomial([qexp * e for e in q_exps])
         nf = quotient.normal_form(poly)
         for exps, c in nf.terms.items():
             matrix[index[exps]][j] = c
@@ -263,14 +268,21 @@ def schubert_to_normal_form(quotient: GradedQuotient,
 
 def _change_of_basis(quotient: GradedQuotient,
                       giambelli: dict[str, MultiPolynomial], degree: int):
-    """Factor one degree's change of basis once, for any number of
-    right-hand sides.
+    """Factor one degree's change of basis once, as an integer map on the
+    monomials of that degree.
 
     Row-reducing [M | I], for the matrix M of schubert_to_normal_form,
     gives [E M | E] with E M in reduced echelon form, so M x = b costs one
-    product E b.  The returned function expands a homogeneous polynomial
-    of that degree and raises what solve_linear(M, b) raises, in the same
-    order: InconsistentSystem when E b is nonzero below the rank, then
+    product E b.  Composed with the normal form this is the map K whose
+    column for a monomial m is E NF(m): NF(m) is a unit vector for a basis
+    monomial and minus the reduced relation row for a pivot monomial.  K
+    is kept as integer columns over one common denominator, the rows past
+    the rank of M included.
+
+    The returned function expands sum(c * m) / den, for pairs (m, c) of a
+    monomial m of the degree and an integer c, and a positive integer den,
+    and raises what solve_linear(M, b) raises, in the same order:
+    InconsistentSystem when K is nonzero below the rank, then
     UnderdeterminedSystem when the rank is short of the columns.
     """
     cols, matrix = schubert_to_normal_form(quotient, giambelli, degree)
@@ -280,41 +292,62 @@ def _change_of_basis(quotient: GradedQuotient,
     reduced, _, pivots = rref([row + unit for row, unit in
                                zip(matrix, identity(n))])
     rank = sum(1 for col in pivots if col < k)
-    transform = [row[k:] for row in reduced]
     targets = [(LABEL_INDEX[cols[col][0]], cols[col][1])
                for col in pivots[:rank]]
-    index = {m: i for i, m in enumerate(quotient.basis(degree))}
+    # E on integers over e_den, one list per column
+    flat, e_den = clear_denominators([x for row in reduced for x in row[k:]])
+    e_cols = [flat[i::n] for i in range(n)]
 
-    def expand(p: MultiPolynomial) -> SchubertElement:
-        b = [ZERO] * n
-        for exps, c in quotient.normal_form(p).terms.items():
-            b[index[exps]] = c
-        y = [sum((e * v for e, v in zip(row, b) if e and v), ZERO)
-             for row in transform]
-        if any(y[rank:]):
+    sl = quotient._slice(degree)
+    position = {sl.index[m]: i for i, m in enumerate(sl.basis)}
+    reducers = dict(sl.reducers)
+    nf_den = lcm(*[c.denominator for _, row in sl.reducers for _, c in row])
+    columns = {}
+    for j, mono in enumerate(sl.monomials):
+        if j in position:
+            columns[mono] = [nf_den * x for x in e_cols[position[j]]]
+            continue
+        column = [0] * n
+        for t, c in reducers[j]:
+            f = c.numerator * (nf_den // c.denominator)
+            column = [v - f * x for v, x in zip(column, e_cols[position[t]])]
+        columns[mono] = column
+    map_den = e_den * nf_den
+
+    def expand(terms, den: int) -> SchubertElement:
+        v = [0] * n
+        for mono, c in terms:
+            v = [x + c * y for x, y in zip(v, columns[mono])]
+        if any(v[rank:]):
             raise InconsistentSystem("no solution")
         if rank < k:
             raise UnderdeterminedSystem("solution not unique")
-        return SchubertElement.from_terms(dict(zip(targets, y)))
+        den *= map_den
+        return SchubertElement.from_terms(
+            {t: Fraction(x, den) for t, x in zip(targets, v) if x})
 
     return expand
 
 
 def _expander(quotient: GradedQuotient,
               giambelli: dict[str, MultiPolynomial]):
-    """expand_in_schubert for one quotient and dictionary, factoring each
+    """Expansion in the Schubert basis for one quotient and dictionary:
+    expand(degree, terms, den) as in _change_of_basis, factoring each
     degree's change of basis on first use."""
     solvers = {}
 
-    def expand(p: MultiPolynomial) -> SchubertElement:
-        if p.is_zero():
-            return SchubertElement.zero()
-        degree = p.degree()
+    def expand(degree: int, terms, den: int) -> SchubertElement:
         if degree not in solvers:
             solvers[degree] = _change_of_basis(quotient, giambelli, degree)
-        return solvers[degree](p)
+        return solvers[degree](terms, den)
 
     return expand
+
+
+def _integral(p: MultiPolynomial):
+    """The terms of p with integer coefficients, and their denominator."""
+    ints, den = clear_denominators(list(p.terms.values()))
+    return list(zip(p.terms, ints)), den
 
 
 def expand_in_schubert(quotient: GradedQuotient,
@@ -322,7 +355,11 @@ def expand_in_schubert(quotient: GradedQuotient,
                        p: MultiPolynomial) -> SchubertElement:
     """Rewrite a homogeneous polynomial, via its normal form, as an exact
     combination of q-power multiples of Schubert classes."""
-    return _expander(quotient, giambelli)(p)
+    if p.is_zero():
+        return SchubertElement.zero()
+    degree = p.degree()
+    terms, den = _integral(p)
+    return _expander(quotient, giambelli)(degree, terms, den)
 
 
 def products_via_presentation(quotient: GradedQuotient,
@@ -330,15 +367,32 @@ def products_via_presentation(quotient: GradedQuotient,
     """All 120 unordered products of dictionary entries, recomputed
     through the quotient with each degree's change of basis factored once.
 
-    Yields (a, b, result) in table order; result is the product expanded
-    in the Schubert basis, or the exception its expansion raised.
+    Each entry is scaled to integers once, so a product is expanded from
+    integer coefficients and only its expansion forms Fractions.  Yields
+    (a, b, result) in table order; result is the product expanded in the
+    Schubert basis, or the exception its expansion raised.
     """
     expand = _expander(quotient, giambelli)
+    integral = {label: _integral(giambelli[label]) for label in LABELS
+                if label in giambelli}
     for i, a in enumerate(LABELS):
         for b in LABELS[i:]:
-            product = giambelli[a] * giambelli[b]
+            pa, pb = giambelli[a], giambelli[b]
             try:
-                result = expand(product)
+                # the ring is a domain: the product is zero only when a
+                # factor is, and homogeneous only when both factors are
+                if pa.is_zero() or pb.is_zero():
+                    result = SchubertElement.zero()
+                else:
+                    degree = pa.degree() + pb.degree()
+                    terms_a, den_a = integral[a]
+                    terms_b, den_b = integral[b]
+                    terms = {}
+                    for ma, ca in terms_a:
+                        for mb, cb in terms_b:
+                            m = tuple(map(add, ma, mb))
+                            terms[m] = terms.get(m, 0) + ca * cb
+                    result = expand(degree, terms.items(), den_a * den_b)
             except Exception as exc:
                 result = exc
             yield a, b, result

@@ -182,6 +182,9 @@ def conjecture_o_check(table: MultiplicationTable) -> SpectralReport:
     """
     cp = sigma1_charpoly(table, 1)
     report = SpectralReport(char_poly=cp)
+    # the trace form does not depend on the cubic: it is computed on every
+    # path, the early returns below included
+    report.trace_form_nondegenerate, _ = check_semisimple(table, 1)
 
     n = cp.degree()
     report.shape_ok = (n == 15 and
@@ -224,9 +227,6 @@ def conjecture_o_check(table: MultiplicationTable) -> SpectralReport:
     # of the three roots of f; the modulus-maximal set is exactly the four
     # fourth roots of y_max, i.e. T times the fourth roots of unity
     report.modulus_set_is_fourth_roots = report.shape_ok and dominant
-
-    ss, _ = check_semisimple(table, 1)
-    report.trace_form_nondegenerate = ss
     return report
 
 

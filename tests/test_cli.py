@@ -223,3 +223,69 @@ def test_cubic_without_positive_root_is_a_verification_failure(
     assert code == 1
     assert err == ""
     assert failing in out
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["--json", "verify", "--suite", "presentation"],
+     "verify_presentation.json"),
+    (["--json", "verify", "--suite", "pipeline"], "verify_pipeline.json"),
+    (["--json", "derive"], "derive.json"),
+])
+def test_presentation_output_is_pinned(capsys, argv, golden):
+    code, out, err = run_cli(capsys, *argv)
+    with open(os.path.join(GOLDEN, golden)) as fh:
+        assert out == fh.read()
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda raw: raw.update(s9=[]), "unknown label 's9' in dictionary"),
+    (lambda raw: raw.update(s3=[{"exponents": [2, 0, 0], "coeff": 1}]),
+     "dictionary entry for s3 is not homogeneous of degree 3"),
+    (lambda raw: raw.pop("s8"), "dictionary must cover all 15 labels"),
+], ids=["unknown-label", "wrong-degree-entry", "missing-label"])
+def test_giambelli_content_error_is_a_data_error(capsys, tmp_path, mutate,
+                                                 message):
+    path = _write_shipped_giambelli(tmp_path, mutate)
+    code, out, err = run_cli(capsys, "--giambelli-file", path,
+                             "verify", "--suite", "presentation")
+    assert (code, out, err) == (2, "", f"data error: {message}\n")
+
+
+@pytest.mark.parametrize("suite, loads, scenarios", [
+    ("all", 1, 12), ("table", 1, 0), ("scenarios", 0, 12),
+    ("pipeline", 1, 12), ("spectral", 1, 0),
+])
+def test_verify_computes_shared_inputs_once(capsys, monkeypatch, suite,
+                                            loads, scenarios):
+    from cgquantum import intersection
+    from cgquantum.schubert import MultiplicationTable
+    calls = {"load": 0, "scenario": 0}
+    load, run_scenario = MultiplicationTable.load.__func__, \
+        intersection.run_scenario
+
+    def counted_load(cls, path):
+        calls["load"] += 1
+        return load(cls, path)
+
+    def counted_scenario(sid):
+        calls["scenario"] += 1
+        return run_scenario(sid)
+
+    monkeypatch.setattr(MultiplicationTable, "load",
+                        classmethod(counted_load))
+    monkeypatch.setattr(intersection, "run_scenario", counted_scenario)
+    code, _, _ = run_cli(capsys, "verify", "--suite", suite)
+    assert code == 0
+    assert calls == {"load": loads, "scenario": scenarios}
+
+
+def test_trace_form_is_reported_when_the_cubic_fails(capsys, tmp_path):
+    path = _write_shipped_table(tmp_path, _s1_s1_coefficient_of_s2(-5))
+    code, out, err = run_cli(capsys, "--table-file", path,
+                             "verify", "--suite", "spectral")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert any(line.startswith("[fail] spectral:dominant_real_simple")
+               for line in lines)
+    assert "[pass] spectral:trace_form_nondegenerate" in lines

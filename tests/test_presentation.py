@@ -253,3 +253,153 @@ def test_giambelli_schema_errors_raise_format_error(tmp_path, mutate):
     path = _write_shipped_giambelli(tmp_path, mutate)
     with pytest.raises(GiambelliFormatError):
         load_giambelli(path)
+
+
+def _outcome(fn, *args):
+    """The value fn returns, or the type and message of what it raises;
+    an expansion reported the way the cross-check reports a product."""
+    try:
+        result = fn(*args)
+    except Exception as exc:
+        result = exc
+    if isinstance(result, (InconsistentSystem, UnderdeterminedSystem)):
+        return f"expansion failed: {result}"
+    if isinstance(result, Exception):
+        return f"{type(result).__name__}: {result}"
+    return str(result)
+
+
+def _reference(quotient, giambelli, p):
+    # solve_linear has no system for the zero polynomial, which is 0
+    if p.is_zero():
+        return "0"
+    return _expansion_by_solve_linear(quotient, giambelli, p)
+
+
+@pytest.fixture(scope="module")
+def expansion_cases(quotient, giambelli):
+    """(quotient, dictionary) pairs whose 120 products are compared with
+    the solve_linear reference."""
+    from cgquantum.intersection import run_all_scenarios
+    from cgquantum.pipeline import (derive_missing_products,
+                                    derive_presentation, solve_chevalley)
+
+    table = load_default_table()
+    values = {sid: r.value for sid, r in run_all_scenarios().items()}
+    derived = derive_presentation(table, solve_chevalley(values),
+                                  derive_missing_products(table, values))
+    ring = quotient.ring
+    s1, s2 = ring.gen("s1"), ring.gen("s2")
+    cases = {
+        "shipped": (quotient, giambelli),
+        "derived": (build_graded_basis(derived.relations,
+                                       check_dimensions=False),
+                    derived.giambelli),
+        "zero-entry": (quotient, dict(giambelli, s2p=ring.zero())),
+        "empty-slices": (build_graded_basis([s1, s2],
+                                            check_dimensions=False),
+                         giambelli),
+        "degree-10-quotient": (build_graded_basis(max_degree=10,
+                                                  check_dimensions=False),
+                               giambelli),
+        "non-homogeneous-entry": (quotient,
+                                  dict(giambelli, s3=giambelli["s3"] + s1)),
+    }
+    for replaced, by in (("s4", "s4p"), ("s2", "s2p"), ("s6", "s6p")):
+        cases[f"singular-{replaced}"] = (
+            quotient, dict(giambelli, **{replaced: giambelli[by]}))
+    # a seeded sample of the +-1 faults on one Giambelli coefficient
+    sites = [(label, exps) for label in LABELS
+             for exps in giambelli[label].terms]
+    rng = random.Random(41)
+    for i, (label, exps) in enumerate(rng.sample(sites, 12)):
+        d = rng.choice((1, -1))
+        cases[f"fault-{i}"] = (
+            quotient,
+            dict(giambelli, **{label: giambelli[label]
+                               + ring.monomial(exps, d)}))
+    return cases
+
+
+CASES = (["shipped", "derived", "zero-entry", "empty-slices",
+          "degree-10-quotient", "non-homogeneous-entry", "singular-s4",
+          "singular-s2", "singular-s6"]
+         + [f"fault-{i}" for i in range(12)])
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_products_match_solve_linear_reference(expansion_cases, case):
+    quotient, dictionary = expansion_cases[case]
+    pairs = [(a, b) for i, a in enumerate(LABELS) for b in LABELS[i:]]
+    results = list(products_via_presentation(quotient, dictionary))
+    assert [(a, b) for a, b, _ in results] == pairs
+    got = {(a, b): _outcome(lambda r=r: r) for a, b, r in results}
+    want = {(a, b): _outcome(_reference, quotient, dictionary,
+                             dictionary[a] * dictionary[b])
+            for a, b in pairs}
+    assert got == want
+
+
+def _random_polynomial(rng, ring, degree):
+    p = ring.zero()
+    for mono in ring.monomials(degree):
+        if rng.random() < 0.5:
+            p = p + ring.monomial(mono, Fraction(rng.randint(-9, 9),
+                                                 rng.randint(1, 6)))
+    return p
+
+
+@pytest.mark.parametrize("case", ["shipped", "derived", "empty-slices",
+                                  "singular-s4"])
+def test_expand_in_schubert_matches_solve_linear_reference(expansion_cases,
+                                                           case):
+    quotient, dictionary = expansion_cases[case]
+    ring = quotient.ring
+    rng = random.Random(59)
+    for _ in range(60):
+        p = _random_polynomial(rng, ring, rng.randint(0, 17))
+        assert _outcome(expand_in_schubert, quotient, dictionary, p) == \
+            _outcome(_reference, quotient, dictionary, p), str(p)
+
+
+def test_expansion_failures_repeat_for_every_product(table, giambelli):
+    # nothing is kept for a degree whose map could not be built
+    small = build_graded_basis(max_degree=10, check_dimensions=False)
+    for a, b, r in products_via_presentation(small, giambelli):
+        degree = DEGREES[a] + DEGREES[b]
+        if degree > 10:
+            assert isinstance(r, DegreeOutOfRange)
+            assert str(r) == f"degree {degree} beyond built maximum 10"
+        else:
+            assert r == table.basis_product(a, b)
+    # a non-homogeneous product fails before its degree is looked at
+    broken = dict(giambelli, s8=giambelli["s8"] + small.ring.gen("s1"))
+    for a, b, r in products_via_presentation(small, broken):
+        if "s8" in (a, b):
+            assert isinstance(r, ValueError)
+            assert str(r) == "polynomial is not homogeneous"
+
+
+GIAMBELLI_CONTENT_ERRORS = {
+    "unknown-label": (lambda raw: raw.update(s9=[]),
+                      "unknown label 's9' in dictionary"),
+    "non-homogeneous-entry": (
+        lambda raw: raw["s3"].append({"exponents": [1, 0, 0], "coeff": 1}),
+        "dictionary entry for s3 is not homogeneous of degree 3"),
+    "wrong-degree-entry": (
+        lambda raw: raw.update(s3=[{"exponents": [2, 0, 0], "coeff": 1}]),
+        "dictionary entry for s3 is not homogeneous of degree 3"),
+    "missing-label": (lambda raw: raw.pop("s8"),
+                      "dictionary must cover all 15 labels"),
+}
+
+
+@pytest.mark.parametrize("mutate, message",
+                         list(GIAMBELLI_CONTENT_ERRORS.values()),
+                         ids=list(GIAMBELLI_CONTENT_ERRORS))
+def test_giambelli_content_errors_raise_format_error(tmp_path, mutate,
+                                                     message):
+    path = _write_shipped_giambelli(tmp_path, mutate)
+    with pytest.raises(GiambelliFormatError) as info:
+        load_giambelli(path)
+    assert str(info.value) == message

@@ -1,11 +1,14 @@
 """Spectral structure of hyperplane multiplication."""
+import json
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
 from cgquantum.exactmath import QPolynomial, identity, mat_rank, rat
-from cgquantum.schubert import LABELS, SchubertElement, load_default_table
+from cgquantum.schubert import (LABELS, MultiplicationTable, SchubertElement,
+                                default_data_dir, load_default_table)
 from cgquantum.spectral import (check_semisimple, conjecture_o_check,
                                 covariance_check, galkin_bound_check,
                                 isolate_root, multiplication_matrix,
@@ -181,3 +184,35 @@ def test_isolate_root_matches_per_step_reference():
         assert got == want, (p, lo, hi, width)
         assert all(type(x) is Fraction for x in got)
     assert 20 < raised < 230  # both outcomes are exercised
+
+
+def _table_with(mutate):
+    with open(os.path.join(default_data_dir(), "cg_table.json")) as fh:
+        raw = json.load(fh)
+    rec = next(r for r in raw["products"] if (r["a"], r["b"]) == ("s1", "s1"))
+    mutate(rec["terms"])
+    return MultiplicationTable.from_dict(raw)
+
+
+def _s2_coefficient(value):
+    def mutate(terms):
+        next(t for t in terms if t["label"] == "s2")["coeff"] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, note", [
+    (lambda terms: terms.append({"label": "s1", "q": 0, "coeff": 1}),
+     "characteristic polynomial does not have the t^3 * f(t^4) shape"),
+    (_s2_coefficient(-4),
+     "cubic has 3 real roots, expected 1 (one real plus a complex pair)"),
+    (_s2_coefficient(-5), "the real root of the cubic is not positive"),
+], ids=["shape", "three-real-roots", "no-positive-root"])
+def test_trace_form_is_computed_on_every_path(mutate, note):
+    # each table stops the cubic's checks early; the trace form does not
+    # depend on the cubic and must still be computed
+    table = _table_with(mutate)
+    report = conjecture_o_check(table)
+    assert report.notes == [note]
+    assert not report.dominant_real_simple
+    assert report.trace_form_nondegenerate is check_semisimple(table, 1)[0]
+    assert report.trace_form_nondegenerate

@@ -282,8 +282,8 @@ def _change_of_basis(quotient: GradedQuotient,
     The returned function expands sum(c * m) / den, for pairs (m, c) of a
     monomial m of the degree and an integer c, and a positive integer den,
     and raises what solve_linear(M, b) raises, in the same order:
-    InconsistentSystem when K is nonzero below the rank, then
-    UnderdeterminedSystem when the rank is short of the columns.
+    InconsistentSystem when the image has a nonzero row past the rank,
+    then UnderdeterminedSystem when the rank is short of the columns.
     """
     cols, matrix = schubert_to_normal_form(quotient, giambelli, degree)
     n = len(matrix)
@@ -373,6 +373,7 @@ def products_via_presentation(quotient: GradedQuotient,
     Schubert basis, or the exception its expansion raised.
     """
     expand = _expander(quotient, giambelli)
+    # a missing entry still raises KeyError at its first pair
     integral = {label: _integral(giambelli[label]) for label in LABELS
                 if label in giambelli}
     for i, a in enumerate(LABELS):

@@ -13,8 +13,8 @@ import sys
 from functools import cached_property
 
 from .exactmath import rat
-from .schubert import (DEGREES, MultiplicationTable, TableFormatError,
-                       default_data_dir, gw_invariant, verify_table)
+from .schubert import (DEGREES, MultiplicationTable, default_data_dir,
+                       gw_invariant, verify_table)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -209,23 +209,6 @@ def cmd_derive(args) -> int:
     return EXIT_OK if result["ok"] else EXIT_FAIL
 
 
-def _format_charpoly(poly) -> str:
-    parts = []
-    for e in sorted(poly.coeffs, reverse=True):
-        c = poly.coeffs[e]
-        mono = "t" if e == 1 else (f"t^{e}" if e else "")
-        if not parts:
-            lead = "" if c == 1 and mono else str(c)
-            parts.append(f"{lead}{' ' if lead and mono else ''}{mono}".strip())
-            continue
-        sign = "+" if c > 0 else "-"
-        mag = abs(c)
-        body = mono if mag == 1 and mono else \
-            (f"{mag} {mono}" if mono else str(mag))
-        parts.append(f"{sign} {body}")
-    return " ".join(parts) if parts else "0"
-
-
 def cmd_charpoly(args) -> int:
     from .spectral import sigma1_charpoly
     table = _load_table(args.table_file)
@@ -239,7 +222,7 @@ def cmd_charpoly(args) -> int:
         print(json.dumps({str(e): str(c)
                           for e, c in sorted(poly.coeffs.items())}))
     else:
-        print(_format_charpoly(poly))
+        print(poly.format(" "))
     return EXIT_OK
 
 
@@ -254,7 +237,7 @@ def cmd_conjecture_o(args) -> int:
         print(json.dumps(payload, indent=1))
     else:
         lo, hi = report.y_max_bracket
-        print(f"charpoly: {_format_charpoly(report.char_poly)}")
+        print(f"charpoly: {report.char_poly.format(' ')}")
         print(f"shape t^3*f(t^4): {report.shape_ok}")
         print(f"y_max = {report.y_max!r} (certified within {float(hi - lo):.1e})")
         print(f"dominant eigenvalue real and simple: "
@@ -322,7 +305,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TableFormatError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -159,17 +159,30 @@ class QPolynomial:
         return f"QPolynomial({self})"
 
     def __str__(self) -> str:
+        return self.format("*")
+
+    def format(self, sep: str) -> str:
+        """The terms by descending exponent, each coefficient joined to its
+        power of var by sep; a coefficient 1 is left out.  After the first
+        term each sign stands apart, as in "t^3 - 2*t + 1".  A -1 there
+        keeps its 1 with sep "*" ("- 1*t") and drops it with any other
+        sep ("- t")."""
         if not self.coeffs:
             return "0"
         parts = []
         for e in sorted(self.coeffs, reverse=True):
             c = self.coeffs[e]
+            bare = c == 1
+            if parts:
+                parts.append("-" if c < 0 else "+")
+                bare = bare or (c == -1 and sep != "*")
+                c = abs(c)
             if e == 0:
                 parts.append(str(c))
             else:
                 v = self.var if e == 1 else f"{self.var}^{e}"
-                parts.append(v if c == 1 else f"{c}*{v}")
-        return " + ".join(parts).replace("+ -", "- ")
+                parts.append(v if bare else f"{c}{sep}{v}")
+        return " ".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,10 @@ from math import lcm
 from operator import add
 
 from .exactmath import (ZERO, GradedRing, InconsistentSystem,
-                        MultiPolynomial, QPolynomial, UnderdeterminedSystem,
+                        MultiPolynomial, UnderdeterminedSystem,
                         clear_denominators, identity, rref)
 from .schubert import (DEGREES, LABEL_INDEX, LABELS, MultiplicationTable,
-                       SchubertElement, quantum_product, default_data_dir)
+                       SchubertElement, Terms, default_data_dir)
 
 BETTI = (1, 1, 2, 2, 3, 2, 2, 1, 1)
 DEFAULT_MAX_DEGREE = 16
@@ -228,17 +228,17 @@ def evaluate_in_schubert(table: MultiplicationTable,
     and q to the quantum parameter, multiplying out with the table."""
     if tuple(p.ring.names) != ("s1", "s2", "q"):
         raise ValueError("polynomial must live in the s1, s2, q ring")
-    out = SchubertElement.zero()
-    s1 = SchubertElement.basis("s1")
-    s2 = SchubertElement.basis("s2")
+    s0, s1, s2 = (LABEL_INDEX[l] for l in ("s0", "s1", "s2"))
+    out: Terms = {}
     for (e1, e2, eq), c in p.terms.items():
-        term = SchubertElement({"s0": QPolynomial.monomial(eq, c)})
+        terms = {(s0, eq): c}
         for _ in range(e1):
-            term = quantum_product(table, term, s1)
+            terms = table.times(terms, s1)
         for _ in range(e2):
-            term = quantum_product(table, term, s2)
-        out = out + term
-    return out
+            terms = table.times(terms, s2)
+        for key, v in terms.items():
+            out[key] = out.get(key, 0) + v
+    return SchubertElement.from_terms(out)
 
 
 def schubert_to_normal_form(quotient: GradedQuotient,
@@ -283,12 +283,13 @@ def _change_of_basis(quotient: GradedQuotient,
     monomial m of the degree and an integer c, and a positive integer den,
     and raises what solve_linear(M, b) raises, in the same order:
     InconsistentSystem when the image has a nonzero row past the rank,
-    then UnderdeterminedSystem when the rank is short of the columns.
+    then UnderdeterminedSystem when the rank is short of the columns.  An
+    empty slice gives M no rows, so any column leaves the rank short; this
+    is where solve_linear, which reads such an M as having no columns,
+    differs.
     """
     cols, matrix = schubert_to_normal_form(quotient, giambelli, degree)
-    n = len(matrix)
-    # like solve_linear, read a matrix without rows as having no columns
-    k = len(cols) if n else 0
+    n, k = len(matrix), len(cols)
     reduced, _, pivots = rref([row + unit for row, unit in
                                zip(matrix, identity(n))])
     rank = sum(1 for col in pivots if col < k)
@@ -329,21 +330,6 @@ def _change_of_basis(quotient: GradedQuotient,
     return expand
 
 
-def _expander(quotient: GradedQuotient,
-              giambelli: dict[str, MultiPolynomial]):
-    """Expansion in the Schubert basis for one quotient and dictionary:
-    expand(degree, terms, den) as in _change_of_basis, factoring each
-    degree's change of basis on first use."""
-    solvers = {}
-
-    def expand(degree: int, terms, den: int) -> SchubertElement:
-        if degree not in solvers:
-            solvers[degree] = _change_of_basis(quotient, giambelli, degree)
-        return solvers[degree](terms, den)
-
-    return expand
-
-
 def _integral(p: MultiPolynomial):
     """The terms of p with integer coefficients, and their denominator."""
     ints, den = clear_denominators(list(p.terms.values()))
@@ -359,7 +345,7 @@ def expand_in_schubert(quotient: GradedQuotient,
         return SchubertElement.zero()
     degree = p.degree()
     terms, den = _integral(p)
-    return _expander(quotient, giambelli)(degree, terms, den)
+    return _change_of_basis(quotient, giambelli, degree)(terms, den)
 
 
 def products_via_presentation(quotient: GradedQuotient,
@@ -372,7 +358,9 @@ def products_via_presentation(quotient: GradedQuotient,
     (a, b, result) in table order; result is the product expanded in the
     Schubert basis, or the exception its expansion raised.
     """
-    expand = _expander(quotient, giambelli)
+    # one map per degree, factored on first use; nothing is kept for a
+    # degree whose map could not be built, so its failure repeats
+    expanders = {}
     # a missing entry still raises KeyError at its first pair
     integral = {label: _integral(giambelli[label]) for label in LABELS
                 if label in giambelli}
@@ -393,15 +381,18 @@ def products_via_presentation(quotient: GradedQuotient,
                         for mb, cb in terms_b:
                             m = tuple(map(add, ma, mb))
                             terms[m] = terms.get(m, 0) + ca * cb
-                    result = expand(degree, terms.items(), den_a * den_b)
+                    if degree not in expanders:
+                        expanders[degree] = _change_of_basis(
+                            quotient, giambelli, degree)
+                    result = expanders[degree](terms.items(), den_a * den_b)
             except Exception as exc:
                 result = exc
             yield a, b, result
 
 
 def cross_check_presentation(table: MultiplicationTable,
-                             quotient: GradedQuotient | None = None,
-                             giambelli: dict[str, MultiPolynomial] | None = None):
+                             quotient: GradedQuotient,
+                             giambelli: dict[str, MultiPolynomial]):
     """Three-way consistency of table, relations, and dictionary.
 
     (i) the table kills both relations; (ii) each Giambelli polynomial
@@ -411,10 +402,6 @@ def cross_check_presentation(table: MultiplicationTable,
     """
     from .schubert import VerificationReport
 
-    if quotient is None:
-        quotient = build_graded_basis()
-    if giambelli is None:
-        giambelli = load_giambelli(ring=quotient.ring)
     report = VerificationReport()
 
     bad_rel = [str(rel) for rel in quotient.relations

@@ -100,9 +100,6 @@ class SchubertElement:
     def scale(self, c) -> "SchubertElement":
         return SchubertElement({l: p.scale(c) for l, p in self.coeffs.items()})
 
-    def scale_poly(self, poly: QPolynomial) -> "SchubertElement":
-        return SchubertElement({l: p * poly for l, p in self.coeffs.items()})
-
     def drop_quantum(self) -> "SchubertElement":
         """Keep only the q^0 part (the classical cup product contribution)."""
         return SchubertElement({
@@ -226,6 +223,16 @@ class MultiplicationTable:
         """Copy of the table with one entry replaced (for fault injection)."""
         i, j = sorted((LABEL_INDEX[a], LABEL_INDEX[b]))
         return MultiplicationTable({**self.constants, (i, j): value.terms()})
+
+    def times(self, terms: Terms, c: int) -> Terms:
+        """terms times the basis class of index c, zero coefficients
+        dropped."""
+        tensor = self.tensor
+        acc: Terms = {}
+        for (k, e), x in terms.items():
+            for (m, f), y in tensor[k][c].items():
+                acc[m, e + f] = acc.get((m, e + f), 0) + x * y
+        return {key: v for key, v in acc.items() if v}
 
 
 def quantum_product(table: MultiplicationTable, x: SchubertElement,
@@ -365,16 +372,10 @@ def verify_table(table: MultiplicationTable) -> VerificationReport:
                 break
     add("gw_symmetry", bad_sym, f"asymmetric invariants: {bad_sym[:3]}")
 
-    def times(terms: Terms, c: int) -> Terms:
-        acc: Terms = {}
-        for (k, e), x in terms.items():
-            for (m, f), y in tensor[k][c].items():
-                acc[m, e + f] = acc.get((m, e + f), 0) + x * y
-        return {key: v for key, v in acc.items() if v}
-
     # with (ba)c = (ab)c and (bc)a = a(bc), the triple (a, b, c) is
     # associative iff (bx)y is symmetric in x, y at x = a, y = c
     bad_assoc = []
+    times = table.times
     for b in idx:
         bxy = [[times(tensor[b][x], y) for y in idx] for x in idx]
         bad_assoc += [(a, b, c) for a, c in product(idx, idx)

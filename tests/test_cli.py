@@ -152,6 +152,16 @@ def test_spectral_output_is_pinned(capsys, argv, golden):
     assert (code, err) == (0, "")
 
 
+def test_charpoly_output_is_pinned(capsys):
+    with open(os.path.join(GOLDEN, "charpoly.json")) as fh:
+        golden = json.load(fh)
+    for q, want in golden.items():
+        for style, argv in (("plain", ["charpoly", f"--q={q}"]),
+                            ("json", ["--json", "charpoly", f"--q={q}"])):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out, err) == (0, want[style], ""), (q, style)
+
+
 def _write_shipped_table(tmp_path, mutate):
     with open(os.path.join(default_data_dir(), "cg_table.json")) as fh:
         raw = json.load(fh)
@@ -199,6 +209,16 @@ def test_giambelli_schema_error_is_a_data_error(capsys, tmp_path, mutate):
                              "verify", "--suite", "presentation")
     assert code == 2
     assert out == ""
+    assert err.startswith("data error: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_unreadable_giambelli_file_is_a_data_error(capsys, tmp_path):
+    # a directory cannot be opened as a file; an unreadable file (no read
+    # permission) takes the same path but cannot be set up as root
+    code, out, err = run_cli(capsys, "--giambelli-file", str(tmp_path),
+                             "verify", "--suite", "presentation")
+    assert (code, out) == (2, "")
     assert err.startswith("data error: ")
     assert len(err.splitlines()) == 1
 

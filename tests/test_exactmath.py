@@ -125,6 +125,17 @@ def test_qpolynomial_evaluation_exact():
     assert p(Fraction(1, 2)) == Fraction(1, 24) + Fraction(1, 6)
 
 
+@pytest.mark.parametrize("coeffs, starred, spaced", [
+    ({15: 1, 11: -1, 3: 1}, "t^15 - 1*t^11 + t^3", "t^15 - t^11 + t^3"),
+    ({2: -1, 0: -1}, "-1*t^2 - 1", "-1 t^2 - 1"),
+    ({}, "0", "0"),
+])
+def test_qpolynomial_format_styles(coeffs, starred, spaced):
+    p = QPolynomial(coeffs, "t")
+    assert p.format("*") == str(p) == starred
+    assert p.format(" ") == spaced
+
+
 def _reference_rref(m):
     """Textbook Gauss-Jordan elimination over Fractions."""
     r = [[Fraction(x) for x in row] for row in m]

@@ -2,12 +2,14 @@
 extraction, and the built-in consistency suite."""
 import json
 import os
+import random
 from fractions import Fraction
 
 import pytest
 
 from cgquantum.exactmath import QPolynomial, rat
-from cgquantum.schubert import (DEGREES, DUALS, LABELS, SchubertElement,
+from cgquantum.schubert import (DEGREES, DUALS, LABEL_INDEX, LABELS,
+                                SchubertElement,
                                 TableFormatError, classical_product,
                                 gw_invariant, load_default_table,
                                 poincare_pairing, quantum_product,
@@ -143,14 +145,29 @@ def test_negative_coefficient_fault_is_named(table):
 
 
 def test_bilinearity_with_polynomial_coefficients(table):
-    x = SchubertElement({"s1": QPolynomial.constant(2),
-                         "s2": QPolynomial.monomial(1, Fraction(1, 2))})
+    half_q = QPolynomial.monomial(1, Fraction(1, 2))
+    x = SchubertElement({"s1": QPolynomial.constant(2), "s2": half_q})
     y = _basis("s1")
     lhs = quantum_product(table, x, y)
+    s2y = quantum_product(table, _basis("s2"), y)
     rhs = (quantum_product(table, _basis("s1"), y).scale(2)
-           + quantum_product(table, _basis("s2"), y)
-           .scale_poly(QPolynomial.monomial(1, Fraction(1, 2))))
+           + SchubertElement({l: p * half_q for l, p in s2y.coeffs.items()}))
     assert lhs == rhs
+
+
+def test_times_matches_quantum_product(table):
+    i = LABEL_INDEX
+    # s6 * s1 and s6p * s1 share the term s7, which cancels and drops out
+    got = table.times({(i["s6"], 0): 1, (i["s6p"], 0): -1}, i["s1"])
+    assert got == {(i["s3p"], 1): 1, (i["s3"], 1): -1}
+    rng = random.Random(13)
+    for _ in range(50):
+        terms = {(rng.randrange(15), rng.randrange(3)):
+                 rng.choice((-2, -1, 1, 3)) for _ in range(4)}
+        c = rng.randrange(15)
+        assert SchubertElement.from_terms(table.times(terms, c)) == \
+            quantum_product(table, SchubertElement.from_terms(terms),
+                            _basis(LABELS[c]))
 
 
 def test_element_string_order(table):

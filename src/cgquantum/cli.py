@@ -122,7 +122,8 @@ def _suite_spectral(args, inputs: _Inputs) -> int:
     report.add("spectral_radius_bound", bound_ok, f"T = {t_cg!r} > 9")
     report.add("classical_nilpotent", nilpotency_index(table, 0) > 0)
     report.add("classical_not_semisimple", not check_semisimple(table, 0)[0])
-    report.add("charpoly_covariance", covariance_check(table, 16))
+    report.add("charpoly_covariance",
+               covariance_check(table, 16, spec.char_poly))
     return _print_report("spectral", report, args.json)
 
 

@@ -11,7 +11,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, permutations, product
 
 from .exactmath import QPolynomial, Rational, rat
 
@@ -141,13 +141,16 @@ def _records(value, what: str) -> list[dict]:
     return value
 
 
-def _parse_term(term: dict, pair) -> tuple[int, int, Fraction]:
+def _parse_term(term: dict, pair) -> tuple[int, int, Rational]:
     k, e = _label_index(term.get("label")), term.get("q")
     if k is None or type(e) is not int or e < 0 or "coeff" not in term:
         raise TableFormatError(f"term of {pair} needs a known 'label', an "
                                f"integer 'q' >= 0 and a 'coeff': {term!r}")
+    c = term["coeff"]
     try:
-        return k, e, Fraction(term["coeff"])
+        # ints stay ints, so a record sums without Fraction; bool, float
+        # and str go through Fraction
+        return k, e, c if type(c) is int else Fraction(c)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise TableFormatError(f"bad coefficient in {pair}: {term!r}") from None
 
@@ -164,6 +167,12 @@ class MultiplicationTable:
         n = len(LABELS)
         self.tensor = [[constants[min(i, j), max(i, j)] for j in range(n)]
                        for i in range(n)]
+        # _packed[c][k] lists tensor[k][c] as (16 * e + m, coefficient)
+        # pairs: the 15 classes fit in four bits, so `times` adds a
+        # q-exponent and keys a class in one int
+        self._packed = [[[(16 * e + m, y)
+                          for (m, e), y in self.tensor[k][c].items()]
+                         for k in range(n)] for c in range(n)]
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "MultiplicationTable":
@@ -227,12 +236,15 @@ class MultiplicationTable:
     def times(self, terms: Terms, c: int) -> Terms:
         """terms times the basis class of index c, zero coefficients
         dropped."""
-        tensor = self.tensor
-        acc: Terms = {}
+        column = self._packed[c]
+        acc: dict[int, Rational] = {}
+        get = acc.get
         for (k, e), x in terms.items():
-            for (m, f), y in tensor[k][c].items():
-                acc[m, e + f] = acc.get((m, e + f), 0) + x * y
-        return {key: v for key, v in acc.items() if v}
+            shift = 16 * e
+            for key, y in column[k]:
+                key += shift
+                acc[key] = get(key, 0) + x * y
+        return {(key & 15, key >> 4): v for key, v in acc.items() if v}
 
 
 def quantum_product(table: MultiplicationTable, x: SchubertElement,
@@ -323,8 +335,9 @@ def verify_table(table: MultiplicationTable) -> VerificationReport:
 
     Checks: identity row, grading, coefficient non-negativity and
     integrality, pairing permutation matrices, total symmetry of the
-    invariants, associativity over all ordered basis triples, and the
-    hyperplane rows in degrees up to seven.
+    invariants and associativity (both over all ordered basis triples,
+    walked once per multiset of three classes), and the hyperplane rows in
+    degrees up to seven.
     """
     report = VerificationReport()
     tensor, idx = table.tensor, range(len(LABELS))
@@ -357,29 +370,34 @@ def verify_table(table: MultiplicationTable) -> VerificationReport:
                  and tensor[a][b].get(top, 0) != int(dual[a] == b)]
     add("pairing", bad_pairs, f"pairing mismatches: {bad_pairs[:3]}")
 
-    def gw(d: int, a: int, b: int, c: int) -> Rational:
-        return tensor[a][b].get((dual[c], d), 0)
-
-    bad_sym = []
-    for a, b, c in product(idx, idx, idx):
-        d, rest = divmod(deg[a] + deg[b] + deg[c] - DIMENSION, Q_DEGREE)
-        if rest or d < 0:
-            continue
-        for perm in ((a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)):
-            if gw(d, *perm) != gw(d, a, b, c):
-                bad_sym.append((d, LABELS[a], LABELS[b], LABELS[c],
-                                tuple(LABELS[x] for x in perm)))
-                break
-    add("gw_symmetry", bad_sym, f"asymmetric invariants: {bad_sym[:3]}")
-
-    # with (ba)c = (ab)c and (bc)a = a(bc), the triple (a, b, c) is
-    # associative iff (bx)y is symmetric in x, y at x = a, y = c
-    bad_assoc = []
+    # One walk over the multisets {a <= b <= c}.  The table is symmetric,
+    # so an invariant I_d(x, y, z) and a bracketing (xy)z depend only on
+    # the class w in last place: inv[w] and last[w] below.  The ordered
+    # triple (x, y, z) is associative iff (xy)z = (yz)x, and its first
+    # permutation with another invariant is (x, z, y) or else (y, z, x).
+    bad_sym, bad_assoc = [], []
     times = table.times
-    for b in idx:
-        bxy = [[times(tensor[b][x], y) for y in idx] for x in idx]
-        bad_assoc += [(a, b, c) for a, c in product(idx, idx)
-                      if bxy[a][c] != bxy[c][a]]
+    for a, b, c in combinations_with_replacement(idx, 3):
+        others = {a: (b, c), b: (a, c), c: (a, b)}
+        last = {w: times(tensor[u][v], w) for w, (u, v) in others.items()}
+        d, rest = divmod(deg[a] + deg[b] + deg[c] - DIMENSION, Q_DEGREE)
+        inv = {}
+        if not rest and d >= 0:
+            inv = {w: tensor[u][v].get((dual[w], d), 0)
+                   for w, (u, v) in others.items()}
+        if all(last[w] == last[c] for w in last) and \
+                all(inv[w] == inv[c] for w in inv):
+            continue
+        for x, y, z in set(permutations((a, b, c))):
+            if last[z] != last[x]:
+                bad_assoc.append((x, y, z))
+            if inv and inv[y] != inv[z]:
+                bad_sym.append(((x, y, z), d, (x, z, y)))
+            elif inv and inv[x] != inv[z]:
+                bad_sym.append(((x, y, z), d, (y, z, x)))
+    bad_sym = [(d, *(LABELS[i] for i in t), tuple(LABELS[i] for i in perm))
+               for t, d, perm in sorted(bad_sym)]
+    add("gw_symmetry", bad_sym, f"asymmetric invariants: {bad_sym[:3]}")
     bad_assoc = [tuple(LABELS[i] for i in t) for t in sorted(bad_assoc)]
     add("associativity", bad_assoc,
         f"{len(bad_assoc)} failing triples, first: {bad_assoc[:3]}")

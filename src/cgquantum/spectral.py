@@ -260,10 +260,13 @@ def nilpotency_index(table: MultiplicationTable, q_value=0) -> int:
     return 0
 
 
-def covariance_check(table: MultiplicationTable, q_value=16) -> bool:
+def covariance_check(table: MultiplicationTable, q_value=16,
+                     base: QPolynomial | None = None) -> bool:
     """Grading covariance of the characteristic polynomial: the t^k
-    coefficient scales as q^((15 - k)/4) relative to q = 1."""
-    base = sigma1_charpoly(table, 1)
+    coefficient scales as q^((15 - k)/4) relative to q = 1.  base is the
+    q = 1 polynomial, computed here when the caller does not hold it."""
+    if base is None:
+        base = sigma1_charpoly(table, 1)
     scaled = sigma1_charpoly(table, q_value)
     qv = rat(q_value)
     for e in set(base.coeffs) | set(scaled.coeffs):

@@ -300,6 +300,21 @@ def test_verify_computes_shared_inputs_once(capsys, monkeypatch, suite,
     assert calls == {"load": loads, "scenario": scenarios}
 
 
+def test_spectral_suite_computes_each_charpoly_once(capsys, monkeypatch):
+    from cgquantum import spectral
+    q_values = []
+    charpoly = spectral.sigma1_charpoly
+
+    def counted(table, q_value):
+        q_values.append(q_value)
+        return charpoly(table, q_value)
+
+    monkeypatch.setattr(spectral, "sigma1_charpoly", counted)
+    code, _, _ = run_cli(capsys, "verify", "--suite", "spectral")
+    assert code == 0
+    assert sorted(q_values) == [1, 16]
+
+
 def test_trace_form_is_reported_when_the_cubic_fails(capsys, tmp_path):
     path = _write_shipped_table(tmp_path, _s1_s1_coefficient_of_s2(-5))
     code, out, err = run_cli(capsys, "--table-file", path,

@@ -3,7 +3,9 @@ extraction, and the built-in consistency suite."""
 import json
 import os
 import random
+import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -310,6 +312,10 @@ def test_direct_table_build_matches_element_normalisation():
         ("s7", "s7"): [{"label": "s6", "q": 2, "coeff": 1},
                        {"label": "s2", "q": 3, "coeff": 1},
                        {"label": "s6", "q": 0, "coeff": "2/1"}],
+        # JSON true and 1.0 go through Fraction; a 30-digit int stays exact
+        ("s3", "s3"): [{"label": "s6", "q": 0, "coeff": True},
+                       {"label": "s6p", "q": 0, "coeff": 1.0},
+                       {"label": "s2", "q": 1, "coeff": 10 ** 29 + 7}],
     }
     for (a, b), terms in hand_made.items():
         _record(raw, a, b)["terms"] = terms
@@ -318,3 +324,120 @@ def test_direct_table_build_matches_element_normalisation():
     assert list(built[LABELS.index("s1"), LABELS.index("s3")]) == \
         [(LABELS.index("s4p"), 0), (LABELS.index("s0"), 1)]
     assert built[LABELS.index("s1"), LABELS.index("s8")] == {}
+    s3 = LABELS.index("s3")
+    assert list(built[s3, s3].values()) == [1, 1, 10 ** 29 + 7]
+
+
+def _reference_checks(table):
+    """gw_symmetry and associativity as checked before the multiset walk:
+    each ordered triple against its five permutations, and the 225
+    products (bx)y of each middle class b held at once."""
+    tensor, idx = table.tensor, range(len(LABELS))
+    deg = [DEGREES[l] for l in LABELS]
+    dual = [LABEL_INDEX[DUALS[l]] for l in LABELS]
+
+    def gw(d, a, b, c):
+        return tensor[a][b].get((dual[c], d), 0)
+
+    bad_sym = []
+    for a, b, c in product(idx, idx, idx):
+        d, rest = divmod(deg[a] + deg[b] + deg[c] - 8, 4)
+        if rest or d < 0:
+            continue
+        for perm in ((a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)):
+            if gw(d, *perm) != gw(d, a, b, c):
+                bad_sym.append((d, LABELS[a], LABELS[b], LABELS[c],
+                                tuple(LABELS[x] for x in perm)))
+                break
+
+    bad_assoc = []
+    times = table.times
+    for b in idx:
+        bxy = [[times(tensor[b][x], y) for y in idx] for x in idx]
+        bad_assoc += [(a, b, c) for a, c in product(idx, idx)
+                      if bxy[a][c] != bxy[c][a]]
+    bad_assoc = [tuple(LABELS[i] for i in t) for t in sorted(bad_assoc)]
+    return {
+        "gw_symmetry": (bad_sym, f"asymmetric invariants: {bad_sym[:3]}"),
+        "associativity": (bad_assoc, f"{len(bad_assoc)} failing triples, "
+                                     f"first: {bad_assoc[:3]}"),
+    }
+
+
+def _with_faults(raw, *faults):
+    """A table from raw with each (a, b, edit) applied to a copy of the
+    record of a * b."""
+    records = list(raw["products"])
+    for a, b, edit in faults:
+        i = records.index(_record({"products": records}, a, b))
+        records[i] = {**records[i], "terms": edit(list(records[i]["terms"]))}
+    return MultiplicationTable.from_dict({**raw, "products": records})
+
+
+def _shift(i, delta):
+    def edit(terms):
+        terms[i] = {**terms[i], "coeff": terms[i]["coeff"] + delta}
+        return terms
+    return edit
+
+
+def _set(i, **fields):
+    def edit(terms):
+        terms[i] = {**terms[i], **fields}
+        return terms
+    return edit
+
+
+def _append(term):
+    return lambda terms: terms + [term]
+
+
+def test_multiset_walk_reports_match_the_per_triple_loops():
+    raw = _shipped_raw()
+    s2s2 = _record(raw, "s2", "s2")["terms"]
+    s4 = next(i for i, t in enumerate(s2s2) if t["label"] == "s4")
+    tables = [MultiplicationTable.from_dict(raw)]
+    unit = [(rec["a"], rec["b"], _shift(i, delta))
+            for rec in raw["products"] for i in range(len(rec["terms"]))
+            for delta in (1, -1)]
+    assert len(unit) == 594
+    tables += [_with_faults(raw, fault)
+               for fault in random.Random(7).sample(unit, 30)]
+    tables += [
+        _with_faults(raw, ("s2", "s2", _set(s4, q=1))),          # off-grade
+        _with_faults(raw, ("s2", "s2", _set(s4, coeff="1/2"))),  # Fraction
+        # a new term at the empty, grading-compatible slot q * s0
+        _with_faults(raw, ("s2", "s2", _append({"label": "s0", "q": 1,
+                                                 "coeff": 1}))),
+        _with_faults(raw, ("s2", "s2", _set(s4, coeff=-1))),     # negated
+        _with_faults(raw, ("s5p", "s2", _shift(0, -2)),          # two faults
+                     ("s3", "s4", _shift(0, 1))),
+    ]
+    failing = 0
+    for table in tables:
+        got = verify_table(table).to_dict()
+        reference = _reference_checks(table)
+        checks = []
+        for check in got["checks"]:
+            if check["id"] in reference:
+                bad, detail = reference[check["id"]]
+                check = {"id": check["id"],
+                         "status": "fail" if bad else "pass",
+                         "detail": detail if bad else ""}
+            checks.append(check)
+        ok = all(c["status"] == "pass" for c in checks)
+        assert got == {"ok": ok, "checks": checks}
+        failing += not ok
+    assert failing == len(tables) - 1
+
+
+def test_verify_table_peak_memory_is_no_higher_than_reference(table):
+    def peak(check):
+        tracemalloc.start()
+        try:
+            check(table)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(verify_table) <= peak(_reference_checks)

@@ -216,3 +216,12 @@ def test_trace_form_is_computed_on_every_path(mutate, note):
     assert not report.dominant_real_simple
     assert report.trace_form_nondegenerate is check_semisimple(table, 1)[0]
     assert report.trace_form_nondegenerate
+
+
+def test_covariance_check_with_and_without_the_q1_polynomial(table):
+    # an off-grade q * s2 term in s1 * s1 breaks the scaling
+    broken = _table_with(lambda terms: terms.append(
+        {"label": "s2", "q": 1, "coeff": 1}))
+    for t, want in ((table, True), (broken, False)):
+        assert covariance_check(t, 16) is want
+        assert covariance_check(t, 16, sigma1_charpoly(t, 1)) is want

@@ -13,8 +13,8 @@ import sys
 from functools import cached_property
 
 from .exactmath import rat
-from .schubert import (DEGREES, MultiplicationTable, default_data_dir,
-                       gw_invariant, verify_table)
+from .schubert import (DEGREES, DataFormatError, MultiplicationTable,
+                       default_data_dir, gw_invariant, verify_table)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -306,7 +306,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except (DataFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -3,7 +3,8 @@ the rationals, and dense exact linear algebra.
 
 Everything here is pure and immutable-by-convention; no floating point is
 used anywhere.  Rational numbers are ``fractions.Fraction`` (arbitrary
-precision, always in lowest terms, positive denominator).
+precision, always in lowest terms, positive denominator).  Matrices hold
+ints or Fractions; `mat_mul` and `charpoly` keep an integer matrix on ints.
 """
 from __future__ import annotations
 
@@ -408,7 +409,7 @@ def series_inverse(p: MultiPolynomial, max_degree: int) -> MultiPolynomial:
 # ---------------------------------------------------------------------------
 # dense exact linear algebra
 
-Matrix = list  # list of rows of Fractions
+Matrix = list  # list of rows of ints or Fractions
 
 
 def mat(rows: Iterable[Iterable]) -> Matrix:
@@ -425,7 +426,7 @@ def zeros(rows: int, cols: int) -> Matrix:
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n, k, m = len(a), len(b), len(b[0])
-    out = zeros(n, m)
+    out = [[0] * m for _ in range(n)]
     for i in range(n):
         ai = a[i]
         oi = out[i]
@@ -439,8 +440,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_trace(a: Matrix) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), ZERO)
+def mat_trace(a: Matrix) -> Rational | int:
+    return sum(a[i][i] for i in range(len(a)))
 
 
 def clear_denominators(values: Sequence) -> tuple[list[int], int]:
@@ -559,21 +560,22 @@ def determinant(m: Matrix) -> Fraction:
 def charpoly(m: Matrix, var: str = "t") -> QPolynomial:
     """Monic characteristic polynomial det(t*I - M), exactly.
 
-    Uses the Faddeev-LeVerrier recurrence; all arithmetic stays rational.
+    Faddeev-LeVerrier: M_1 = A, c_k = -tr(M_k)/k, M_{k+1} = A (M_k + c_k I).
+    On an integer matrix each c_k is an integer, so ints stay ints.
     """
     n = len(m)
     if any(len(row) != n for row in m):
         raise NonSquareMatrixError("charpoly needs a square matrix")
-    coeffs = {n: ONE}
-    mk = identity(n)
-    ck = ZERO
+    coeffs = {n: 1}
+    mk = m
     for k in range(1, n + 1):
-        # M_k = A (M_{k-1} + c_{k-1} I); c_k = -tr(M_k)/k; M_0 = I, c_0 = 0
-        step = [row[:] for row in mk]
         if k > 1:
+            step = [row[:] for row in mk]
             for i in range(n):
                 step[i][i] += ck
-        mk = mat_mul(m, step)
-        ck = -mat_trace(mk) / k
+            mk = mat_mul(m, step)
+        ck = Fraction(-mat_trace(mk), k)
+        if ck.denominator == 1:
+            ck = ck.numerator
         coeffs[n - k] = ck
     return QPolynomial(coeffs, var)

@@ -18,8 +18,9 @@ from operator import add
 from .exactmath import (ZERO, GradedRing, InconsistentSystem,
                         MultiPolynomial, UnderdeterminedSystem,
                         clear_denominators, identity, rref)
-from .schubert import (DEGREES, LABEL_INDEX, LABELS, MultiplicationTable,
-                       SchubertElement, Terms, default_data_dir)
+from .schubert import (DEGREES, LABEL_INDEX, LABELS, DataFormatError,
+                       MultiplicationTable, SchubertElement, Terms,
+                       default_data_dir)
 
 BETTI = (1, 1, 2, 2, 3, 2, 2, 1, 1)
 DEFAULT_MAX_DEGREE = 16
@@ -170,7 +171,7 @@ def build_graded_basis(relations: list[MultiPolynomial] | None = None,
 # Giambelli dictionary and evaluation into the Schubert basis
 
 
-class GiambelliFormatError(ValueError):
+class GiambelliFormatError(DataFormatError):
     """The dictionary file does not match the documented schema."""
 
 
@@ -198,7 +199,10 @@ def load_giambelli(path: str | os.PathLike | None = None,
     if ring is None:
         ring = generator_ring()
     with open(path) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:  # bad JSON or UTF-8
+            raise GiambelliFormatError(str(exc)) from exc
     if not isinstance(raw, dict):
         raise GiambelliFormatError("dictionary must be a JSON object")
     out: dict[str, MultiPolynomial] = {}

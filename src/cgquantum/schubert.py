@@ -39,7 +39,11 @@ LABEL_INDEX = {name: i for i, name in enumerate(LABELS)}
 Terms = dict[tuple[int, int], Rational]
 
 
-class TableFormatError(ValueError):
+class DataFormatError(ValueError):
+    """A data file is not JSON text or does not match its schema."""
+
+
+class TableFormatError(DataFormatError):
     """The table file does not match the documented schema."""
 
 
@@ -179,7 +183,7 @@ class MultiplicationTable:
         try:
             with open(path) as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
             raise TableFormatError(f"cannot read table file {path}: {exc}") from exc
         return cls.from_dict(raw)
 

@@ -50,9 +50,20 @@ def check_semisimple(table: MultiplicationTable, q_value) -> tuple[bool, Fractio
     return det != 0, det
 
 
-def sigma1_charpoly(table: MultiplicationTable, q_value) -> QPolynomial:
+def _sigma1_rows(table: MultiplicationTable, q_value) -> tuple[Matrix, int]:
+    """D*M as int rows, M the s1 matrix at q_value, and D (1 at integral q)."""
     m = multiplication_matrix(table, SchubertElement.basis("s1"), q_value)
-    return charpoly(m, var="t")
+    flat, den = clear_denominators([x for row in m for x in row])
+    return [flat[i:i + len(m)] for i in range(0, len(flat), len(m))], den
+
+
+def sigma1_charpoly(table: MultiplicationTable, q_value) -> QPolynomial:
+    """Characteristic polynomial of multiplication by s1 at q_value, taken
+    on the integer matrix D*M: its t^(n-k) coefficient is D^k times M's."""
+    rows, den = _sigma1_rows(table, q_value)
+    n = len(rows)
+    return QPolynomial({e: c / den ** (n - e) for e, c in
+                        charpoly(rows, var="t").coeffs.items()}, var="t")
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +261,8 @@ def galkin_bound_check(table: MultiplicationTable) -> tuple[float, bool, Spectra
 def nilpotency_index(table: MultiplicationTable, q_value=0) -> int:
     """Smallest k with the k-th power of hyperplane multiplication zero;
     returns 0 if no power up to the algebra dimension vanishes."""
-    m = multiplication_matrix(table, SchubertElement.basis("s1"), q_value)
+    # D*M has the same vanishing powers as M
+    m, _ = _sigma1_rows(table, q_value)
     n = len(m)
     power = m
     for k in range(1, n + 1):

@@ -324,3 +324,43 @@ def test_trace_form_is_reported_when_the_cubic_fails(capsys, tmp_path):
     assert any(line.startswith("[fail] spectral:dominant_real_simple")
                for line in lines)
     assert "[pass] spectral:trace_form_nondegenerate" in lines
+
+
+def test_library_value_error_is_not_a_data_error(capsys, monkeypatch):
+    from cgquantum import cli
+
+    def broken(table):
+        raise ValueError("a library fault, not a data fault")
+
+    monkeypatch.setattr(cli, "verify_table", broken)
+    with pytest.raises(ValueError, match="a library fault"):
+        main(["verify", "--suite", "table"])
+    captured = capsys.readouterr()
+    assert "data error" not in captured.err
+
+
+@pytest.mark.parametrize("option, content", [
+    ("--table-file", b"\xff\xfe not UTF-8"),
+    ("--table-file", b'{"labels": [' + b"9" * 5000 + b"]}"),
+    ("--giambelli-file", b"\xff\xfe not UTF-8"),
+    ("--giambelli-file", b'{"s0": [' + b"9" * 5000 + b"]}"),
+    ("--giambelli-file", b"{"),
+], ids=["table-not-utf8", "table-5000-digit-int", "giambelli-not-utf8",
+        "giambelli-5000-digit-int", "giambelli-bad-json"])
+def test_unparsable_data_file_is_a_data_error(capsys, tmp_path, option,
+                                              content):
+    path = tmp_path / "data.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, option, str(path),
+                             "verify", "--suite", "presentation")
+    assert (code, out) == (2, "")
+    assert err.startswith("data error: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_format_errors_share_one_data_error_base():
+    from cgquantum.presentation import GiambelliFormatError
+    from cgquantum.schubert import DataFormatError, TableFormatError
+    for cls in (TableFormatError, GiambelliFormatError):
+        assert issubclass(cls, DataFormatError)
+    assert issubclass(DataFormatError, ValueError)

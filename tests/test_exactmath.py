@@ -264,3 +264,98 @@ def test_monomials_leave_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _reference_charpoly(m):
+    """Textbook Faddeev-LeVerrier over Fractions: M_0 = 0, c_0 = 1,
+    M_k = A (M_{k-1} + c_{k-1} I), c_k = -tr(M_k)/k."""
+    a = [[Fraction(x) for x in row] for row in m]
+    n = len(a)
+    coeffs, mk, ck = {n: Fraction(1)}, [[Fraction(0)] * n for _ in a], 1
+    for k in range(1, n + 1):
+        step = [row[:] for row in mk]
+        for i in range(n):
+            step[i][i] += ck
+        mk = [[Fraction(0)] * n for _ in a]
+        for i, t in product(range(n), range(n)):
+            if a[i][t]:
+                for j in range(n):
+                    if step[t][j]:
+                        mk[i][j] += a[i][t] * step[t][j]
+        ck = -sum((mk[i][i] for i in range(n)), Fraction(0)) / k
+        coeffs[n - k] = ck
+    return QPolynomial(coeffs, "t")
+
+
+def _random_square(rng, n, kind):
+    def entry():
+        if kind == "int":
+            return rng.randint(-9, 9)
+        if kind == "big":
+            return rng.choice([-1, 1]) * rng.randrange(10**29, 10**30)
+        x = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        return x if kind == "fraction" or rng.random() < 0.5 else int(x)
+    m = [[entry() if rng.random() < 0.6 else 0 for _ in range(n)]
+         for _ in range(n)]
+    if n >= 2 and rng.random() < 0.4:
+        # one row the sum of two others: singular
+        a, b = rng.sample(range(n), 2)
+        m[rng.randrange(n)] = [x + y for x, y in zip(m[a], m[b])]
+    return m
+
+
+def _nilpotent(rng, n):
+    """A strictly upper triangular matrix with its basis permuted."""
+    perm = rng.sample(range(n), n)
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[perm[i]][perm[j]] = rng.randint(-4, 4)
+    return m
+
+
+def test_charpoly_matches_fraction_reference():
+    rng = random.Random(4242)
+    cases = [[], [[0]], [[7]], [[Fraction(-3, 5)]], [[10**29 + 7]],
+             zeros(5, 5), [[0] * 4 for _ in range(4)]]
+    for trial in range(60):
+        n = 1 + trial % 7
+        kind = ("int", "fraction", "mixed", "big")[trial % 4]
+        cases.append(_random_square(rng, n, kind))
+        if trial % 6 == 0:
+            cases.append(_nilpotent(rng, n))
+    for m in cases:
+        before = [row[:] for row in m]
+        got = charpoly(m)
+        assert got == _reference_charpoly(m), m
+        assert got.var == "t"
+        assert all(type(c) is Fraction for c in got.coeffs.values())
+        assert m == before
+    assert charpoly([]) == QPolynomial({0: 1}, "t")
+    assert charpoly([[0] * 4 for _ in range(4)]) == QPolynomial({4: 1}, "t")
+
+
+def test_integer_input_stays_on_ints(monkeypatch):
+    from cgquantum import exactmath
+    rng = random.Random(77)
+    a, b = _random_square(rng, 6, "int"), _random_square(rng, 6, "int")
+    assert all(type(x) is int for row in mat_mul(a, b) for x in row)
+    # a zero entry is the int 0 whatever the input; others follow it
+    half = [[Fraction(1, 2), 0], [0, 0]]
+    assert mat_mul(half, half) == [[Fraction(1, 4), 0], [0, 0]]
+    assert [type(x) for row in mat_mul(half, half) for x in row] == \
+        [Fraction, int, int, int]
+    seen = []
+
+    def recorded(x, y):
+        out = mat_mul(x, y)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(exactmath, "mat_mul", recorded)
+    for n in (1, 4, 9):
+        m = _random_square(rng, n, "int")
+        charpoly(m)
+        assert len(seen) == n - 1  # M_1 = A needs no product
+        assert all(type(x) is int for out in seen for row in out for x in row)
+        seen.clear()

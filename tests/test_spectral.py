@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from cgquantum.exactmath import QPolynomial, identity, mat_rank, rat
+from cgquantum.exactmath import (QPolynomial, identity, mat_mul, mat_rank,
+                                 rat)
 from cgquantum.schubert import (LABELS, MultiplicationTable, SchubertElement,
                                 default_data_dir, load_default_table)
 from cgquantum.spectral import (check_semisimple, conjecture_o_check,
@@ -225,3 +226,70 @@ def test_covariance_check_with_and_without_the_q1_polynomial(table):
     for t, want in ((table, True), (broken, False)):
         assert covariance_check(t, 16) is want
         assert covariance_check(t, 16, sigma1_charpoly(t, 1)) is want
+
+
+def _term_mutants(seed, count):
+    """Seeded +-1 mutants of terms in the products s1 * x, which are the
+    entries the s1 matrix reads, as (name, table)."""
+    with open(os.path.join(default_data_dir(), "cg_table.json")) as fh:
+        raw = json.load(fh)
+    sites = [(p, t, d) for p, rec in enumerate(raw["products"])
+             if "s1" in (rec["a"], rec["b"])
+             for t in range(len(rec["terms"])) for d in (1, -1)]
+    out = []
+    for p, t, d in random.Random(seed).sample(sites, count):
+        term = raw["products"][p]["terms"][t]
+        term["coeff"] += d
+        out.append((f"{p}.{t}{d:+d}", MultiplicationTable.from_dict(raw)))
+        term["coeff"] -= d
+    return out
+
+
+def _fraction_table():
+    # s1 * s1 = 3/2 s2 + ...: D = 2 at q = 1
+    return _table_with(_s2_coefficient("3/2"))
+
+
+def _reference_nilpotency_index(table, q_value):
+    """Powers of the Fraction matrix itself."""
+    m = multiplication_matrix(table, SchubertElement.basis("s1"), q_value)
+    power = m
+    for k in range(1, 16):
+        if not any(x for row in power for x in row):
+            return k
+        power = mat_mul(power, m)
+    return 0
+
+
+def test_sigma1_charpoly_matches_fraction_reference(table):
+    from test_exactmath import _reference_charpoly
+    tables = [("shipped", table), ("fraction", _fraction_table())]
+    tables += _term_mutants(8, 4)
+    for name, t in tables:
+        for q in (0, 1, 2, Fraction(7, 9), -3, 16, Fraction(1, 2)):
+            m = multiplication_matrix(t, SchubertElement.basis("s1"), q)
+            got = sigma1_charpoly(t, q)
+            assert got == _reference_charpoly(m), (name, q)
+            assert got.var == "t"
+            assert all(type(c) is Fraction for c in got.coeffs.values())
+        for q in (0, 1):
+            assert nilpotency_index(t, q) == \
+                _reference_nilpotency_index(t, q), (name, q)
+
+
+def test_galkin_reports_match_the_fraction_charpoly(table, monkeypatch):
+    from test_exactmath import _reference_charpoly
+    from cgquantum import spectral
+    tables = [("shipped", table), ("fraction", _fraction_table()),
+              ("three-real-roots", _table_with(_s2_coefficient(-4))),
+              ("shape", _table_with(lambda terms: terms.append(
+                  {"label": "s1", "q": 0, "coeff": 1})))]
+    tables += _term_mutants(9, 6)
+    got = [galkin_bound_check(t) for _, t in tables]
+    monkeypatch.setattr(spectral, "sigma1_charpoly", lambda t, q: (
+        _reference_charpoly(multiplication_matrix(
+            t, SchubertElement.basis("s1"), q))))
+    for (name, t), (t_cg, bound_ok, report) in zip(tables, got):
+        want_t, want_ok, want = galkin_bound_check(t)
+        assert (t_cg, bound_ok) == (want_t, want_ok), name
+        assert report.to_dict() == want.to_dict(), name

@@ -91,12 +91,17 @@ def _suite_scenarios(args, inputs: _Inputs) -> int:
 
 
 def _suite_pipeline(args, inputs: _Inputs) -> int:
+    from .exactmath import InconsistentSystem, UnderdeterminedSystem
     from .pipeline import run_pipeline
     from .schubert import VerificationReport
     table = inputs.table
-    result = run_pipeline(table, {sid: res.value
-                                  for sid, res in inputs.scenarios.items()})
     report = VerificationReport()
+    try:
+        result = run_pipeline(table, {sid: res.value
+                                      for sid, res in inputs.scenarios.items()})
+    except (InconsistentSystem, UnderdeterminedSystem) as exc:
+        report.add("loop_closed", False, f"{type(exc).__name__}: {exc}")
+        return _print_report("pipeline", report, args.json)
     report.add("chevalley_solved", True,
                " ".join(f"{k}={v}" for k, v in result["unknowns"].items()))
     report.add("top_q2_coefficient_zero", result["unknowns"]["a7"] == "0",
@@ -196,9 +201,15 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_derive(args) -> int:
+    from .exactmath import InconsistentSystem, UnderdeterminedSystem
     from .pipeline import run_pipeline
     table = _load_table(args.table_file)
-    result = run_pipeline(table)
+    try:
+        result = run_pipeline(table)
+    except (InconsistentSystem, UnderdeterminedSystem) as exc:
+        print(f"derivation failed: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_FAIL
     if args.json:
         print(json.dumps(result, indent=1))
     else:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
-from .exactmath import QPolynomial, Rational, rat
+from .exactmath import QPolynomial, Rational, clear_denominators, rat
 
 LABELS = ("s0", "s1", "s2", "s2p", "s3", "s3p", "s4", "s4p", "s4pp",
           "s5", "s5p", "s6", "s6p", "s7", "s8")
@@ -374,16 +374,46 @@ def verify_table(table: MultiplicationTable) -> VerificationReport:
                  and tensor[a][b].get(top, 0) != int(dual[a] == b)]
     add("pairing", bad_pairs, f"pairing mismatches: {bad_pairs[:3]}")
 
+    if bad_grading:
+        times = table.times
+
+        def bracket(u: int, v: int, w: int) -> Terms:
+            return times(tensor[u][v], w)
+    else:
+        # Every term of (uv)w has 4e + deg m = deg u + deg v + deg w, so
+        # its value at q = 1 fixes it.  The coefficients are scaled to ints
+        # (each bracketing by D^2) and the product s_k * s_w is packed as
+        # the int sum of x * 2^(width * m).  A coefficient of the
+        # difference of two bracketings is at most 2 * big * row_sum, below
+        # 2^(width - 1), in absolute value, so two bracketings are equal
+        # iff their ints are.
+        values = clear_denominators(
+            [c for terms in table.constants.values() for c in terms.values()])[0]
+        scaled = iter(values)
+        rows = [[None] * len(idx) for _ in idx]
+        big, row_sum = max(map(abs, values), default=0), 0
+        for (i, j), terms in table.constants.items():
+            rows[i][j] = rows[j][i] = row = [(k, next(scaled)) for k, _ in terms]
+            row_sum = max(row_sum, sum([abs(x) for _, x in row]))
+        width = (2 * big * row_sum).bit_length() + 1
+        packed = [[0] * len(idx) for _ in idx]
+        for i, j in table.constants:
+            packed[i][j] = packed[j][i] = sum([x << width * m
+                                               for m, x in rows[i][j]])
+
+        def bracket(u: int, v: int, w: int) -> int:
+            column = packed[w]
+            return sum([x * column[k] for k, x in rows[u][v]])
+
     # One walk over the multisets {a <= b <= c}.  The table is symmetric,
     # so an invariant I_d(x, y, z) and a bracketing (xy)z depend only on
     # the class w in last place: inv[w] and last[w] below.  The ordered
     # triple (x, y, z) is associative iff (xy)z = (yz)x, and its first
     # permutation with another invariant is (x, z, y) or else (y, z, x).
     bad_sym, bad_assoc = [], []
-    times = table.times
     for a, b, c in combinations_with_replacement(idx, 3):
         others = {a: (b, c), b: (a, c), c: (a, b)}
-        last = {w: times(tensor[u][v], w) for w, (u, v) in others.items()}
+        last = {w: bracket(u, v, w) for w, (u, v) in others.items()}
         d, rest = divmod(deg[a] + deg[b] + deg[c] - DIMENSION, Q_DEGREE)
         inv = {}
         if not rest and d >= 0:

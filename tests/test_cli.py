@@ -364,3 +364,41 @@ def test_format_errors_share_one_data_error_base():
     for cls in (TableFormatError, GiambelliFormatError):
         assert issubclass(cls, DataFormatError)
     assert issubclass(DataFormatError, ValueError)
+
+
+def _s1_s2_first_term_plus_one(raw):
+    rec = next(r for r in raw["products"] if {r["a"], r["b"]} == {"s1", "s2"})
+    rec["terms"][0]["coeff"] += 1
+
+
+def test_derive_reports_an_inconsistent_system_as_a_failure(capsys, tmp_path):
+    path = _write_shipped_table(tmp_path, _s1_s2_first_term_plus_one)
+    code, out, err = run_cli(capsys, "--table-file", path, "derive")
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err
+    assert err == ("derivation failed: InconsistentSystem: top-row "
+                   "consistency equation has no rational solution\n")
+
+
+def test_pipeline_suite_reports_an_inconsistent_system_as_loop_closed(
+        capsys, tmp_path):
+    path = _write_shipped_table(tmp_path, _s1_s2_first_term_plus_one)
+    code, out, err = run_cli(capsys, "--table-file", path,
+                             "verify", "--suite", "pipeline")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "[fail] pipeline:loop_closed -- InconsistentSystem: top-row "
+        "consistency equation has no rational solution"]
+
+
+def test_verify_all_goes_on_past_an_inconsistent_system(capsys, tmp_path):
+    path = _write_shipped_table(tmp_path, _s1_s2_first_term_plus_one)
+    code, out, err = run_cli(capsys, "--table-file", path,
+                             "verify", "--suite", "all")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert "[fail] pipeline:loop_closed -- InconsistentSystem: top-row " \
+           "consistency equation has no rational solution" in lines
+    spectral = [line for line in lines if " spectral:" in line]
+    assert len(spectral) == 8
+    assert lines[-8:] == spectral

@@ -392,6 +392,12 @@ def _append(term):
     return lambda terms: terms + [term]
 
 
+def _terms(*terms):
+    """Replace the record's terms by (label, coeff) pairs at q = 0."""
+    return lambda _: [{"label": label, "q": 0, "coeff": coeff}
+                      for label, coeff in terms]
+
+
 def test_multiset_walk_reports_match_the_per_triple_loops():
     raw = _shipped_raw()
     s2s2 = _record(raw, "s2", "s2")["terms"]
@@ -412,6 +418,17 @@ def test_multiset_walk_reports_match_the_per_triple_loops():
         _with_faults(raw, ("s2", "s2", _set(s4, coeff=-1))),     # negated
         _with_faults(raw, ("s5p", "s2", _shift(0, -2)),          # two faults
                      ("s3", "s4", _shift(0, 1))),
+        _with_faults(raw, ("s2", "s2", _set(s4, coeff=10 ** 29 + 7))),
+        # a Fraction and a negative coefficient, both on grade
+        _with_faults(raw, ("s2", "s2", _set(s4, coeff="1/2")),
+                     ("s3", "s4", _set(0, coeff=-3))),
+        # (s1 s1) s2 - (s1 s2) s1 = 16 s4p - s4pp: nonzero, but 0 when
+        # packed in fields of half the width the table's coefficients need
+        _with_faults(raw, ("s1", "s1", _terms(("s2", 4), ("s2p", 1))),
+                     ("s1", "s2", _terms()),
+                     ("s2", "s2", _terms(("s4p", 4))),
+                     ("s2", "s2p", _terms(("s4pp", -1)))),
+        _with_faults(raw, ("s2", "s2", _set(s4, q=10 ** 20))),   # off-grade
     ]
     failing = 0
     for table in tables:

@@ -95,10 +95,10 @@ def _suite_pipeline(args, inputs: _Inputs) -> int:
     from .pipeline import run_pipeline
     from .schubert import VerificationReport
     table = inputs.table
+    values = {sid: res.value for sid, res in inputs.scenarios.items()}
     report = VerificationReport()
     try:
-        result = run_pipeline(table, {sid: res.value
-                                      for sid, res in inputs.scenarios.items()})
+        result = run_pipeline(table, values)
     except (InconsistentSystem, UnderdeterminedSystem) as exc:
         report.add("loop_closed", False, f"{type(exc).__name__}: {exc}")
         return _print_report("pipeline", report, args.json)

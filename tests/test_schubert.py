@@ -423,7 +423,9 @@ def test_multiset_walk_reports_match_the_per_triple_loops():
         _with_faults(raw, ("s2", "s2", _set(s4, coeff="1/2")),
                      ("s3", "s4", _set(0, coeff=-3))),
         # (s1 s1) s2 - (s1 s2) s1 = 16 s4p - s4pp: nonzero, but 0 when
-        # packed in fields of half the width the table's coefficients need
+        # packed in fields of half the width the coefficients need (the
+        # largest coefficient 5 and row sum 12 need 8 bits; in 4-bit
+        # fields 16 s4p carries into s4pp)
         _with_faults(raw, ("s1", "s1", _terms(("s2", 4), ("s2p", 1))),
                      ("s1", "s2", _terms()),
                      ("s2", "s2", _terms(("s4p", 4))),

@@ -2,7 +2,7 @@
 queries, scenarios, the derivation pipeline, and spectral checks.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage or data
-error.  CG_DATA_DIR overrides where the data files are looked up.
+error, 141 stdout closed by its reader.  CG_DATA_DIR overrides where the data files are looked up.
 """
 from __future__ import annotations
 
@@ -14,11 +14,13 @@ from functools import cached_property
 
 from .exactmath import rat
 from .schubert import (DEGREES, DataFormatError, MultiplicationTable,
-                       default_data_dir, gw_invariant, verify_table)
+                       VerificationReport, default_data_dir, gw_invariant,
+                       verify_table)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_PIPE = 141  # 128 + SIGPIPE: stdout was closed by its reader
 
 
 def _resolve(path: str) -> str:
@@ -70,8 +72,6 @@ def _suite_table(args, inputs: _Inputs) -> int:
 def _suite_presentation(args, inputs: _Inputs) -> int:
     from .presentation import (DimensionMismatch, build_graded_basis,
                                cross_check_presentation, load_giambelli)
-    from .schubert import VerificationReport
-    table = inputs.table
     try:
         quotient = build_graded_basis()
         giambelli = load_giambelli(_resolve(args.giambelli_file),
@@ -80,7 +80,7 @@ def _suite_presentation(args, inputs: _Inputs) -> int:
         report = VerificationReport()
         report.add("graded_dimensions", False, str(exc))
         return _print_report("presentation", report, args.json)
-    report = cross_check_presentation(table, quotient, giambelli)
+    report = cross_check_presentation(inputs.table, quotient, giambelli)
     return _print_report("presentation", report, args.json)
 
 
@@ -93,12 +93,10 @@ def _suite_scenarios(args, inputs: _Inputs) -> int:
 def _suite_pipeline(args, inputs: _Inputs) -> int:
     from .exactmath import InconsistentSystem, UnderdeterminedSystem
     from .pipeline import run_pipeline
-    from .schubert import VerificationReport
-    table = inputs.table
     values = {sid: res.value for sid, res in inputs.scenarios.items()}
     report = VerificationReport()
     try:
-        result = run_pipeline(table, values)
+        result = run_pipeline(inputs.table, values)
     except (InconsistentSystem, UnderdeterminedSystem) as exc:
         report.add("loop_closed", False, f"{type(exc).__name__}: {exc}")
         return _print_report("pipeline", report, args.json)
@@ -113,7 +111,6 @@ def _suite_pipeline(args, inputs: _Inputs) -> int:
 
 
 def _suite_spectral(args, inputs: _Inputs) -> int:
-    from .schubert import VerificationReport
     from .spectral import (check_semisimple, covariance_check,
                            galkin_bound_check, nilpotency_index)
     table = inputs.table
@@ -144,11 +141,7 @@ _SUITES = {
 def cmd_verify(args) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     inputs = _Inputs(args)
-    worst = EXIT_OK
-    for name in names:
-        code = _SUITES[name](args, inputs)
-        worst = max(worst, code)
-    return worst
+    return max([_SUITES[name](args, inputs) for name in names])
 
 
 def cmd_product(args) -> int:
@@ -316,7 +309,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: the rest, flushed at exit, goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (DataFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_USAGE

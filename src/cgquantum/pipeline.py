@@ -113,8 +113,7 @@ def solve_chevalley(scenario_values: dict[str, Fraction]) -> ChevalleyUnknowns:
     InconsistentSystem if the values contradict or produce non-integral
     or negative coefficients.
     """
-    rows = []
-    rhs = []
+    rows, rhs = [], []
     for sid in CHEVALLEY_SCENARIOS:
         if sid not in scenario_values:
             continue
@@ -231,8 +230,7 @@ def derive_presentation(table: MultiplicationTable,
 
     # degree four: rows of the two degree-three classes plus the square
     # of the degree-two generator
-    rows = []
-    rhs = []
+    rows, rhs = [], []
     for label, quantum in (("s3", u.a3), ("s3p", u.a3p)):
         r = _classical_row(table, label, "s1")
         rows.append([r.get("s4", 0), r.get("s4p", 0), r.get("s4pp", 0)])
@@ -245,9 +243,8 @@ def derive_presentation(table: MultiplicationTable,
 
     # degree five: three rows for two classes; the excess equation is the
     # first relation
-    lhs = {}
-    for label, quantum in (("s4", u.a4), ("s4p", u.a4p), ("s4pp", u.a4pp)):
-        lhs[label] = g[label] * s1 - quantum * q * s1
+    lhs = {label: g[label] * s1 - quantum * q * s1 for label, quantum in
+           (("s4", u.a4), ("s4p", u.a4p), ("s4pp", u.a4pp))}
     r_s4 = _classical_row(table, "s4", "s1")
     r_s4pp = _classical_row(table, "s4pp", "s1")
     g["s5"], g["s5p"] = _solve_polys(
@@ -300,19 +297,14 @@ def derive_presentation(table: MultiplicationTable,
     probe = quotient.normal_form(
         g8_shifted * s1 - q * (u.a3 * g["s5"] + u.a3p * g["s5p"]))
     reference = quotient.normal_form(2 * q ** 2 * s1)
-    a7 = None
-    if probe.is_zero():
-        a7 = rat(0)
-    else:
-        ratio = None
-        for mono, c in reference.terms.items():
-            r = probe.coeff(mono) / c
-            if ratio is None:
-                ratio = r
-        if ratio is None or probe != reference.scale(ratio):
+    a7 = rat(0)
+    if not probe.is_zero():
+        mono = next(iter(reference.terms), None)
+        if mono is not None:
+            a7 = probe.coeff(mono) / reference.coeff(mono)
+        if mono is None or probe != reference.scale(a7):
             raise InconsistentSystem(
                 "top-row consistency equation has no rational solution")
-        a7 = ratio
     g["s8"] = g8_shifted - a7 * q ** 2
 
     return DerivedPresentation([r5, r6], g, a7)

@@ -20,7 +20,7 @@ from .exactmath import (ZERO, GradedRing, InconsistentSystem,
                         clear_denominators, identity, rref)
 from .schubert import (DEGREES, LABEL_INDEX, LABELS, DataFormatError,
                        MultiplicationTable, SchubertElement, Terms,
-                       default_data_dir)
+                       VerificationReport, default_data_dir)
 
 BETTI = (1, 1, 2, 2, 3, 2, 2, 1, 1)
 DEFAULT_MAX_DEGREE = 16
@@ -404,8 +404,6 @@ def cross_check_presentation(table: MultiplicationTable,
     through the quotient matches the table entry.
     Returns a VerificationReport.
     """
-    from .schubert import VerificationReport
-
     report = VerificationReport()
 
     bad_rel = [str(rel) for rel in quotient.relations

@@ -11,7 +11,8 @@ import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations, permutations, product
+from operator import mul
 
 from .exactmath import QPolynomial, Rational, clear_denominators, rat
 
@@ -171,12 +172,6 @@ class MultiplicationTable:
         n = len(LABELS)
         self.tensor = [[constants[min(i, j), max(i, j)] for j in range(n)]
                        for i in range(n)]
-        # _packed[c][k] lists tensor[k][c] as (16 * e + m, coefficient)
-        # pairs: the 15 classes fit in four bits, so `times` adds a
-        # q-exponent and keys a class in one int
-        self._packed = [[[(16 * e + m, y)
-                          for (m, e), y in self.tensor[k][c].items()]
-                         for k in range(n)] for c in range(n)]
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "MultiplicationTable":
@@ -238,17 +233,15 @@ class MultiplicationTable:
         return MultiplicationTable({**self.constants, (i, j): value.terms()})
 
     def times(self, terms: Terms, c: int) -> Terms:
-        """terms times the basis class of index c, zero coefficients
-        dropped."""
-        column = self._packed[c]
-        acc: dict[int, Rational] = {}
+        """terms times the basis class of index c, zeros dropped."""
+        row = self.tensor[c]
+        acc: Terms = {}
         get = acc.get
         for (k, e), x in terms.items():
-            shift = 16 * e
-            for key, y in column[k]:
-                key += shift
+            for (m, f), y in row[k].items():
+                key = m, e + f
                 acc[key] = get(key, 0) + x * y
-        return {(key & 15, key >> 4): v for key, v in acc.items() if v}
+        return {key: v for key, v in acc.items() if v}
 
 
 def quantum_product(table: MultiplicationTable, x: SchubertElement,
@@ -339,9 +332,9 @@ def verify_table(table: MultiplicationTable) -> VerificationReport:
 
     Checks: identity row, grading, coefficient non-negativity and
     integrality, pairing permutation matrices, total symmetry of the
-    invariants and associativity (both over all ordered basis triples,
-    walked once per multiset of three classes), and the hyperplane rows in
-    degrees up to seven.
+    invariants (over all ordered basis triples), associativity (as the
+    pairwise commutation of the multiplication operators), and the
+    hyperplane rows in degrees up to seven.
     """
     report = VerificationReport()
     tensor, idx = table.tensor, range(len(LABELS))
@@ -374,61 +367,72 @@ def verify_table(table: MultiplicationTable) -> VerificationReport:
                  and tensor[a][b].get(top, 0) != int(dual[a] == b)]
     add("pairing", bad_pairs, f"pairing mismatches: {bad_pairs[:3]}")
 
+    # The table is commutative, so (xy)z = L_z L_x y and (zy)x = L_x L_z y
+    # for L_x multiplication by s_x: (x, y, z) is associative iff column y
+    # of [L_x, L_z] is zero.  commutator(x, z) lists its nonzero columns.
     if bad_grading:
-        times = table.times
-
-        def bracket(u: int, v: int, w: int) -> Terms:
-            return times(tensor[u][v], w)
+        def commutator(x: int, z: int) -> list[int]:
+            return [y for y in idx if table.times(tensor[x][y], z) !=
+                    table.times(tensor[z][y], x)]
     else:
-        # Every term of (uv)w has 4e + deg m = deg u + deg v + deg w, so
-        # its value at q = 1 fixes it.  The coefficients are scaled to ints
-        # (each bracketing by D^2) and the product s_k * s_w is packed as
-        # the int sum of x * 2^(width * m).  A coefficient of the
-        # difference of two bracketings is at most 2 * big * row_sum, below
-        # 2^(width - 1), in absolute value, so two bracketings are equal
-        # iff their ints are.
+        # A term of (xy)z has 4e + deg m = deg x + deg y + deg z, so its
+        # value at q = 1 fixes it.  On ints (scaled by D^2), packed[z][k] =
+        # s_k * s_z as the sum of c * 2^(width * m), and a coefficient of a
+        # difference of bracketings is below 2^(width - 1) in absolute
+        # value.  So sum_k cols[x][k] * packed[z][k] holds (xy)z in field y
+        # of span = 15 * width bits, and a field of its difference with
+        # (zy)x, below 2^(span - 1), is a balanced digit: nonzero iff column
+        # y of the commutator is.
         values = clear_denominators(
             [c for terms in table.constants.values() for c in terms.values()])[0]
         scaled = iter(values)
-        rows = [[None] * len(idx) for _ in idx]
-        big, row_sum = max(map(abs, values), default=0), 0
-        for (i, j), terms in table.constants.items():
-            rows[i][j] = rows[j][i] = row = [(k, next(scaled)) for k, _ in terms]
-            row_sum = max(row_sum, sum([abs(x) for _, x in row]))
-        width = (2 * big * row_sum).bit_length() + 1
+        rows = {key: [(k, next(scaled)) for k, _ in terms]
+                for key, terms in table.constants.items()}
+        row_sum = max([sum([abs(c) for _, c in row]) for row in rows.values()])
+        width = (2 * max(map(abs, values), default=0) * row_sum).bit_length() + 1
+        span = len(idx) * width
+        mask, half = (1 << span) - 1, 1 << span - 1
         packed = [[0] * len(idx) for _ in idx]
-        for i, j in table.constants:
-            packed[i][j] = packed[j][i] = sum([x << width * m
-                                               for m, x in rows[i][j]])
+        cols = [[0] * len(idx) for _ in idx]
+        for (i, j), row in rows.items():
+            packed[i][j] = packed[j][i] = sum([c << width * m for m, c in row])
+            for k, c in row:
+                cols[i][k] += c << span * j
+                if i != j:
+                    cols[j][k] += c << span * i
 
-        def bracket(u: int, v: int, w: int) -> int:
-            column = packed[w]
-            return sum([x * column[k] for k, x in rows[u][v]])
+        def commutator(x: int, z: int) -> list[int]:
+            diff = sum(map(mul, cols[x], packed[z])) - \
+                sum(map(mul, cols[z], packed[x]))
+            bad = []
+            for y in idx:
+                if not diff:
+                    break
+                digit = diff & mask
+                if digit:
+                    bad.append(y)
+                diff = (diff >> span) + (digit > half)
+            return bad
 
-    # One walk over the multisets {a <= b <= c}.  The table is symmetric,
-    # so an invariant I_d(x, y, z) and a bracketing (xy)z depend only on
-    # the class w in last place: inv[w] and last[w] below.  The ordered
-    # triple (x, y, z) is associative iff (xy)z = (yz)x, and its first
-    # permutation with another invariant is (x, z, y) or else (y, z, x).
-    bad_sym, bad_assoc = [], []
-    for a, b, c in combinations_with_replacement(idx, 3):
-        others = {a: (b, c), b: (a, c), c: (a, b)}
-        last = {w: bracket(u, v, w) for w, (u, v) in others.items()}
-        d, rest = divmod(deg[a] + deg[b] + deg[c] - DIMENSION, Q_DEGREE)
-        inv = {}
-        if not rest and d >= 0:
-            inv = {w: tensor[u][v].get((dual[w], d), 0)
-                   for w, (u, v) in others.items()}
-        if all(last[w] == last[c] for w in last) and \
-                all(inv[w] == inv[c] for w in inv):
-            continue
-        for x, y, z in set(permutations((a, b, c))):
-            if last[z] != last[x]:
-                bad_assoc.append((x, y, z))
-            if inv and inv[y] != inv[z]:
-                bad_sym.append(((x, y, z), d, (x, z, y)))
-            elif inv and inv[x] != inv[z]:
-                bad_sym.append(((x, y, z), d, (y, z, x)))
+    bad_assoc = [t for x, z in combinations(idx, 2) for y in commutator(x, z)
+                 for t in ((x, y, z), (z, y, x))]
+
+    def gw(d: int, a: int, b: int, c: int) -> Rational:
+        return tensor[a][b].get((dual[c], d), 0)
+
+    # A multiset {a, b, c} is symmetric iff its invariants agree.  One is
+    # nonzero only at an on-grade term, so a scan of those terms flags
+    # every asymmetric multiset.  Each of its ordered triples (x, y, z) is
+    # reported with its first permutation with another invariant.
+    bad_sym = set()
+    for (a, b), terms in table.constants.items():
+        for (k, d), v in terms.items():
+            c = dual[k]
+            if deg[k] + Q_DEGREE * d == deg[a] + deg[b] and \
+                    not v == gw(d, a, c, b) == gw(d, b, c, a):
+                bad_sym.update(((x, y, z), d, (x, z, y) if gw(d, x, z, y) !=
+                                gw(d, x, y, z) else (y, z, x))
+                               for x, y, z in permutations((a, b, c)))
     bad_sym = [(d, *(LABELS[i] for i in t), tuple(LABELS[i] for i in perm))
                for t, d, perm in sorted(bad_sym)]
     add("gw_symmetry", bad_sym, f"asymmetric invariants: {bad_sym[:3]}")

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .exactmath import (Matrix, QPolynomial, charpoly, clear_denominators,
                         determinant, mat_mul, rat)
-from .schubert import LABELS, MultiplicationTable, SchubertElement
+from .schubert import LABEL_INDEX, LABELS, MultiplicationTable, SchubertElement
 
 
 def multiplication_matrix(table: MultiplicationTable, x: SchubertElement,
@@ -31,14 +31,17 @@ def multiplication_matrix(table: MultiplicationTable, x: SchubertElement,
     return m
 
 
+def _exact_q(q_value):
+    """q_value as an int when integral, so that ints stay ints."""
+    qv = rat(q_value)
+    return qv.numerator if qv.denominator == 1 else qv
+
+
 def check_semisimple(table: MultiplicationTable, q_value) -> tuple[bool, Fraction]:
     """Trace-form criterion: the algebra at the given q is semisimple iff
     the Gram matrix B(e_i, e_j) = trace(mult by e_i e_j) has full rank.
     Returns (semisimple, exact Gram determinant)."""
-    qv = rat(q_value)
-    if qv.denominator == 1:
-        qv = qv.numerator  # so that integral data sums on ints
-    tensor, n = table.tensor, len(LABELS)
+    qv, tensor, n = _exact_q(q_value), table.tensor, len(LABELS)
     qpow = {e: qv ** e for terms in table.constants.values() for _, e in terms}
     # trace of multiplication by each basis class
     trace = [sum(c * qpow[e] for j in range(n)
@@ -52,9 +55,13 @@ def check_semisimple(table: MultiplicationTable, q_value) -> tuple[bool, Fractio
 
 def _sigma1_rows(table: MultiplicationTable, q_value) -> tuple[Matrix, int]:
     """D*M as int rows, M the s1 matrix at q_value, and D (1 at integral q)."""
-    m = multiplication_matrix(table, SchubertElement.basis("s1"), q_value)
+    qv, n = _exact_q(q_value), len(LABELS)
+    m = [[0] * n for _ in range(n)]
+    for j, terms in enumerate(table.tensor[LABEL_INDEX["s1"]]):
+        for (k, e), c in terms.items():
+            m[k][j] += c * qv ** e
     flat, den = clear_denominators([x for row in m for x in row])
-    return [flat[i:i + len(m)] for i in range(0, len(flat), len(m))], den
+    return [flat[i:i + n] for i in range(0, len(flat), n)], den
 
 
 def sigma1_charpoly(table: MultiplicationTable, q_value) -> QPolynomial:

@@ -1,9 +1,13 @@
 """Command-line interface: output formats and exit codes."""
 import json
 import os
+import shlex
+import subprocess
+import sys
 
 import pytest
 
+import cgquantum
 from cgquantum.cli import main
 from cgquantum.schubert import default_data_dir
 
@@ -402,3 +406,51 @@ def test_verify_all_goes_on_past_an_inconsistent_system(capsys, tmp_path):
     spectral = [line for line in lines if " spectral:" in line]
     assert len(spectral) == 8
     assert lines[-8:] == spectral
+
+
+@pytest.mark.parametrize("argv, unbuffered", [
+    # buffered, the closed pipe first shows when stdout is flushed
+    (["product", "s2", "s2"], False),
+    (["verify", "--suite", "table"], True),
+    (["derive"], False),
+    (["--json", "scenario", "--all"], True),
+])
+def test_closed_stdout_exits_141_without_a_message(argv, unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cgquantum.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "cgquantum.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def _readme_command_lines():
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme) as fh:
+        block = fh.read().split("## Command line", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("cgq ")]
+    assert lines
+    return lines
+
+
+@pytest.mark.parametrize("line", _readme_command_lines())
+def test_readme_command_examples_run(capsys, line):
+    command, _, comment = line.partition("#")
+    try:
+        code = main(shlex.split(command)[1:])
+    except SystemExit as exc:  # argparse rejects the arguments
+        code = exc.code
+    out = capsys.readouterr().out
+    assert code == 0
+    if comment.strip().startswith("->"):
+        assert out.splitlines()[0] == comment.strip()[2:].strip()

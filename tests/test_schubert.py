@@ -460,3 +460,54 @@ def test_verify_table_peak_memory_is_no_higher_than_reference(table):
             tracemalloc.stop()
 
     assert peak(verify_table) <= peak(_reference_checks)
+
+
+def _sparse(**entries):
+    """The shipped labels and identity row, every other product zero
+    unless entries gives it: "a_b" maps to (label, q, coeff) terms."""
+    raw = _shipped_raw()
+    products = []
+    for rec in raw["products"]:
+        terms = entries.get(f"{rec['a']}_{rec['b']}",
+                            entries.get(f"{rec['b']}_{rec['a']}", ()))
+        if "s0" not in (rec["a"], rec["b"]):
+            rec = {**rec, "terms": [{"label": label, "q": q, "coeff": c}
+                                    for label, q, c in terms]}
+        products.append(rec)
+    return MultiplicationTable.from_dict({**raw, "products": products})
+
+
+def test_commuting_operators_match_the_per_triple_loops():
+    raw = _shipped_raw()
+    unit = [(rec["a"], rec["b"], _shift(i, delta))
+            for rec in raw["products"] for i in range(len(rec["terms"]))
+            for delta in (1, -1)]
+    # s8 * s8 = q^4 s0, nothing else: (x s8) s8 - (s8 s8) x = -q^4 x, so
+    # the pairs (x, s8) differ only in their last field, negatively
+    last_field = _sparse(s8_s8=[("s0", 4, 1)])
+    # only the pairs (s1, s8) and (s2, s8) fail, each at y = s8
+    two_pairs = _sparse(s1_s8=[("s1", 2, 1)], s2_s8=[("s2", 2, 1)])
+    # width is 3, and column s1 of [L_s1, L_s6] is (s1 s1) s6 - (s6 s1) s1
+    # = -2 s8: its field is -2^(14 * 3), which in fields one bit narrower
+    # reads as a positive digit and carries into the zero column s2
+    narrow = _sparse(s1_s1=[("s2", 0, 1)], s2_s6=[("s8", 0, -1)],
+                     s1_s6=[("s7", 0, 1)], s1_s7=[("s8", 0, 1)])
+    tables = [last_field, two_pairs, narrow]
+    tables += [_with_faults(raw, fault)
+               for fault in random.Random(11).sample(unit, 60)]
+    for table in tables:
+        got = {c["id"]: c for c in verify_table(table).to_dict()["checks"]}
+        for check_id, (bad, detail) in _reference_checks(table).items():
+            assert got[check_id] == {"id": check_id,
+                                     "status": "fail" if bad else "pass",
+                                     "detail": detail if bad else ""}
+    failing = {name: _reference_checks(table)["associativity"][0]
+               for name, table in (("last_field", last_field),
+                                   ("two_pairs", two_pairs),
+                                   ("narrow", narrow))}
+    assert len(failing["last_field"]) == 26
+    assert {y for _, y, _ in failing["last_field"]} == {"s8"}
+    assert failing["two_pairs"] == [("s1", "s8", "s8"), ("s2", "s8", "s8"),
+                                    ("s8", "s8", "s1"), ("s8", "s8", "s2")]
+    assert ("s1", "s1", "s6") in failing["narrow"]
+    assert ("s1", "s2", "s6") not in failing["narrow"]

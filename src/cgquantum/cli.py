@@ -2,7 +2,7 @@
 queries, scenarios, the derivation pipeline, and spectral checks.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage or data
-error, 141 stdout closed by its reader.  CG_DATA_DIR overrides where the data files are looked up.
+error, 141 stdout closed by its reader.  CG_DATA_DIR sets the data directory.
 """
 from __future__ import annotations
 

@@ -262,6 +262,19 @@ def test_presentation_output_is_pinned(capsys, argv, golden):
     assert (code, err) == (0, "")
 
 
+@pytest.mark.parametrize("argv, golden", [
+    (["scenario", "--all"], "scenario_all.txt"),
+    (["--json", "scenario", "--all"], "scenario_all.json"),
+    (["verify", "--suite", "all"], "verify_all.txt"),
+    (["--json", "verify", "--suite", "all"], "verify_all.json"),
+])
+def test_full_output_is_pinned(capsys, argv, golden):
+    code, out, err = run_cli(capsys, *argv)
+    with open(os.path.join(GOLDEN, golden)) as fh:
+        assert out == fh.read()
+    assert (code, err) == (0, "")
+
+
 @pytest.mark.parametrize("mutate, message", [
     (lambda raw: raw.update(s9=[]), "unknown label 's9' in dictionary"),
     (lambda raw: raw.update(s3=[{"exponents": [2, 0, 0], "coeff": 1}]),

@@ -19,7 +19,10 @@ ONE = Fraction(1)
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, strings like '3/4', and Fractions to Fraction."""
+    """Coerce ints, strings like '3/4', and Fractions to Fraction.  A string
+    with an exponent part is refused: Fraction would build '1e5000' in full."""
+    if isinstance(x, str) and "e" in x.lower():
+        raise ValueError(f"exponent part in {x!r}")
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
@@ -232,15 +235,15 @@ class GradedRing:
 
     def constant(self, c) -> "MultiPolynomial":
         z = (0,) * len(self.names)
-        return MultiPolynomial(self, {z: rat(c)})
+        return MultiPolynomial(self, {z: c})
 
     def gen(self, name: str) -> "MultiPolynomial":
         exps = [0] * len(self.names)
         exps[self._index[name]] = 1
-        return MultiPolynomial(self, {tuple(exps): ONE})
+        return MultiPolynomial(self, {tuple(exps): 1})
 
     def monomial(self, exps: Sequence[int], c=1) -> "MultiPolynomial":
-        return MultiPolynomial(self, {tuple(exps): rat(c)})
+        return MultiPolynomial(self, {tuple(exps): c})
 
     def __eq__(self, other):
         return (isinstance(other, GradedRing) and self.names == other.names
@@ -256,15 +259,19 @@ class GradedRing:
 
 class MultiPolynomial:
     """Multivariate polynomial over a GradedRing, terms keyed by exponent
-    tuple.  Zero coefficients are never stored."""
+    tuple.  Zero coefficients are never stored; integral ones are stored
+    as ints, any other as a Fraction."""
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: GradedRing, terms: Mapping[tuple[int, ...], Fraction]):
         self.ring = ring
-        self.terms: dict[tuple[int, ...], Fraction] = {}
+        self.terms: dict[tuple[int, ...], int | Fraction] = {}
         for exps, c in terms.items():
-            c = rat(c)
+            if type(c) is not int:
+                c = rat(c)
+                if c.denominator == 1:
+                    c = c.numerator
             if c:
                 self.terms[tuple(exps)] = c
 
@@ -301,18 +308,18 @@ class MultiPolynomial:
             if self.ring.monomial_degree(e) <= max_degree})
 
     def coeff(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), ZERO)
+        return Fraction(self.terms.get(tuple(exps), 0))
 
     def __add__(self, other: "MultiPolynomial") -> "MultiPolynomial":
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, ZERO) + c
+            out[e] = out.get(e, 0) + c
         return MultiPolynomial(self.ring, out)
 
     def __sub__(self, other: "MultiPolynomial") -> "MultiPolynomial":
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, ZERO) - c
+            out[e] = out.get(e, 0) - c
         return MultiPolynomial(self.ring, out)
 
     def __neg__(self) -> "MultiPolynomial":
@@ -320,18 +327,19 @@ class MultiPolynomial:
 
     def __mul__(self, other) -> "MultiPolynomial":
         if isinstance(other, MultiPolynomial):
-            out: dict[tuple[int, ...], Fraction] = {}
+            out: dict[tuple[int, ...], int | Fraction] = {}
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
                     e = tuple(a + b for a, b in zip(e1, e2))
-                    out[e] = out.get(e, ZERO) + c1 * c2
+                    out[e] = out.get(e, 0) + c1 * c2
             return MultiPolynomial(self.ring, out)
         return self.scale(other)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "MultiPolynomial":
-        c = rat(c)
+        if type(c) is not int:
+            c = rat(c)
         return MultiPolynomial(self.ring, {e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "MultiPolynomial":
@@ -454,47 +462,44 @@ def clear_denominators(values: Sequence) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
-def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
-    """Reduced row echelon form; returns (reduced copy, rank, pivot columns).
-
-    Fraction-free: each row is scaled to integers by the lcm of its
-    denominators and eliminated with integer row operations, every new row
-    divided by the gcd of its entries.  Fractions are formed only for the
-    returned rows, which are the unique reduced form.
-    """
-    r = [clear_denominators(row)[0] for row in m]
-    nrows = len(r)
-    ncols = len(r[0]) if nrows else 0
+def rref_int(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Reduce integer rows in place, each new row divided by the gcd of its
+    entries.  Returns one row per pivot, in pivot order, and the pivot
+    columns; row / row[pivot] is a row of the unique reduced form."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
     pivots: list[int] = []
     lead = 0
     for col in range(ncols):
-        piv = None
-        for i in range(lead, nrows):
-            if r[i][col]:
-                piv = i
+        for piv in range(lead, nrows):
+            if rows[piv][col]:
                 break
-        if piv is None:
+        else:
             continue
-        r[lead], r[piv] = r[piv], r[lead]
-        prow = r[lead]
+        rows[lead], rows[piv] = rows[piv], rows[lead]
+        prow = rows[lead]
         p = prow[col]
         for i in range(nrows):
-            f = r[i][col]
+            f = rows[i][col]
             if i != lead and f:
-                row = [p * x - f * y for x, y in zip(r[i], prow)]
-                g = 0
-                for x in row:
-                    g = gcd(g, x)
-                    if g == 1:
-                        break
-                r[i] = [x // g for x in row] if g > 1 else row
+                row = [p * x - f * y for x, y in zip(rows[i], prow)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
         lead += 1
-        if lead == nrows:
-            break
+    return rows[:lead], pivots
+
+
+def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
+    """Reduced row echelon form; returns (reduced copy, rank, pivot columns).
+
+    Fraction-free: rref_int of the rows scaled to integers by the lcm of
+    their denominators; Fractions are formed only for the returned rows.
+    """
+    reduced, pivots = rref_int([clear_denominators(row)[0] for row in m])
     out = [[Fraction(x, row[col]) if x else ZERO for x in row]
-           for row, col in zip(r, pivots)]
-    out += [[ZERO] * ncols for _ in range(nrows - lead)]
+           for row, col in zip(reduced, pivots)]
+    out += [[ZERO] * len(row) for row in m[len(pivots):]]
     return out, len(pivots), pivots
 
 

@@ -17,7 +17,7 @@ from operator import add
 
 from .exactmath import (ZERO, GradedRing, InconsistentSystem,
                         MultiPolynomial, UnderdeterminedSystem,
-                        clear_denominators, identity, rref)
+                        clear_denominators, identity, rat, rref_int)
 from .schubert import (DEGREES, LABEL_INDEX, LABELS, DataFormatError,
                        MultiplicationTable, SchubertElement, Terms,
                        VerificationReport, default_data_dir)
@@ -64,9 +64,10 @@ class DegreeSlice:
     monomials: list[tuple[int, ...]]          # graded-lex descending
     index: dict[tuple[int, ...], int]
     basis: list[tuple[int, ...]]              # non-pivot monomials
-    # rref of the relation span: each pivot column with the nonzero
-    # entries of its row in the non-pivot columns
-    reducers: list[tuple[int, list[tuple[int, Fraction]]]]
+    rows: list[list[int]]                     # reduced integer rows
+    # each pivot column with its row's nonzero non-pivot entries over den
+    reducers: list[tuple[int, list[tuple[int, int]]]]
+    den: int
 
 
 class GradedQuotient:
@@ -84,13 +85,13 @@ class GradedQuotient:
         self.max_degree = max_degree
         # each relation as (degree, integer terms): scaling by the lcm of
         # its denominators leaves the span of its multiples unchanged
-        integral = []
-        for rel in self.relations:
-            ints, _ = clear_denominators(list(rel.terms.values()))
-            integral.append((rel.degree(), list(zip(rel.terms, ints))))
+        integral = [(rel.degree(), _integral(rel)[0])
+                    for rel in self.relations]
         self.slices: dict[int, DegreeSlice] = {}
         for d in range(max_degree + 1):
-            self.slices[d] = self._build_slice(d, integral)
+            below = self.slices.get(d - ring.degrees[0])
+            self.slices[d] = self._build_slice(d, integral,
+                                               below.rows if below else [])
             if expected_dims is not None:
                 want = expected_dims(d)
                 got = len(self.slices[d].basis)
@@ -98,29 +99,30 @@ class GradedQuotient:
                     raise DimensionMismatch(
                         f"degree {d}: quotient dimension {got}, expected {want}")
 
-    def _build_slice(self, degree: int, integral) -> DegreeSlice:
-        """Row-reduce the span of the relation multiples of one degree;
-        each multiple is written straight into an integer row by shifting
-        the exponents of its relation."""
+    def _build_slice(self, degree: int, integral, below) -> DegreeSlice:
+        """Row-reduce the span of the relation multiples of one degree.  The
+        monomials x0*m come first, in the order of the m one x0-degree
+        below, so the multiples by x0 span the reduced rows below, padded
+        with zeros; only the x0-free multiples are written out."""
         monomials = self.ring.monomials(degree)
         index = {m: i for i, m in enumerate(monomials)}
-        rows: list[list[int]] = []
+        n = len(monomials)
+        rows = [row + [0] * (n - len(row)) for row in below]
         for rel_degree, terms in integral:
-            shift = degree - rel_degree
-            if shift < 0:
-                continue
-            for mono in self.ring.monomials(shift):
-                row = [0] * len(monomials)
-                for exps, c in terms:
-                    row[index[tuple(a + b for a, b in zip(exps, mono))]] = c
-                rows.append(row)
-        reduced, _, pivots = rref(rows)
+            for mono in self.ring.monomials(degree - rel_degree):
+                if not mono[0]:
+                    row = [0] * n
+                    for exps, c in terms:
+                        row[index[tuple(map(add, exps, mono))]] = c
+                    rows.append(row)
+        rows, pivots = rref_int(rows)
         pivot_set = set(pivots)
         basis = [m for i, m in enumerate(monomials) if i not in pivot_set]
-        reducers = [(col, [(j, c) for j, c in enumerate(row)
-                           if c and j != col])
-                    for row, col in zip(reduced, pivots)]
-        return DegreeSlice(monomials, index, basis, reducers)
+        den = lcm(*[row[col] for row, col in zip(rows, pivots)])
+        reducers = [(col, [(j, c * (den // row[col]))
+                           for j, c in enumerate(row) if c and j != col])
+                    for row, col in zip(rows, pivots)]
+        return DegreeSlice(monomials, index, basis, rows, reducers, den)
 
     def dimension(self, degree: int) -> int:
         return len(self._slice(degree).basis)
@@ -139,17 +141,20 @@ class GradedQuotient:
         if not p.is_homogeneous():
             raise ValueError("normal_form expects a homogeneous polynomial")
         sl = self._slice(p.degree())
-        vec = [ZERO] * len(sl.monomials)
-        for exps, c in p.terms.items():
+        terms, den = _integral(p)
+        vec = [0] * len(sl.monomials)
+        for exps, c in terms:
             vec[sl.index[exps]] = c
         # eliminate pivot coordinates using the reduced relation rows
+        out = [sl.den * x for x in vec]
         for col, row in sl.reducers:
             f = vec[col]
             if f:
                 for j, c in row:
-                    vec[j] -= f * c
-        terms = {m: vec[sl.index[m]] for m in sl.basis}
-        return MultiPolynomial(self.ring, terms)
+                    out[j] -= f * c
+        den *= sl.den
+        return MultiPolynomial(self.ring, {
+            m: Fraction(x, den) for m in sl.basis if (x := out[sl.index[m]])})
 
     def basis(self, degree: int) -> list[tuple[int, ...]]:
         return list(self._slice(degree).basis)
@@ -186,7 +191,7 @@ def _parse_monomial(label: str, term, ngens: int):
         raise GiambelliFormatError(f"exponents of a {label} term must be "
                                    f"{ngens} integers >= 0: {term!r}")
     try:
-        return exps, Fraction(term["coeff"])
+        return exps, rat(term["coeff"])
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise GiambelliFormatError(
             f"bad coefficient in {label}: {term!r}") from None
@@ -226,23 +231,33 @@ def load_giambelli(path: str | os.PathLike | None = None,
     return out
 
 
+def _evaluate(table: MultiplicationTable, p: MultiPolynomial,
+              powers: dict[tuple[int, int], Terms]) -> Terms:
+    """The terms of evaluate_in_schubert(table, p).  powers maps (a, b) to
+    s1^a * s2^b, each one product from a smaller monomial (s1 first)."""
+    if tuple(p.ring.names) != ("s1", "s2", "q"):
+        raise ValueError("polynomial must live in the s1, s2, q ring")
+    s0, s1, s2 = (LABEL_INDEX[l] for l in ("s0", "s1", "s2"))
+    powers.setdefault((0, 0), {(s0, 0): 1})
+    out: Terms = {}
+    for (e1, e2, eq), c in p.terms.items():
+        for a in range(1, e1 + 1):
+            if (a, 0) not in powers:
+                powers[a, 0] = table.times(powers[a - 1, 0], s1)
+        for b in range(1, e2 + 1):
+            if (e1, b) not in powers:
+                powers[e1, b] = table.times(powers[e1, b - 1], s2)
+        for (k, e), v in powers[e1, e2].items():
+            key = k, e + eq
+            out[key] = out.get(key, 0) + c * v
+    return out
+
+
 def evaluate_in_schubert(table: MultiplicationTable,
                          p: MultiPolynomial) -> SchubertElement:
     """Evaluation homomorphism sending s1, s2 to the corresponding classes
     and q to the quantum parameter, multiplying out with the table."""
-    if tuple(p.ring.names) != ("s1", "s2", "q"):
-        raise ValueError("polynomial must live in the s1, s2, q ring")
-    s0, s1, s2 = (LABEL_INDEX[l] for l in ("s0", "s1", "s2"))
-    out: Terms = {}
-    for (e1, e2, eq), c in p.terms.items():
-        terms = {(s0, eq): c}
-        for _ in range(e1):
-            terms = table.times(terms, s1)
-        for _ in range(e2):
-            terms = table.times(terms, s2)
-        for key, v in terms.items():
-            out[key] = out.get(key, 0) + v
-    return SchubertElement.from_terms(out)
+    return SchubertElement.from_terms(_evaluate(table, p, {}))
 
 
 def schubert_to_normal_form(quotient: GradedQuotient,
@@ -285,41 +300,37 @@ def _change_of_basis(quotient: GradedQuotient,
 
     The returned function expands sum(c * m) / den, for pairs (m, c) of a
     monomial m of the degree and an integer c, and a positive integer den,
-    and raises what solve_linear(M, b) raises, in the same order:
-    InconsistentSystem when the image has a nonzero row past the rank,
-    then UnderdeterminedSystem when the rank is short of the columns.  An
-    empty slice gives M no rows, so any column leaves the rank short; this
-    is where solve_linear, which reads such an M as having no columns,
+    into Terms, and raises what solve_linear(M, b) raises, in the same
+    order: InconsistentSystem when the image has a nonzero row past the
+    rank, then UnderdeterminedSystem when the rank is short of the columns.
+    An empty slice gives M no rows, so any column leaves the rank short;
+    this is where solve_linear, which reads such an M as having no columns,
     differs.
     """
     cols, matrix = schubert_to_normal_form(quotient, giambelli, degree)
     n, k = len(matrix), len(cols)
-    reduced, _, pivots = rref([row + unit for row, unit in
-                               zip(matrix, identity(n))])
+    reduced, pivots = rref_int([clear_denominators(row + unit)[0]
+                                for row, unit in zip(matrix, identity(n))])
     rank = sum(1 for col in pivots if col < k)
     targets = [(LABEL_INDEX[cols[col][0]], cols[col][1])
                for col in pivots[:rank]]
     # E on integers over e_den, one list per column
-    flat, e_den = clear_denominators([x for row in reduced for x in row[k:]])
-    e_cols = [flat[i::n] for i in range(n)]
+    e_den = lcm(*[row[col] for row, col in zip(reduced, pivots)])
+    e_cols = list(zip(*[[x * (e_den // row[col]) for x in row[k:]]
+                        for row, col in zip(reduced, pivots)]))
 
     sl = quotient._slice(degree)
     position = {sl.index[m]: i for i, m in enumerate(sl.basis)}
-    reducers = dict(sl.reducers)
-    nf_den = lcm(*[c.denominator for _, row in sl.reducers for _, c in row])
-    columns = {}
-    for j, mono in enumerate(sl.monomials):
-        if j in position:
-            columns[mono] = [nf_den * x for x in e_cols[position[j]]]
-            continue
+    columns = {m: [sl.den * x for x in e_cols[i]]
+               for i, m in enumerate(sl.basis)}
+    for j, row in sl.reducers:
         column = [0] * n
-        for t, c in reducers[j]:
-            f = c.numerator * (nf_den // c.denominator)
-            column = [v - f * x for v, x in zip(column, e_cols[position[t]])]
-        columns[mono] = column
-    map_den = e_den * nf_den
+        for t, c in row:
+            column = [v - c * x for v, x in zip(column, e_cols[position[t]])]
+        columns[sl.monomials[j]] = column
+    map_den = e_den * sl.den
 
-    def expand(terms, den: int) -> SchubertElement:
+    def expand(terms, den: int) -> Terms:
         v = [0] * n
         for mono, c in terms:
             v = [x + c * y for x, y in zip(v, columns[mono])]
@@ -328,8 +339,8 @@ def _change_of_basis(quotient: GradedQuotient,
         if rank < k:
             raise UnderdeterminedSystem("solution not unique")
         den *= map_den
-        return SchubertElement.from_terms(
-            {t: Fraction(x, den) for t, x in zip(targets, v) if x})
+        return {t: Fraction(x, den) if x % den else x // den
+                for t, x in zip(targets, v) if x}
 
     return expand
 
@@ -349,18 +360,19 @@ def expand_in_schubert(quotient: GradedQuotient,
         return SchubertElement.zero()
     degree = p.degree()
     terms, den = _integral(p)
-    return _change_of_basis(quotient, giambelli, degree)(terms, den)
+    return SchubertElement.from_terms(
+        _change_of_basis(quotient, giambelli, degree)(terms, den))
 
 
-def products_via_presentation(quotient: GradedQuotient,
-                              giambelli: dict[str, MultiPolynomial]):
+def _product_terms(quotient: GradedQuotient,
+                   giambelli: dict[str, MultiPolynomial]):
     """All 120 unordered products of dictionary entries, recomputed
     through the quotient with each degree's change of basis factored once.
 
     Each entry is scaled to integers once, so a product is expanded from
     integer coefficients and only its expansion forms Fractions.  Yields
-    (a, b, result) in table order; result is the product expanded in the
-    Schubert basis, or the exception its expansion raised.
+    (a, b, result) in table order; result is the terms of the product in
+    the Schubert basis, or the exception its expansion raised.
     """
     # one map per degree, factored on first use; nothing is kept for a
     # degree whose map could not be built, so its failure repeats
@@ -368,6 +380,10 @@ def products_via_presentation(quotient: GradedQuotient,
     # a missing entry still raises KeyError at its first pair
     integral = {label: _integral(giambelli[label]) for label in LABELS
                 if label in giambelli}
+    # each entry's degree once; a non-homogeneous entry has none, and
+    # raises its ValueError again at each of its pairs
+    degrees = {label: giambelli[label].degree() for label in integral
+               if giambelli[label].is_homogeneous()}
     for i, a in enumerate(LABELS):
         for b in LABELS[i:]:
             pa, pb = giambelli[a], giambelli[b]
@@ -375,9 +391,10 @@ def products_via_presentation(quotient: GradedQuotient,
                 # the ring is a domain: the product is zero only when a
                 # factor is, and homogeneous only when both factors are
                 if pa.is_zero() or pb.is_zero():
-                    result = SchubertElement.zero()
+                    result = {}
                 else:
-                    degree = pa.degree() + pb.degree()
+                    degree = ((degrees.get(a) or pa.degree())
+                              + (degrees.get(b) or pb.degree()))
                     terms_a, den_a = integral[a]
                     terms_b, den_b = integral[b]
                     terms = {}
@@ -394,6 +411,26 @@ def products_via_presentation(quotient: GradedQuotient,
             yield a, b, result
 
 
+def products_via_presentation(quotient: GradedQuotient,
+                              giambelli: dict[str, MultiPolynomial]):
+    """_product_terms with each expansion as a SchubertElement."""
+    for a, b, r in _product_terms(quotient, giambelli):
+        yield a, b, r if isinstance(r, Exception) else \
+            SchubertElement.from_terms(r)
+
+
+def mismatched_products(table: MultiplicationTable, quotient: GradedQuotient,
+                        giambelli: dict[str, MultiPolynomial]):
+    """The (a, b, result) of products_via_presentation whose result is an
+    exception or differs from the table entry, compared on terms."""
+    for a, b, r in _product_terms(quotient, giambelli):
+        want = table.tensor[LABEL_INDEX[a]][LABEL_INDEX[b]]
+        if isinstance(r, Exception):
+            yield a, b, r
+        elif r != want and r != {t: c for t, c in want.items() if c}:
+            yield a, b, SchubertElement.from_terms(r)
+
+
 def cross_check_presentation(table: MultiplicationTable,
                              quotient: GradedQuotient,
                              giambelli: dict[str, MultiPolynomial]):
@@ -405,26 +442,25 @@ def cross_check_presentation(table: MultiplicationTable,
     Returns a VerificationReport.
     """
     report = VerificationReport()
+    # the monomial values s1^a * s2^b, shared by (i) and (ii)
+    powers: dict[tuple[int, int], Terms] = {}
 
     bad_rel = [str(rel) for rel in quotient.relations
-               if not evaluate_in_schubert(table, rel).is_zero()]
+               if any(_evaluate(table, rel, powers).values())]
     report.add("relations_killed", not bad_rel,
                "" if not bad_rel else f"table does not satisfy: {bad_rel}")
 
-    bad_g = []
-    for label in LABELS:
-        got = evaluate_in_schubert(table, giambelli[label])
-        if got != SchubertElement.basis(label):
-            bad_g.append((label, str(got)))
+    got = {label: SchubertElement.from_terms(
+        _evaluate(table, giambelli[label], powers)) for label in LABELS}
+    bad_g = [(label, str(g)) for label, g in got.items()
+             if g != SchubertElement.basis(label)]
     report.add("giambelli_evaluation", not bad_g,
                "" if not bad_g else f"mismatches: {bad_g[:3]}")
 
-    bad_prod = []
-    for a, b, via_quotient in products_via_presentation(quotient, giambelli):
-        if isinstance(via_quotient, Exception):
-            bad_prod.append((a, b, f"expansion failed: {via_quotient}"))
-        elif via_quotient != table.basis_product(a, b):
-            bad_prod.append((a, b, str(via_quotient)))
+    bad_prod = [(a, b, f"expansion failed: {result}"
+                 if isinstance(result, Exception) else str(result))
+                for a, b, result in mismatched_products(table, quotient,
+                                                        giambelli)]
     report.add("products_match", not bad_prod,
                "" if not bad_prod else f"{len(bad_prod)} mismatches, "
                f"first: {bad_prod[:3]}")

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations, permutations, product
 from operator import mul
 
@@ -154,8 +153,8 @@ def _parse_term(term: dict, pair) -> tuple[int, int, Rational]:
     c = term["coeff"]
     try:
         # ints stay ints, so a record sums without Fraction; bool, float
-        # and str go through Fraction
-        return k, e, c if type(c) is int else Fraction(c)
+        # and str go through rat
+        return k, e, c if type(c) is int else rat(c)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise TableFormatError(f"bad coefficient in {pair}: {term!r}") from None
 

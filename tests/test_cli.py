@@ -467,3 +467,50 @@ def test_readme_command_examples_run(capsys, line):
     assert code == 0
     if comment.strip().startswith("->"):
         assert out.splitlines()[0] == comment.strip()[2:].strip()
+
+
+def _first_giambelli_coeff(value):
+    def mutate(raw):
+        raw["s3"][0]["coeff"] = value
+    return mutate
+
+
+def _first_table_coeff(value):
+    def mutate(raw):
+        raw["products"][4]["terms"][0]["coeff"] = value
+    return mutate
+
+
+@pytest.mark.parametrize("option, write, suite", [
+    ("--table-file", lambda tmp, v: _write_shipped_table(
+        tmp, _first_table_coeff(v)), "table"),
+    ("--giambelli-file", lambda tmp, v: _write_shipped_giambelli(
+        tmp, _first_giambelli_coeff(v)), "presentation"),
+], ids=["table", "giambelli"])
+@pytest.mark.parametrize("value", ["1e5000", "1e100000", "2E0"])
+def test_coefficient_with_an_exponent_is_a_data_error(capsys, tmp_path,
+                                                      option, write, suite,
+                                                      value):
+    # Fraction would build the value in full: "1e100000" is 100001 digits
+    path = write(tmp_path, value)
+    code, out, err = run_cli(capsys, option, path, "verify", "--suite", suite)
+    assert (code, out) == (2, "")
+    assert err.startswith("data error: bad coefficient in ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("value", ["1e5000", "1E2", "1.5e-3"])
+def test_charpoly_q_with_an_exponent_is_a_usage_error(capsys, value):
+    code, out, err = run_cli(capsys, "charpoly", f"--q={value}")
+    assert (code, out, err) == (2, "", f"bad q value: {value}\n")
+
+
+@pytest.mark.parametrize("value, want", [
+    ("7", "t^15 - 714 t^11 + 15533 t^7 - 702464 t^3"),
+    ("1/2", "t^15 - 51 t^11 + 317/4 t^7 - 256 t^3"),
+    ("0.5", "t^15 - 51 t^11 + 317/4 t^7 - 256 t^3"),
+])
+def test_charpoly_q_parses_integers_fractions_and_decimals(capsys, value,
+                                                           want):
+    code, out, err = run_cli(capsys, "charpoly", f"--q={value}")
+    assert (code, out, err) == (0, want + "\n", "")

@@ -359,3 +359,19 @@ def test_integer_input_stays_on_ints(monkeypatch):
         assert len(seen) == n - 1  # M_1 = A needs no product
         assert all(type(x) is int for out in seen for row in out for x in row)
         seen.clear()
+
+
+@pytest.mark.parametrize("text, want", [
+    ("12", Fraction(12)), ("-3/4", Fraction(-3, 4)), ("0.5", Fraction(1, 2)),
+    (" 7 ", Fraction(7)), (".25", Fraction(1, 4)),
+])
+def test_rat_parses_integers_fractions_and_plain_decimals(text, want):
+    assert rat(text) == want
+
+
+@pytest.mark.parametrize("text", ["1e5000", "1E3", "2.5e-1", "1e100000"])
+def test_rat_refuses_an_exponent_part(text):
+    # checked before Fraction sees the string, which would build
+    # 10**100000 in full
+    with pytest.raises(ValueError, match="exponent part"):
+        rat(text)

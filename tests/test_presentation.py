@@ -7,10 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from cgquantum.exactmath import (InconsistentSystem, UnderdeterminedSystem,
-                                 mat_rank, rat, solve_linear)
+from cgquantum import presentation
+from cgquantum.exactmath import (GradedRing, InconsistentSystem,
+                                 UnderdeterminedSystem, mat_rank, rat, rref,
+                                 solve_linear)
 from cgquantum.presentation import (DegreeOutOfRange, DimensionMismatch,
-                                    GiambelliFormatError, build_graded_basis,
+                                    GiambelliFormatError, GradedQuotient,
+                                    build_graded_basis,
                                     cross_check_presentation,
                                     evaluate_in_schubert, expand_in_schubert,
                                     expected_dimension, generator_ring,
@@ -418,3 +421,123 @@ def test_giambelli_content_errors_raise_format_error(tmp_path, mutate,
     with pytest.raises(GiambelliFormatError) as info:
         load_giambelli(path)
     assert str(info.value) == message
+
+
+def _slices_from_scratch(ring, relations, max_degree):
+    """Reference slices: every relation multiple of each degree, reduced by
+    the public rref.  {degree: (basis, pivots, reducers as Fractions)}"""
+    out = {}
+    for d in range(max_degree + 1):
+        monomials = ring.monomials(d)
+        index = {m: i for i, m in enumerate(monomials)}
+        rows = []
+        for rel in relations:
+            for mono in ring.monomials(d - rel.degree()):
+                row = [0] * len(monomials)
+                for exps, c in (rel * ring.monomial(mono)).terms.items():
+                    row[index[exps]] = c
+                rows.append(row)
+        reduced, _, pivots = rref(rows)
+        basis = [m for i, m in enumerate(monomials) if i not in pivots]
+        reducers = [(col, [(j, c) for j, c in enumerate(row)
+                           if c and j != col])
+                    for row, col in zip(reduced, pivots)]
+        out[d] = basis, pivots, reducers
+    return out
+
+
+def _space_model_quotients(monkeypatch):
+    """(ring, relations, max_degree) of every quotient the scenarios build."""
+    from cgquantum import intersection
+    built = []
+
+    def recording(ring, relations, max_degree, expected_dims=None):
+        built.append((ring, list(relations), max_degree))
+        return GradedQuotient(ring, relations, max_degree, expected_dims)
+
+    monkeypatch.setattr(intersection, "GradedQuotient", recording)
+    intersection.run_all_scenarios()
+    return built
+
+
+def _relation_sets(monkeypatch):
+    from cgquantum.intersection import run_all_scenarios
+    from cgquantum.pipeline import (derive_missing_products,
+                                    derive_presentation, solve_chevalley)
+    table = load_default_table()
+    values = {sid: r.value for sid, r in run_all_scenarios().items()}
+    derived = derive_presentation(table, solve_chevalley(values),
+                                  derive_missing_products(table, values))
+    ring = generator_ring()
+    r5, r6 = standard_relations(ring)
+    s1, q = ring.gen("s1"), ring.gen("q")
+    sets = {
+        "standard": (ring, [r5, r6], 16),
+        "derived": (ring, derived.relations, 16),
+        "duplicate": (ring, [r5, r6, r5, r6], 12),
+        "dependent": (ring, [r5, s1 * r5, r6, 2 * r6 - s1 * r5], 12),
+        "fractions": (ring, [r5.scale(Fraction(1, 3)),
+                             r6 + q * s1 * s1 * Fraction(5, 7)], 12),
+        "no-relations": (ring, [], 6),
+    }
+    # first generator of degree 2 and 3
+    rg = GradedRing(("x", "y", "z"), (2, 1, 3))
+    x, y, z = (rg.gen(n) for n in ("x", "y", "z"))
+    sets["first-degree-2"] = (rg, [x * y - z * Fraction(1, 2), x * x - y ** 4,
+                                   z * z + x ** 3], 14)
+    rg = GradedRing(("x", "y", "z"), (3, 2, 1))
+    x, y, z = (rg.gen(n) for n in ("x", "y", "z"))
+    sets["first-degree-3"] = (rg, [x - y * z, y * y - z ** 4 * Fraction(2, 3),
+                                   x * x], 14)
+    for n, built in enumerate(_space_model_quotients(monkeypatch)):
+        sets[f"space-model-{n}"] = built
+    return sets
+
+
+def test_slices_built_from_the_slice_below_match_a_full_build(monkeypatch):
+    rows_reduced = []
+    rref_int = presentation.rref_int
+
+    def counted(rows):
+        rows_reduced.append(len(rows))
+        return rref_int(rows)
+
+    sets = _relation_sets(monkeypatch)
+    assert len([name for name in sets if name.startswith("space-model")]) \
+        >= 12
+    monkeypatch.setattr(presentation, "rref_int", counted)
+    for name, (ring, relations, max_degree) in sets.items():
+        rows_reduced.clear()
+        quotient = GradedQuotient(ring, relations, max_degree)
+        want = _slices_from_scratch(ring, relations, max_degree)
+        step = ring.degrees[0]
+        for d, (basis, pivots, reducers) in want.items():
+            sl = quotient.slices[d]
+            got = [(col, [(j, Fraction(c, sl.den)) for j, c in row])
+                   for col, row in sl.reducers]
+            assert (sl.basis, [col for col, _ in got], got) == \
+                (basis, pivots, reducers), (name, d)
+            # the slice reduces the rank below plus the x0-free multiples
+            # only: 17 + 3 rows at degree 16 of the standard relations
+            below = len(want[d - step][1]) if d >= step else 0
+            free = sum(1 for rel in relations
+                       for m in ring.monomials(d - rel.degree()) if not m[0])
+            assert rows_reduced[d] == below + free, (name, d)
+
+
+@pytest.mark.parametrize("relations, expected", [
+    ("r5", expected_dimension),
+    ("standard", lambda d: expected_dimension(d) - (d == 12)),
+    ("standard", lambda d: 1),
+])
+def test_dimension_mismatch_is_raised_at_the_first_wrong_degree(relations,
+                                                                 expected):
+    ring = generator_ring()
+    rels = standard_relations(ring)[:1 if relations == "r5" else 2]
+    want = _slices_from_scratch(ring, rels, 16)
+    first = next(d for d in range(17) if len(want[d][0]) != expected(d))
+    with pytest.raises(DimensionMismatch) as info:
+        GradedQuotient(ring, rels, 16, expected_dims=expected)
+    assert str(info.value) == (f"degree {first}: quotient dimension "
+                               f"{len(want[first][0])}, expected "
+                               f"{expected(first)}")

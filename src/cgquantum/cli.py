@@ -12,7 +12,7 @@ import os
 import sys
 from functools import cached_property
 
-from .exactmath import rat
+from .exactmath import parse_rational
 from .schubert import (DEGREES, DataFormatError, MultiplicationTable,
                        VerificationReport, default_data_dir, gw_invariant,
                        verify_table)
@@ -218,7 +218,7 @@ def cmd_charpoly(args) -> int:
     from .spectral import sigma1_charpoly
     table = _load_table(args.table_file)
     try:
-        qv = rat(args.q)
+        qv = parse_rational(args.q)
     except (ValueError, ZeroDivisionError):
         print(f"bad q value: {args.q}", file=sys.stderr)
         return EXIT_USAGE

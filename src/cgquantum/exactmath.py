@@ -19,11 +19,15 @@ ONE = Fraction(1)
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, strings like '3/4', and Fractions to Fraction.  A string
-    with an exponent part is refused: Fraction would build '1e5000' in full."""
+    """Coerce ints, strings like '3/4', and Fractions to Fraction."""
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def parse_rational(x) -> Fraction:
+    """rat for outside data, refusing exponents: Fraction expands 1e5000."""
     if isinstance(x, str) and "e" in x.lower():
         raise ValueError(f"exponent part in {x!r}")
-    return x if isinstance(x, Fraction) else Fraction(x)
+    return rat(x)
 
 
 class NonSquareMatrixError(ValueError):
@@ -259,8 +263,7 @@ class GradedRing:
 
 class MultiPolynomial:
     """Multivariate polynomial over a GradedRing, terms keyed by exponent
-    tuple.  Zero coefficients are never stored; integral ones are stored
-    as ints, any other as a Fraction."""
+    tuple; integral coefficients are ints, and zeros are never stored."""
 
     __slots__ = ("ring", "terms")
 
@@ -268,10 +271,8 @@ class MultiPolynomial:
         self.ring = ring
         self.terms: dict[tuple[int, ...], int | Fraction] = {}
         for exps, c in terms.items():
-            if type(c) is not int:
-                c = rat(c)
-                if c.denominator == 1:
-                    c = c.numerator
+            if type(c) is not int and (c := rat(c)).denominator == 1:
+                c = c.numerator
             if c:
                 self.terms[tuple(exps)] = c
 

@@ -17,7 +17,8 @@ from operator import add
 
 from .exactmath import (ZERO, GradedRing, InconsistentSystem,
                         MultiPolynomial, UnderdeterminedSystem,
-                        clear_denominators, identity, rat, rref_int)
+                        clear_denominators, identity, parse_rational,
+                        rref_int)
 from .schubert import (DEGREES, LABEL_INDEX, LABELS, DataFormatError,
                        MultiplicationTable, SchubertElement, Terms,
                        VerificationReport, default_data_dir)
@@ -89,9 +90,8 @@ class GradedQuotient:
                     for rel in self.relations]
         self.slices: dict[int, DegreeSlice] = {}
         for d in range(max_degree + 1):
-            below = self.slices.get(d - ring.degrees[0])
-            self.slices[d] = self._build_slice(d, integral,
-                                               below.rows if below else [])
+            self.slices[d] = self._build_slice(
+                d, integral, self.slices.get(d - ring.degrees[0]))
             if expected_dims is not None:
                 want = expected_dims(d)
                 got = len(self.slices[d].basis)
@@ -107,7 +107,7 @@ class GradedQuotient:
         monomials = self.ring.monomials(degree)
         index = {m: i for i, m in enumerate(monomials)}
         n = len(monomials)
-        rows = [row + [0] * (n - len(row)) for row in below]
+        rows = [row + [0] * (n - len(row)) for row in below.rows] if below else []
         for rel_degree, terms in integral:
             for mono in self.ring.monomials(degree - rel_degree):
                 if not mono[0]:
@@ -191,7 +191,7 @@ def _parse_monomial(label: str, term, ngens: int):
         raise GiambelliFormatError(f"exponents of a {label} term must be "
                                    f"{ngens} integers >= 0: {term!r}")
     try:
-        return exps, rat(term["coeff"])
+        return exps, parse_rational(term["coeff"])
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise GiambelliFormatError(
             f"bad coefficient in {label}: {term!r}") from None
@@ -380,8 +380,7 @@ def _product_terms(quotient: GradedQuotient,
     # a missing entry still raises KeyError at its first pair
     integral = {label: _integral(giambelli[label]) for label in LABELS
                 if label in giambelli}
-    # each entry's degree once; a non-homogeneous entry has none, and
-    # raises its ValueError again at each of its pairs
+    # a non-homogeneous entry has no degree here, and raises at each pair
     degrees = {label: giambelli[label].degree() for label in integral
                if giambelli[label].is_homogeneous()}
     for i, a in enumerate(LABELS):
@@ -442,8 +441,7 @@ def cross_check_presentation(table: MultiplicationTable,
     Returns a VerificationReport.
     """
     report = VerificationReport()
-    # the monomial values s1^a * s2^b, shared by (i) and (ii)
-    powers: dict[tuple[int, int], Terms] = {}
+    powers: dict = {}  # the values of s1^a * s2^b, shared by (i) and (ii)
 
     bad_rel = [str(rel) for rel in quotient.relations
                if any(_evaluate(table, rel, powers).values())]

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 from operator import mul
 
-from .exactmath import QPolynomial, Rational, clear_denominators, rat
+from .exactmath import (QPolynomial, Rational, clear_denominators,
+                        parse_rational, rat)
 
 LABELS = ("s0", "s1", "s2", "s2p", "s3", "s3p", "s4", "s4p", "s4pp",
           "s5", "s5p", "s6", "s6p", "s7", "s8")
@@ -153,8 +154,8 @@ def _parse_term(term: dict, pair) -> tuple[int, int, Rational]:
     c = term["coeff"]
     try:
         # ints stay ints, so a record sums without Fraction; bool, float
-        # and str go through rat
-        return k, e, c if type(c) is int else rat(c)
+        # and str go through Fraction
+        return k, e, c if type(c) is int else parse_rational(c)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise TableFormatError(f"bad coefficient in {pair}: {term!r}") from None
 

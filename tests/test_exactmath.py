@@ -10,8 +10,9 @@ from itertools import product
 from cgquantum.exactmath import (GradedRing, InconsistentSystem,
                                  NonSquareMatrixError, QPolynomial,
                                  UnderdeterminedSystem, charpoly, determinant,
-                                 identity, mat, mat_mul, mat_rank, rat, rref,
-                                 solve_linear, zeros)
+                                 identity, mat, mat_mul, mat_rank,
+                                 parse_rational, rat, rref, solve_linear,
+                                 zeros)
 from cgquantum.presentation import generator_ring
 
 
@@ -365,13 +366,14 @@ def test_integer_input_stays_on_ints(monkeypatch):
     ("12", Fraction(12)), ("-3/4", Fraction(-3, 4)), ("0.5", Fraction(1, 2)),
     (" 7 ", Fraction(7)), (".25", Fraction(1, 4)),
 ])
-def test_rat_parses_integers_fractions_and_plain_decimals(text, want):
-    assert rat(text) == want
+def test_parse_rational_takes_integers_fractions_and_plain_decimals(text,
+                                                                     want):
+    assert parse_rational(text) == want == rat(text)
 
 
 @pytest.mark.parametrize("text", ["1e5000", "1E3", "2.5e-1", "1e100000"])
-def test_rat_refuses_an_exponent_part(text):
+def test_parse_rational_refuses_an_exponent_part(text):
     # checked before Fraction sees the string, which would build
     # 10**100000 in full
     with pytest.raises(ValueError, match="exponent part"):
-        rat(text)
+        parse_rational(text)

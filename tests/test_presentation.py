@@ -423,7 +423,7 @@ def test_giambelli_content_errors_raise_format_error(tmp_path, mutate,
     assert str(info.value) == message
 
 
-def _slices_from_scratch(ring, relations, max_degree):
+def _slices_by_full_build(ring, relations, max_degree):
     """Reference slices: every relation multiple of each degree, reduced by
     the public rref.  {degree: (basis, pivots, reducers as Fractions)}"""
     out = {}
@@ -509,7 +509,7 @@ def test_slices_built_from_the_slice_below_match_a_full_build(monkeypatch):
     for name, (ring, relations, max_degree) in sets.items():
         rows_reduced.clear()
         quotient = GradedQuotient(ring, relations, max_degree)
-        want = _slices_from_scratch(ring, relations, max_degree)
+        want = _slices_by_full_build(ring, relations, max_degree)
         step = ring.degrees[0]
         for d, (basis, pivots, reducers) in want.items():
             sl = quotient.slices[d]
@@ -534,7 +534,7 @@ def test_dimension_mismatch_is_raised_at_the_first_wrong_degree(relations,
                                                                  expected):
     ring = generator_ring()
     rels = standard_relations(ring)[:1 if relations == "r5" else 2]
-    want = _slices_from_scratch(ring, rels, 16)
+    want = _slices_by_full_build(ring, rels, 16)
     first = next(d for d in range(17) if len(want[d][0]) != expected(d))
     with pytest.raises(DimensionMismatch) as info:
         GradedQuotient(ring, rels, 16, expected_dims=expected)

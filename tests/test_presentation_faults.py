@@ -1,5 +1,6 @@
 """Every +-1 Giambelli and scenario fault, as the benchmark's fault sweep
-generates them, gives exactly the report or exception pinned in
+generates them, and every +-1 fault on a table entry that the derivation
+reads, gives exactly the report or exception pinned in
 golden/presentation_faults.json.
 
 Regenerate the golden file (only where a change of output is intended):
@@ -15,10 +16,17 @@ from cgquantum.intersection import run_all_scenarios
 from cgquantum.pipeline import run_pipeline
 from cgquantum.presentation import (build_graded_basis,
                                     cross_check_presentation, load_giambelli)
-from cgquantum.schubert import default_data_dir, load_default_table
+from cgquantum.schubert import (MultiplicationTable, default_data_dir,
+                                load_default_table)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
                       "presentation_faults.json")
+
+# the table entries that derive_missing_products and derive_presentation
+# read; every other entry enters only close_loop's comparison
+DERIVATION_ENTRIES = [{"s1", x} for x in ("s2", "s2p", "s3", "s3p", "s4", "s4p",
+                                          "s4pp", "s5", "s5p", "s6")] + \
+    [{"s2"}, {"s2", "s4"}]
 
 
 def _outcome(fn, *args):
@@ -65,6 +73,26 @@ def scenario_fault_outcomes(table):
     return out
 
 
+def table_fault_outcomes():
+    """For +-1 on each term of the entries the derivation reads, the
+    pipeline's report on the shipped scenario values."""
+    with open(os.path.join(default_data_dir(), "cg_table.json")) as fh:
+        raw = json.load(fh)
+    values = {sid: r.value for sid, r in run_all_scenarios().items()}
+    out = {}
+    for rec in raw["products"]:
+        if {rec["a"], rec["b"]} not in DERIVATION_ENTRIES:
+            continue
+        for term in rec["terms"]:
+            for d in (1, -1):
+                term["coeff"] += d
+                mutant = MultiplicationTable.from_dict(raw)
+                term["coeff"] -= d
+                name = f"{rec['a']}*{rec['b']} term {term['label']} {d:+d}"
+                out[name] = _outcome(run_pipeline, mutant, values)
+    return out
+
+
 def _golden():
     with open(GOLDEN) as fh:
         return json.load(fh)
@@ -84,9 +112,17 @@ def test_scenario_faults_are_pinned():
     assert got == want
 
 
+def test_table_faults_are_pinned():
+    got = table_fault_outcomes()
+    want = _golden()["table"]
+    assert len(got) == 58
+    assert got == want
+
+
 if __name__ == "__main__":
     table = load_default_table()
     with tempfile.TemporaryDirectory() as workdir:
         print(json.dumps({"giambelli": giambelli_fault_outcomes(table, workdir),
-                          "scenario": scenario_fault_outcomes(table)},
+                          "scenario": scenario_fault_outcomes(table),
+                          "table": table_fault_outcomes()},
                          indent=1))

@@ -32,9 +32,9 @@ class SpaceModel:
     monomial, whose integral is declared to be 1.
     """
 
-    def __init__(self, names, degrees, relations, top_degree: int,
+    def __init__(self, ring: GradedRing, relations, top_degree: int,
                  normalization: tuple[int, ...]):
-        self.ring = GradedRing(names, degrees)
+        self.ring = ring
         self.quotient = GradedQuotient(self.ring, relations,
                                        max_degree=top_degree)
         self.top_degree = top_degree
@@ -145,15 +145,13 @@ def quotient_chern(numerator: MultiPolynomial, denominator: MultiPolynomial,
 
 def projective_space(n: int, var: str = "h") -> SpaceModel:
     ring = GradedRing((var,), (1,))
-    rel = ring.gen(var) ** (n + 1)
-    return SpaceModel((var,), (1,), [rel], n, (n,))
+    return SpaceModel(ring, [ring.gen(var) ** (n + 1)], n, (n,))
 
 
 def product_of_lines(names) -> SpaceModel:
-    degrees = (1,) * len(names)
-    ring = GradedRing(names, degrees)
+    ring = GradedRing(names, (1,) * len(names))
     rels = [ring.gen(n) ** 2 for n in names]
-    return SpaceModel(names, degrees, rels, len(names), (1,) * len(names))
+    return SpaceModel(ring, rels, len(names), (1,) * len(names))
 
 
 @dataclass
@@ -217,11 +215,9 @@ def _scenario_4_1_5() -> tuple[Fraction, Fraction]:
 def _scenario_4_1_6() -> tuple[Fraction, Fraction]:
     # P^1 x P^2; U_3^* has roots 0, a, b with a+b = h2, ab = h2^2;
     # the count is c_3 of the exterior square twisted by the line class h1
-    names, degs = ("h1", "h2"), (1, 1)
-    ring = GradedRing(names, degs)
-    rels = [ring.gen("h1") ** 2, ring.gen("h2") ** 3]
-    sp = SpaceModel(names, degs, rels, 3, (1, 2))
-    h1, h2 = sp.gen("h1"), sp.gen("h2")
+    ring = GradedRing(("h1", "h2"), (1, 1))
+    h1, h2 = ring.gen("h1"), ring.gen("h2")
+    sp = SpaceModel(ring, [h1 ** 2, h2 ** 3], 3, (1, 2))
     u3 = FormalBundle.from_total_chern(sp, 3, sp.constant(1) + h2 + h2**2)
     w = u3.exterior_square().twist_by_line(h1)
     return sp.integrate(w.chern_class(3)), rat(0)
@@ -236,24 +232,18 @@ def _scenario_4_1_7() -> tuple[Fraction, Fraction]:
     return sp.integrate(w.chern_class(3)), rat(0)
 
 
-def _grassmann_bundle_4_1_8() -> SpaceModel:
+def _scenario_4_1_8() -> tuple[Fraction, Fraction]:
     # G(2, E) over P^1 with E of rank four, c(E) = 1 + h; a1, a2 are the
     # Chern classes of the dual rank-two tautological bundle, and the
     # rank-two quotient kills the degree-3 and degree-4 components of
     # c(E)/c(S)
-    names, degs = ("h", "a1", "a2"), (1, 1, 2)
-    ring = GradedRing(names, degs)
-    h, a1, a2 = (ring.gen(n) for n in names)
+    ring = GradedRing(("h", "a1", "a2"), (1, 1, 2))
+    h, a1, a2 = (ring.gen(n) for n in ring.names)
     c_s = ring.one() - a1 + a2          # tautological subbundle
     c_e = ring.one() + h
     q_total = quotient_chern(c_e, c_s, 5)
     rels = [h ** 2, q_total.component(3), q_total.component(4)]
-    return SpaceModel(names, degs, rels, 5, (1, 0, 2))
-
-
-def _scenario_4_1_8() -> tuple[Fraction, Fraction]:
-    sp = _grassmann_bundle_4_1_8()
-    h, a1, a2 = (sp.gen(n) for n in ("h", "a1", "a2"))
+    sp = SpaceModel(ring, rels, 5, (1, 0, 2))
     d3 = FormalBundle.from_total_chern(
         sp, 3, (sp.constant(1) + h) * (sp.constant(1) + a1 + a2))
     b1 = d3.exterior_square()
@@ -265,12 +255,9 @@ def _scenario_4_1_8() -> tuple[Fraction, Fraction]:
 
     # degenerate locus: D_3 containing the distinguished line, a P(E') of
     # rank-three E' with c(E') = 1 + h over the same P^1
-    names, degs = ("h", "m"), (1, 1)
-    ring = GradedRing(names, degs)
-    h_, m = ring.gen("h"), ring.gen("m")
-    corr_sp = SpaceModel(names, degs, [h_ ** 2, m ** 3 + h_ * m ** 2],
-                         3, (1, 2))
-    h_, m = corr_sp.gen("h"), corr_sp.gen("m")
+    cring = GradedRing(("h", "m"), (1, 1))
+    h_, m = cring.gen("h"), cring.gen("m")
+    corr_sp = SpaceModel(cring, [h_ ** 2, m ** 3 + h_ * m ** 2], 3, (1, 2))
     d3c = FormalBundle.from_total_chern(
         corr_sp, 3, (corr_sp.constant(1) + h_) * (corr_sp.constant(1) + m))
     v3_over_d1c = FormalBundle.trivial(corr_sp, 3).minus(
@@ -283,14 +270,12 @@ def _scenario_4_1_8() -> tuple[Fraction, Fraction]:
 def _scenario_4_1_9() -> tuple[Fraction, Fraction]:
     # P(V_6/(D_1 + D'_1)) over P^1 x P^2; relation is the degree-4
     # component of the rank-four quotient series
-    names, degs = ("h", "l", "m"), (1, 1, 1)
-    ring = GradedRing(names, degs)
-    h, l, m = (ring.gen(n) for n in names)
+    ring = GradedRing(("h", "l", "m"), (1, 1, 1))
+    h, l, m = (ring.gen(n) for n in ring.names)
     c_e = quotient_chern(ring.one(), (ring.one() - h) * (ring.one() - l), 6)
     proj_rel = sum(((c_e.component(i) * m ** (4 - i)) for i in range(1, 5)),
                    m ** 4)
-    sp = SpaceModel(names, degs, [h ** 2, l ** 3, proj_rel], 6, (1, 2, 3))
-    h, l, m = (sp.gen(n) for n in names)
+    sp = SpaceModel(ring, [h ** 2, l ** 3, proj_rel], 6, (1, 2, 3))
     d3 = FormalBundle.from_total_chern(
         sp, 3, (sp.constant(1) + h) * (sp.constant(1) + l)
         * (sp.constant(1) + m))
@@ -307,13 +292,11 @@ def _scenario_4_2_3() -> tuple[Fraction, Fraction]:
     # P^1 x G(2,5): t1, t11 are the Schubert classes of the rank-two
     # dual tautological bundle; the rank-three quotient kills the
     # degree-4 and degree-5 components of 1/c(S)
-    names, degs = ("h", "t1", "t11"), (1, 1, 2)
-    ring = GradedRing(names, degs)
-    h, t1, t11 = (ring.gen(n) for n in names)
+    ring = GradedRing(("h", "t1", "t11"), (1, 1, 2))
+    h, t1, t11 = (ring.gen(n) for n in ring.names)
     q_total = quotient_chern(ring.one(), ring.one() - t1 + t11, 7)
     rels = [h ** 2, q_total.component(4), q_total.component(5)]
-    sp = SpaceModel(names, degs, rels, 7, (1, 0, 3))
-    h, t1, t11 = (sp.gen(n) for n in names)
+    sp = SpaceModel(ring, rels, 7, (1, 0, 3))
     d3 = FormalBundle.from_total_chern(sp, 3, sp.constant(1) + t1 + t11)
     w = d3.exterior_square()
     tw = w.twist_by_line(h)
@@ -321,11 +304,9 @@ def _scenario_4_2_3() -> tuple[Fraction, Fraction]:
 
     # remove the locus where the second and third marked points coincide:
     # P(A_6/D_2) over a P^1, same shape as the 4.1.8 correction one rank up
-    cn, cd = ("l", "m"), (1, 1)
-    cring = GradedRing(cn, cd)
+    cring = GradedRing(("l", "m"), (1, 1))
     l, m = cring.gen("l"), cring.gen("m")
-    corr_sp = SpaceModel(cn, cd, [l ** 2, m ** 4 + l * m ** 3], 4, (1, 3))
-    l, m = corr_sp.gen("l"), corr_sp.gen("m")
+    corr_sp = SpaceModel(cring, [l ** 2, m ** 4 + l * m ** 3], 4, (1, 3))
     d3c = FormalBundle.from_total_chern(
         corr_sp, 3, (corr_sp.constant(1) + l) * (corr_sp.constant(1) + m))
     wc = d3c.exterior_square()

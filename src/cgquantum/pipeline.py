@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import (GradedRing, InconsistentSystem, MultiPolynomial,
-                        QPolynomial, UnderdeterminedSystem, rat, solve_linear)
+from .exactmath import (InconsistentSystem, MultiPolynomial, QPolynomial,
+                        UnderdeterminedSystem, rat, solve_linear)
 from .presentation import (GradedQuotient, build_graded_basis,
                            generator_ring, mismatched_products)
-from .schubert import (DEGREES, DUALS, LABELS, MultiplicationTable,
-                       SchubertElement)
+from .schubert import (DEGREES, DUALS, LABEL_INDEX, LABELS,
+                       MultiplicationTable, SchubertElement)
 
 # restrictions of ambient Schubert classes to the 15-class basis
 RESTRICTIONS = {
@@ -136,12 +136,6 @@ def solve_chevalley(scenario_values: dict[str, Fraction]) -> ChevalleyUnknowns:
     return ChevalleyUnknowns(*sol)
 
 
-def _classical_row(table: MultiplicationTable, a: str, b: str) -> dict[str, Fraction]:
-    elem = table.basis_product(a, b)
-    return {label: poly.coeff(0) for label, poly in elem.coeffs.items()
-            if poly.coeff(0)}
-
-
 def derive_missing_products(table: MultiplicationTable,
                             scenario_values: dict[str, Fraction]
                             ) -> tuple[SchubertElement, SchubertElement]:
@@ -159,18 +153,13 @@ def derive_missing_products(table: MultiplicationTable,
     i_246p = rat(scenario_values["4.2.2"])
     # the last count bundles two invariants: value = I(s2,s4,s6) + I(s2,s4,s6p)
     i_246 = rat(scenario_values["4.2.3"]) - i_246p
-
-    s2_sq = table.basis_product("s2", "s2").drop_quantum()
-    if i_228:
-        s2_sq = s2_sq + SchubertElement({"s0": QPolynomial.monomial(1, i_228)})
-
-    s4_s2 = table.basis_product("s4", "s2").drop_quantum()
-    quantum = {}
-    if i_246:
-        quantum["s2"] = QPolynomial.monomial(1, i_246)
-    if i_246p:
-        quantum["s2p"] = QPolynomial.monomial(1, i_246p)
-    return s2_sq, s4_s2 + SchubertElement(quantum)
+    # a zero count drops out of QPolynomial, and so out of the element
+    s2_sq = table.basis_product("s2", "s2").drop_quantum() + SchubertElement(
+        {"s0": QPolynomial.monomial(1, i_228)})
+    s4_s2 = table.basis_product("s4", "s2").drop_quantum() + SchubertElement(
+        {"s2": QPolynomial.monomial(1, i_246),
+         "s2p": QPolynomial.monomial(1, i_246p)})
+    return s2_sq, s4_s2
 
 
 @dataclass
@@ -178,22 +167,6 @@ class DerivedPresentation:
     relations: list[MultiPolynomial]
     giambelli: dict[str, MultiPolynomial]
     a7: Fraction
-
-
-def _solve_polys(coeff_rows, rhs_polys, ring, degree):
-    """Solve sum_j coeff_rows[i][j] * G_j = rhs_polys[i] for polynomials
-    G_j, coefficient by coefficient on the monomials of the degree."""
-    monos = ring.monomials(degree)
-    k = len(coeff_rows[0])
-    sols = {j: {} for j in range(k)}
-    a = [[rat(c) for c in row] for row in coeff_rows]
-    for mono in monos:
-        b = [p.coeff(mono) for p in rhs_polys]
-        x = solve_linear(a, b)
-        for j in range(k):
-            if x[j]:
-                sols[j][mono] = x[j]
-    return [MultiPolynomial(ring, sols[j]) for j in range(k)]
 
 
 def derive_presentation(table: MultiplicationTable,
@@ -205,55 +178,63 @@ def derive_presentation(table: MultiplicationTable,
     mirroring the degree-by-degree deduction."""
     ring = generator_ring()
     s1, s2, q = ring.gen("s1"), ring.gen("s2"), ring.gen("q")
-    u = unknowns
     g: dict[str, MultiPolynomial] = {
         "s0": ring.one(), "s1": s1, "s2": s2, "s2p": s1 * s1 - s2}
-
+    s1_row = table.tensor[LABEL_INDEX["s1"]]
     s2_sq_elem, s4_s2_elem = missing_products
 
-    def elem_to_poly(elem: SchubertElement, gdict, degree) -> MultiPolynomial:
+    def row(source: str, targets) -> list:
+        """The q^0 coefficient of each target in s1 * source."""
+        terms = s1_row[LABEL_INDEX[source]]
+        return [terms.get((LABEL_INDEX[t], 0), 0) for t in targets]
+
+    def lowered(label: str) -> MultiPolynomial:
+        """s1 * G(label) less its q-linear part, taken from ANSATZ."""
+        poly = g[label] * s1
+        for target, name in ANSATZ.get(label, {}).items():
+            poly = poly - q * unknowns[name] * g[target]
+        return poly
+
+    def solve(sources, targets, *extra) -> None:
+        """G of the targets from the hyperplane row of each source, and
+        any extra (row, right-hand side) equations, monomial by monomial."""
+        eqs = [(row(s, targets), lowered(s)) for s in sources] + list(extra)
+        a = [[rat(c) for c in r] for r, _ in eqs]
+        sols = [{} for _ in targets]
+        for mono in ring.monomials(DEGREES[targets[0]]):
+            x = solve_linear(a, [rhs.coeff(mono) for _, rhs in eqs])
+            for sol, c in zip(sols, x):
+                if c:
+                    sol[mono] = c
+        g.update((t, MultiPolynomial(ring, sol))
+                 for t, sol in zip(targets, sols))
+
+    def elem_to_poly(elem: SchubertElement, degree: int) -> MultiPolynomial:
         total = ring.zero()
         for label, poly in elem.coeffs.items():
+            if label not in g:
+                raise InconsistentSystem("degree bookkeeping failure")
             for e, c in poly.coeffs.items():
-                total = total + c * (q ** e) * gdict[label]
-        if not total.is_zero() and total.degree() != degree:
+                total = total + c * (q ** e) * g[label]
+        if any(ring.monomial_degree(m) != degree for m in total.terms):
             raise InconsistentSystem("degree bookkeeping failure")
         return total
 
     # degree three: two hyperplane rows, no quantum corrections
-    row_s2 = _classical_row(table, "s2", "s1")
-    row_s2p = _classical_row(table, "s2p", "s1")
-    g["s3"], g["s3p"] = _solve_polys(
-        [[row_s2.get("s3", 0), row_s2.get("s3p", 0)],
-         [row_s2p.get("s3", 0), row_s2p.get("s3p", 0)]],
-        [s1 * s2, s1 ** 3 - s1 * s2], ring, 3)
+    solve(("s2", "s2p"), ("s3", "s3p"))
 
     # degree four: rows of the two degree-three classes plus the square
     # of the degree-two generator
-    rows, rhs = [], []
-    for label, quantum in (("s3", u.a3), ("s3p", u.a3p)):
-        r = _classical_row(table, label, "s1")
-        rows.append([r.get("s4", 0), r.get("s4p", 0), r.get("s4pp", 0)])
-        rhs.append(g[label] * s1 - quantum * q)
-    q_part = s2_sq_elem.coeff("s0").coeff(1)
-    cl = {l: p.coeff(0) for l, p in s2_sq_elem.coeffs.items()}
-    rows.append([cl.get("s4", 0), cl.get("s4p", 0), cl.get("s4pp", 0)])
-    rhs.append(s2 * s2 - q_part * q)
-    g["s4"], g["s4p"], g["s4pp"] = _solve_polys(rows, rhs, ring, 4)
+    deg4 = ("s4", "s4p", "s4pp")
+    solve(("s3", "s3p"), deg4,
+          ([s2_sq_elem.coeff(t).coeff(0) for t in deg4],
+           s2 * s2 - s2_sq_elem.coeff("s0").coeff(1) * q))
 
     # degree five: three rows for two classes; the excess equation is the
     # first relation
-    lhs = {label: g[label] * s1 - quantum * q * s1 for label, quantum in
-           (("s4", u.a4), ("s4p", u.a4p), ("s4pp", u.a4pp))}
-    r_s4 = _classical_row(table, "s4", "s1")
-    r_s4pp = _classical_row(table, "s4pp", "s1")
-    g["s5"], g["s5p"] = _solve_polys(
-        [[r_s4.get("s5", 0), r_s4.get("s5p", 0)],
-         [r_s4pp.get("s5", 0), r_s4pp.get("s5p", 0)]],
-        [lhs["s4"], lhs["s4pp"]], ring, 5)
-    r_s4p = _classical_row(table, "s4p", "s1")
-    residual5 = (lhs["s4p"] - r_s4p.get("s5", 0) * g["s5"]
-                 - r_s4p.get("s5p", 0) * g["s5p"])
+    solve(("s4", "s4pp"), ("s5", "s5p"))
+    c5, c5p = row("s4p", ("s5", "s5p"))
+    residual5 = lowered("s4p") - c5 * g["s5"] - c5p * g["s5p"]
     if residual5.is_zero():
         raise InconsistentSystem("expected a degree-five relation")
     lead5 = residual5.coeff((5, 0, 0))
@@ -263,16 +244,8 @@ def derive_presentation(table: MultiplicationTable,
 
     # degree six: two hyperplane rows determine the classes, then the
     # derived degree-six product yields the second relation
-    lhs6 = {}
-    for label, (qa, qb) in (("s5", (u.a5, u.b5)), ("s5p", (u.a5p, u.b5p))):
-        lhs6[label] = g[label] * s1 - q * (qa * g["s2"] + qb * g["s2p"])
-    r_s5 = _classical_row(table, "s5", "s1")
-    r_s5p = _classical_row(table, "s5p", "s1")
-    g["s6"], g["s6p"] = _solve_polys(
-        [[r_s5.get("s6", 0), r_s5.get("s6p", 0)],
-         [r_s5p.get("s6", 0), r_s5p.get("s6p", 0)]],
-        [lhs6["s5"], lhs6["s5p"]], ring, 6)
-    residual6 = s2 * g["s4"] - elem_to_poly(s4_s2_elem, g, 6)
+    solve(("s5", "s5p"), ("s6", "s6p"))
+    residual6 = s2 * g["s4"] - elem_to_poly(s4_s2_elem, 6)
     if residual6.is_zero():
         raise InconsistentSystem("expected a degree-six relation")
     # remove the multiple of the degree-five relation, then normalize on
@@ -283,19 +256,16 @@ def derive_presentation(table: MultiplicationTable,
         raise InconsistentSystem("degree-six relation has no cubic term")
     r6 = residual6.scale(16 / lead6)
 
-    # degree seven
-    r_s6 = _classical_row(table, "s6", "s1")
-    g["s7"] = (g["s6"] * s1 - q * (u.a5 * g["s3"] + u.a5p * g["s3p"])) \
-        .scale(1 / r_s6.get("s7", rat(1)))
+    # degree seven; with no s7 term in the row, s7 is taken as is
+    (c7,) = row("s6", ("s7",))
+    g["s7"] = lowered("s6").scale(1 / rat(c7 or 1))
 
     # degree eight, and the last unknown from the top-row consistency:
     # the row of the degree-seven class gives the top class up to a q^2
     # shift; feeding that into the next row pins the shift down
-    g8_shifted = g["s7"] * s1 - q * (u.a4 * g["s4"] + u.a4p * g["s4p"]
-                                     + u.a4pp * g["s4pp"])
+    g["s8"] = lowered("s7")
     quotient = GradedQuotient(ring, [r5, r6], max_degree=9)
-    probe = quotient.normal_form(
-        g8_shifted * s1 - q * (u.a3 * g["s5"] + u.a3p * g["s5p"]))
+    probe = quotient.normal_form(lowered("s8"))
     reference = quotient.normal_form(2 * q ** 2 * s1)
     a7 = rat(0)
     if not probe.is_zero():
@@ -305,7 +275,7 @@ def derive_presentation(table: MultiplicationTable,
         if mono is None or probe != reference.scale(a7):
             raise InconsistentSystem(
                 "top-row consistency equation has no rational solution")
-    g["s8"] = g8_shifted - a7 * q ** 2
+    g["s8"] = g["s8"] - a7 * q ** 2
 
     return DerivedPresentation([r5, r6], g, a7)
 

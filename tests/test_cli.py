@@ -421,6 +421,44 @@ def test_verify_all_goes_on_past_an_inconsistent_system(capsys, tmp_path):
     assert lines[-8:] == spectral
 
 
+def _s4_s2_gains(label):
+    def mutate(raw):
+        rec = next(r for r in raw["products"] if {r["a"], r["b"]} == {"s2", "s4"})
+        rec["terms"].append({"label": label, "q": 0, "coeff": 1})
+    return mutate
+
+
+# s5 made the degree-six residual non-homogeneous (a ValueError), and s7
+# a class the derivation has not reached (a KeyError)
+@pytest.mark.parametrize("label", ["s5", "s7"])
+def test_derive_reports_an_off_grade_s4_s2_term_as_a_failure(
+        capsys, tmp_path, label):
+    path = _write_shipped_table(tmp_path, _s4_s2_gains(label))
+    code, out, err = run_cli(capsys, "--table-file", path, "derive")
+    assert (code, out) == (1, "")
+    assert err == ("derivation failed: InconsistentSystem: degree "
+                   "bookkeeping failure\n")
+
+
+@pytest.mark.parametrize("label", ["s5", "s7"])
+def test_verify_reports_an_off_grade_s4_s2_term_as_loop_closed(
+        capsys, tmp_path, label):
+    path = _write_shipped_table(tmp_path, _s4_s2_gains(label))
+    code, out, err = run_cli(capsys, "--table-file", path,
+                             "verify", "--suite", "pipeline")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "[fail] pipeline:loop_closed -- InconsistentSystem: degree "
+        "bookkeeping failure"]
+    code, out, err = run_cli(capsys, "--table-file", path,
+                             "verify", "--suite", "all")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert "[fail] pipeline:loop_closed -- InconsistentSystem: degree " \
+           "bookkeeping failure" in lines
+    assert len([line for line in lines if " spectral:" in line]) == 8
+
+
 @pytest.mark.parametrize("argv, unbuffered", [
     # buffered, the closed pipe first shows when stdout is flushed
     (["product", "s2", "s2"], False),

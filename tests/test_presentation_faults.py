@@ -16,8 +16,8 @@ from cgquantum.intersection import run_all_scenarios
 from cgquantum.pipeline import run_pipeline
 from cgquantum.presentation import (build_graded_basis,
                                     cross_check_presentation, load_giambelli)
-from cgquantum.schubert import (MultiplicationTable, default_data_dir,
-                                load_default_table)
+from cgquantum.schubert import (DEGREES, LABELS, MultiplicationTable,
+                                default_data_dir, load_default_table)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
                       "presentation_faults.json")
@@ -74,22 +74,38 @@ def scenario_fault_outcomes(table):
 
 
 def table_fault_outcomes():
-    """For +-1 on each term of the entries the derivation reads, the
-    pipeline's report on the shipped scenario values."""
+    """For +-1 on each term of the entries the derivation reads, and for
+    the off-grade s4*s2 terms that once ended the derivation in a
+    ValueError or KeyError, the pipeline's report on the shipped scenario
+    values."""
     with open(os.path.join(default_data_dir(), "cg_table.json")) as fh:
         raw = json.load(fh)
     values = {sid: r.value for sid, r in run_all_scenarios().items()}
     out = {}
+
+    def record(name):
+        out[name] = _outcome(run_pipeline,
+                             MultiplicationTable.from_dict(raw), values)
+
     for rec in raw["products"]:
         if {rec["a"], rec["b"]} not in DERIVATION_ENTRIES:
             continue
         for term in rec["terms"]:
             for d in (1, -1):
                 term["coeff"] += d
-                mutant = MultiplicationTable.from_dict(raw)
+                record(f"{rec['a']}*{rec['b']} term {term['label']} {d:+d}")
                 term["coeff"] -= d
-                name = f"{rec['a']}*{rec['b']} term {term['label']} {d:+d}"
-                out[name] = _outcome(run_pipeline, mutant, values)
+    s4_s2 = next(rec for rec in raw["products"]
+                 if {rec["a"], rec["b"]} == {"s2", "s4"})
+    for label in LABELS:
+        if DEGREES[label] != 6:
+            s4_s2["terms"].append({"label": label, "q": 0, "coeff": 1})
+            record(f"s4*s2 gains {label} q^0")
+            s4_s2["terms"].pop()
+    (s2p,) = [t for t in s4_s2["terms"] if t["label"] == "s2p"]
+    s2p["q"] -= 1
+    record("s4*s2 term s2p q-1")
+    s2p["q"] += 1
     return out
 
 
@@ -115,7 +131,7 @@ def test_scenario_faults_are_pinned():
 def test_table_faults_are_pinned():
     got = table_fault_outcomes()
     want = _golden()["table"]
-    assert len(got) == 58
+    assert len(got) == 72
     assert got == want
 
 

@@ -13,7 +13,7 @@ import sys
 from functools import cached_property
 
 from .exactmath import parse_rational
-from .schubert import (DEGREES, DataFormatError, MultiplicationTable,
+from .schubert import (DEGREES, LABELS, DataFormatError, MultiplicationTable,
                        VerificationReport, default_data_dir, gw_invariant,
                        verify_table)
 
@@ -149,8 +149,14 @@ def cmd_product(args) -> int:
         if label not in DEGREES:
             print(f"unknown label: {label}", file=sys.stderr)
             return EXIT_USAGE
-    table = _load_table(args.table_file)
-    print(table.basis_product(args.a, args.b))
+    product = _load_table(args.table_file).basis_product(args.a, args.b)
+    if args.json:
+        # the table file's term schema, ordered as plain: q, then class
+        terms = sorted(product.terms().items(), key=lambda t: t[0][::-1])
+        print(json.dumps([{"label": LABELS[k], "q": e, "coeff": str(c)}
+                          for (k, e), c in terms]))
+    else:
+        print(product)
     return EXIT_OK
 
 
@@ -163,7 +169,8 @@ def cmd_gw(args) -> int:
         print("degree must be between 0 and 4", file=sys.stderr)
         return EXIT_USAGE
     table = _load_table(args.table_file)
-    print(gw_invariant(table, args.d, args.a, args.b, args.c))
+    value = gw_invariant(table, args.d, args.a, args.b, args.c)
+    print(json.dumps(str(value)) if args.json else value)
     return EXIT_OK
 
 

@@ -67,10 +67,6 @@ class QPolynomial:
                     self.coeffs[int(e)] = c
 
     @classmethod
-    def constant(cls, c, var: str = "q") -> "QPolynomial":
-        return cls({0: rat(c)}, var)
-
-    @classmethod
     def monomial(cls, exp: int, c=1, var: str = "q") -> "QPolynomial":
         return cls({exp: rat(c)}, var)
 
@@ -84,36 +80,8 @@ class QPolynomial:
     def coeff(self, exp: int) -> Fraction:
         return self.coeffs.get(exp, ZERO)
 
-    def __add__(self, other: "QPolynomial") -> "QPolynomial":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, ZERO) + c
-        return QPolynomial(out, self.var)
-
-    def __sub__(self, other: "QPolynomial") -> "QPolynomial":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, ZERO) - c
-        return QPolynomial(out, self.var)
-
     def __neg__(self) -> "QPolynomial":
         return QPolynomial({e: -c for e, c in self.coeffs.items()}, self.var)
-
-    def __mul__(self, other) -> "QPolynomial":
-        if isinstance(other, QPolynomial):
-            out: dict[int, Fraction] = {}
-            for e1, c1 in self.coeffs.items():
-                for e2, c2 in other.coeffs.items():
-                    e = e1 + e2
-                    out[e] = out.get(e, ZERO) + c1 * c2
-            return QPolynomial(out, self.var)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "QPolynomial":
-        c = rat(c)
-        return QPolynomial({e: c * v for e, v in self.coeffs.items()}, self.var)
 
     def __call__(self, value) -> Fraction:
         value = rat(value)
@@ -125,12 +93,6 @@ class QPolynomial:
     def derivative(self) -> "QPolynomial":
         return QPolynomial({e - 1: e * c for e, c in self.coeffs.items() if e > 0},
                            self.var)
-
-    def monic(self) -> "QPolynomial":
-        if self.is_zero():
-            return self
-        lead = self.coeffs[self.degree()]
-        return self.scale(1 / lead)
 
     def divmod(self, other: "QPolynomial") -> tuple["QPolynomial", "QPolynomial"]:
         if other.is_zero():
@@ -151,17 +113,8 @@ class QPolynomial:
                     del rem[k]
         return QPolynomial(quo, self.var), QPolynomial(rem, self.var)
 
-    def gcd(self, other: "QPolynomial") -> "QPolynomial":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        return a.monic()
-
     def __eq__(self, other) -> bool:
         return isinstance(other, QPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
 
     def __repr__(self) -> str:
         return f"QPolynomial({self})"

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import (InconsistentSystem, MultiPolynomial, QPolynomial,
+from .exactmath import (InconsistentSystem, MultiPolynomial,
                         UnderdeterminedSystem, rat, solve_linear)
 from .presentation import (GradedQuotient, build_graded_basis,
                            generator_ring, mismatched_products)
@@ -153,13 +153,12 @@ def derive_missing_products(table: MultiplicationTable,
     i_246p = rat(scenario_values["4.2.2"])
     # the last count bundles two invariants: value = I(s2,s4,s6) + I(s2,s4,s6p)
     i_246 = rat(scenario_values["4.2.3"]) - i_246p
-    # a zero count drops out of QPolynomial, and so out of the element
-    s2_sq = table.basis_product("s2", "s2").drop_quantum() + SchubertElement(
-        {"s0": QPolynomial.monomial(1, i_228)})
-    s4_s2 = table.basis_product("s4", "s2").drop_quantum() + SchubertElement(
-        {"s2": QPolynomial.monomial(1, i_246),
-         "s2p": QPolynomial.monomial(1, i_246p)})
-    return s2_sq, s4_s2
+    # a zero count drops out of the element
+    s2_sq = {**table.basis_product("s2", "s2").drop_quantum().terms(),
+             (LABEL_INDEX["s0"], 1): i_228}
+    s4_s2 = {**table.basis_product("s4", "s2").drop_quantum().terms(),
+             (LABEL_INDEX["s2"], 1): i_246, (LABEL_INDEX["s2p"], 1): i_246p}
+    return SchubertElement.from_terms(s2_sq), SchubertElement.from_terms(s4_s2)
 
 
 @dataclass
@@ -181,7 +180,7 @@ def derive_presentation(table: MultiplicationTable,
     g: dict[str, MultiPolynomial] = {
         "s0": ring.one(), "s1": s1, "s2": s2, "s2p": s1 * s1 - s2}
     s1_row = table.tensor[LABEL_INDEX["s1"]]
-    s2_sq_elem, s4_s2_elem = missing_products
+    s2_sq, s4_s2 = (elem.terms() for elem in missing_products)
 
     def row(source: str, targets) -> list:
         """The q^0 coefficient of each target in s1 * source."""
@@ -209,13 +208,12 @@ def derive_presentation(table: MultiplicationTable,
         g.update((t, MultiPolynomial(ring, sol))
                  for t, sol in zip(targets, sols))
 
-    def elem_to_poly(elem: SchubertElement, degree: int) -> MultiPolynomial:
+    def terms_to_poly(terms, degree: int) -> MultiPolynomial:
         total = ring.zero()
-        for label, poly in elem.coeffs.items():
-            if label not in g:
+        for (k, e), c in terms.items():
+            if LABELS[k] not in g:
                 raise InconsistentSystem("degree bookkeeping failure")
-            for e, c in poly.coeffs.items():
-                total = total + c * (q ** e) * g[label]
+            total = total + c * (q ** e) * g[LABELS[k]]
         if any(ring.monomial_degree(m) != degree for m in total.terms):
             raise InconsistentSystem("degree bookkeeping failure")
         return total
@@ -227,8 +225,8 @@ def derive_presentation(table: MultiplicationTable,
     # of the degree-two generator
     deg4 = ("s4", "s4p", "s4pp")
     solve(("s3", "s3p"), deg4,
-          ([s2_sq_elem.coeff(t).coeff(0) for t in deg4],
-           s2 * s2 - s2_sq_elem.coeff("s0").coeff(1) * q))
+          ([s2_sq.get((LABEL_INDEX[t], 0), 0) for t in deg4],
+           s2 * s2 - s2_sq.get((LABEL_INDEX["s0"], 1), 0) * q))
 
     # degree five: three rows for two classes; the excess equation is the
     # first relation
@@ -245,7 +243,7 @@ def derive_presentation(table: MultiplicationTable,
     # degree six: two hyperplane rows determine the classes, then the
     # derived degree-six product yields the second relation
     solve(("s5", "s5p"), ("s6", "s6p"))
-    residual6 = s2 * g["s4"] - elem_to_poly(s4_s2_elem, 6)
+    residual6 = s2 * g["s4"] - terms_to_poly(s4_s2, 6)
     if residual6.is_zero():
         raise InconsistentSystem("expected a degree-six relation")
     # remove the multiple of the degree-five relation, then normalize on

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from operator import mul
 
 from .exactmath import (QPolynomial, Rational, clear_denominators,
@@ -48,23 +48,35 @@ class TableFormatError(DataFormatError):
     """The table file does not match the documented schema."""
 
 
-class SchubertElement:
-    """A vector over the 15 Schubert classes with Q[q] coefficients."""
+def _normalised(terms: Terms) -> Terms:
+    """terms without zeros, grouped by class in the order of each class's
+    first nonzero term, integral coefficients as ints."""
+    by_class: dict[int, dict[int, Rational]] = {}
+    for (k, e), c in terms.items():
+        if c:
+            by_class.setdefault(k, {})[e] = \
+                c.numerator if c.denominator == 1 else c
+    return {(k, e): c for k, cs in by_class.items() for e, c in cs.items()}
 
-    __slots__ = ("coeffs",)
+
+class SchubertElement:
+    """A vector over the 15 Schubert classes with Q[q] coefficients, held
+    as normalised Terms."""
+
+    __slots__ = ("_terms",)
 
     def __init__(self, coeffs: dict[str, QPolynomial] | None = None):
-        self.coeffs: dict[str, QPolynomial] = {}
-        if coeffs:
-            for label, poly in coeffs.items():
-                if label not in DEGREES:
-                    raise KeyError(f"unknown label {label!r}")
-                if not poly.is_zero():
-                    self.coeffs[label] = poly
+        terms: Terms = {}
+        for label, poly in (coeffs or {}).items():
+            if label not in LABEL_INDEX:
+                raise KeyError(f"unknown label {label!r}")
+            k = LABEL_INDEX[label]
+            terms.update(((k, e), c) for e, c in poly.coeffs.items())
+        self._terms = _normalised(terms)
 
     @classmethod
     def basis(cls, label: str) -> "SchubertElement":
-        return cls({label: QPolynomial.constant(1)})
+        return cls({label: QPolynomial.monomial(0)})
 
     @classmethod
     def zero(cls) -> "SchubertElement":
@@ -73,63 +85,73 @@ class SchubertElement:
     @classmethod
     def from_terms(cls, terms: Terms) -> "SchubertElement":
         """The element with these terms; zero coefficients drop out."""
-        coeffs: dict[str, dict[int, Rational]] = {}
-        for (k, e), c in terms.items():
-            if c:
-                coeffs.setdefault(LABELS[k], {})[e] = c
-        return cls({l: QPolynomial(p) for l, p in coeffs.items()})
+        elem = cls.__new__(cls)
+        elem._terms = _normalised(terms)
+        return elem
 
     def terms(self) -> Terms:
-        """Integral coefficients as ints, any other as an exact Fraction."""
-        return {(LABEL_INDEX[l], e): c.numerator if c.denominator == 1 else c
-                for l, poly in self.coeffs.items() for e, c in poly.coeffs.items()}
+        """The held terms, not a copy; integral coefficients are ints."""
+        return self._terms
+
+    @property
+    def coeffs(self) -> dict[str, QPolynomial]:
+        """The coefficient of each class present, as a polynomial in q."""
+        out: dict[str, dict[int, Rational]] = {}
+        for (k, e), c in self._terms.items():
+            out.setdefault(LABELS[k], {})[e] = c
+        return {label: QPolynomial(p) for label, p in out.items()}
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._terms
 
     def coeff(self, label: str) -> QPolynomial:
         return self.coeffs.get(label, QPolynomial({}))
 
     def __add__(self, other: "SchubertElement") -> "SchubertElement":
-        out = dict(self.coeffs)
-        for label, poly in other.coeffs.items():
-            out[label] = out.get(label, QPolynomial({})) + poly
-        return SchubertElement(out)
+        # summed per class, so that a class keeps its place when one of
+        # its terms cancels
+        by_class: dict[int, Terms] = {}
+        for (k, e), c in chain(self._terms.items(), other._terms.items()):
+            cs = by_class.setdefault(k, {})
+            cs[k, e] = cs.get((k, e), 0) + c
+        return SchubertElement.from_terms(
+            {key: c for cs in by_class.values() for key, c in cs.items()})
 
     def __sub__(self, other: "SchubertElement") -> "SchubertElement":
         return self + -other
 
     def __neg__(self) -> "SchubertElement":
-        return SchubertElement({l: -p for l, p in self.coeffs.items()})
+        return SchubertElement.from_terms(
+            {key: -c for key, c in self._terms.items()})
 
     def scale(self, c) -> "SchubertElement":
-        return SchubertElement({l: p.scale(c) for l, p in self.coeffs.items()})
+        c = rat(c)
+        return SchubertElement.from_terms(
+            {key: c * v for key, v in self._terms.items()})
 
     def drop_quantum(self) -> "SchubertElement":
         """Keep only the q^0 part (the classical cup product contribution)."""
-        return SchubertElement({
-            l: QPolynomial({0: p.coeff(0)}) for l, p in self.coeffs.items()})
+        return SchubertElement.from_terms(
+            {key: c for key, c in self._terms.items() if key[1] == 0})
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SchubertElement) and self.coeffs == other.coeffs
+        return isinstance(other, SchubertElement) and self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        return hash(frozenset(self._terms.items()))
 
     def __str__(self) -> str:
         # q ascending, then label order
-        terms = sorted(((e, label, c) for label, poly in self.coeffs.items()
-                        for e, c in poly.coeffs.items()),
-                       key=lambda t: (t[0], LABEL_INDEX[t[1]]))
+        terms = sorted(self._terms.items(), key=lambda t: (t[0][1], t[0][0]))
         if not terms:
             return "0"
         parts = []
-        for e, label, c in terms:
+        for (k, e), c in terms:
             qpart = "" if e == 0 else ("q*" if e == 1 else f"q^{e}*")
-            if c == 1 and (qpart or label):
-                parts.append(f"{qpart}{label}")
+            if c == 1:
+                parts.append(f"{qpart}{LABELS[k]}")
             else:
-                parts.append(f"{c}*{qpart}{label}")
+                parts.append(f"{c}*{qpart}{LABELS[k]}")
         return " + ".join(parts).replace("+ -", "- ")
 
     def __repr__(self) -> str:
@@ -205,17 +227,8 @@ class MultiplicationTable:
             acc: Terms = {}
             for term in _records(rec.get("terms", []), f"terms of {pair}"):
                 k, e, c = _parse_term(term, pair)
-                acc[k, e] = acc.get((k, e), 0) + c
-            # repeated terms add up; zero sums drop out and the terms are
-            # grouped by class in order of first appearance, integral
-            # coefficients as ints
-            by_class: dict[int, dict[int, Rational]] = {}
-            for (k, e), c in acc.items():
-                if c:
-                    by_class.setdefault(k, {})[e] = \
-                        c.numerator if c.denominator == 1 else c
-            constants[key] = {(k, e): c for k, cs in by_class.items()
-                              for e, c in cs.items()}
+                acc[k, e] = acc.get((k, e), 0) + c  # repeated terms add up
+            constants[key] = _normalised(acc)
         expected = (len(LABELS) * (len(LABELS) + 1)) // 2
         if len(constants) != expected:
             raise TableFormatError(

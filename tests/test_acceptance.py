@@ -102,7 +102,7 @@ def test_criterion_6_fault_sensitivity(table, scenario_values):
     # class in the degree-7 product dropped from 3 to 1
     entry = table.basis_product("s5p", "s2")
     broken_entry = entry + SchubertElement(
-        {"s7": QPolynomial.constant(-2)})
+        {"s7": QPolynomial({0: -2})})
     broken = table.with_entry("s5p", "s2", broken_entry)
     report = verify_table(broken)
     fault_caught = any(c.check_id == "associativity"

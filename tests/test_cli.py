@@ -9,7 +9,8 @@ import pytest
 
 import cgquantum
 from cgquantum.cli import main
-from cgquantum.schubert import default_data_dir
+from cgquantum.schubert import (MultiplicationTable, default_data_dir,
+                                load_default_table)
 
 
 def run_cli(capsys, *argv):
@@ -51,6 +52,49 @@ def test_gw_value(capsys):
 def test_gw_degree_out_of_range(capsys):
     code, _, err = run_cli(capsys, "gw", "5", "s1", "s1", "s1")
     assert code == 2
+
+
+def test_product_json_lists_terms_in_plain_order(capsys):
+    code, out, err = run_cli(capsys, "--json", "product", "s7", "s7")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == [{"label": "s6", "q": 2, "coeff": "1"},
+                               {"label": "s6p", "q": 2, "coeff": "1"},
+                               {"label": "s2", "q": 3, "coeff": "1"},
+                               {"label": "s2p", "q": 3, "coeff": "1"}]
+
+
+@pytest.mark.parametrize("a, b", [("s2", "s2"), ("s8", "s8"), ("s5p", "s2")])
+def test_product_json_terms_load_back_as_the_table_record(capsys, a, b):
+    code, out, _ = run_cli(capsys, "--json", "product", a, b)
+    with open(os.path.join(default_data_dir(), "cg_table.json")) as fh:
+        raw = json.load(fh)
+    record = next(r for r in raw["products"] if {r["a"], r["b"]} == {a, b})
+    record["terms"] = json.loads(out)
+    assert MultiplicationTable.from_dict(raw).constants == \
+        load_default_table().constants
+
+
+def test_gw_json_is_a_string(capsys):
+    code, out, err = run_cli(capsys, "--json", "gw", "1", "s3", "s1", "s8")
+    assert (code, json.loads(out), err) == (0, "2", "")
+
+
+def test_product_and_gw_json_keep_a_fraction_exact(capsys, tmp_path):
+    def halve_s4_in_s2_s2(raw):
+        record = next(r for r in raw["products"] if r["a"] == r["b"] == "s2")
+        next(t for t in record["terms"] if t["label"] == "s4")["coeff"] = "1/2"
+
+    path = _write_shipped_table(tmp_path, halve_s4_in_s2_s2)
+    for argv, plain, as_json in [
+            (["product", "s2", "s2"], "1/2*s4 + 2*s4p + 2*s4pp",
+             [{"label": "s4", "q": 0, "coeff": "1/2"},
+              {"label": "s4p", "q": 0, "coeff": "2"},
+              {"label": "s4pp", "q": 0, "coeff": "2"}]),
+            (["gw", "0", "s2", "s2", "s4"], "1/2", "1/2")]:
+        code, out, _ = run_cli(capsys, "--table-file", path, *argv)
+        assert (code, out) == (0, plain + "\n")
+        code, out, _ = run_cli(capsys, "--table-file", path, "--json", *argv)
+        assert (code, json.loads(out)) == (0, as_json)
 
 
 def test_scenario_single(capsys):

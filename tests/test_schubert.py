@@ -65,8 +65,8 @@ def test_top_class_squared_is_purely_quantum(table):
 
 def test_classical_product_drops_q_terms(table):
     got = classical_product(table, _basis("s3"), _basis("s1"))
-    want = SchubertElement({"s4": QPolynomial.constant(2),
-                            "s4p": QPolynomial.constant(2)})
+    want = SchubertElement({"s4": QPolynomial({0: 2}),
+                            "s4p": QPolynomial({0: 2})})
     assert got == want
 
 
@@ -76,8 +76,8 @@ def test_classical_product_of_top_class_vanishes(table):
 
 def test_hyperplane_squared(table):
     got = classical_product(table, _basis("s1"), _basis("s1"))
-    want = SchubertElement({"s2": QPolynomial.constant(1),
-                            "s2p": QPolynomial.constant(1)})
+    want = SchubertElement({"s2": QPolynomial({0: 1}),
+                            "s2p": QPolynomial({0: 1})})
     assert got == want
 
 
@@ -129,8 +129,8 @@ def test_shipped_table_passes_all_checks(table):
 def test_missing_coefficient_fault_breaks_associativity(table):
     # drop the coefficient of s7 in the degree-7 entry from 3 to 1
     entry = table.basis_product("s5p", "s2")
-    assert entry.coeff("s7") == QPolynomial.constant(3)
-    broken_entry = entry + SchubertElement({"s7": QPolynomial.constant(-2)})
+    assert entry.coeff("s7") == QPolynomial({0: 3})
+    broken_entry = entry + SchubertElement({"s7": QPolynomial({0: -2})})
     broken = table.with_entry("s5p", "s2", broken_entry)
     report = verify_table(broken)
     failed = {c.check_id for c in report.failures()}
@@ -139,7 +139,7 @@ def test_missing_coefficient_fault_breaks_associativity(table):
 
 def test_negative_coefficient_fault_is_named(table):
     entry = table.basis_product("s2", "s2")
-    bad = entry + SchubertElement({"s4": QPolynomial.constant(-5)})
+    bad = entry + SchubertElement({"s4": QPolynomial({0: -5})})
     broken = table.with_entry("s2", "s2", bad)
     report = verify_table(broken)
     failed = {c.check_id for c in report.failures()}
@@ -148,12 +148,13 @@ def test_negative_coefficient_fault_is_named(table):
 
 def test_bilinearity_with_polynomial_coefficients(table):
     half_q = QPolynomial.monomial(1, Fraction(1, 2))
-    x = SchubertElement({"s1": QPolynomial.constant(2), "s2": half_q})
+    x = SchubertElement({"s1": QPolynomial({0: 2}), "s2": half_q})
     y = _basis("s1")
     lhs = quantum_product(table, x, y)
     s2y = quantum_product(table, _basis("s2"), y)
     rhs = (quantum_product(table, _basis("s1"), y).scale(2)
-           + SchubertElement({l: p * half_q for l, p in s2y.coeffs.items()}))
+           + SchubertElement.from_terms({(k, e + 1): c * Fraction(1, 2)
+                                         for (k, e), c in s2y.terms().items()}))
     assert lhs == rhs
 
 
@@ -321,6 +322,21 @@ def test_direct_table_build_matches_element_normalisation():
         _record(raw, a, b)["terms"] = terms
     built = MultiplicationTable.from_dict(raw).constants
     assert _typed_items(built) == _typed_items(_normalised_through_elements(raw))
+    # the loader and the elements share one normaliser, so each hand-made
+    # record is also pinned as literal terms: keys in order, each value's
+    # type that of its literal
+    expected = {
+        ("s2", "s2"): [("s4", 0, 4), ("s4p", 0, 2)],
+        ("s1", "s3"): [("s4p", 0, 2), ("s0", 1, 2)],
+        ("s2", "s2p"): [("s4p", 0, 2), ("s4pp", 0, Fraction(1, 3))],
+        ("s1", "s8"): [],
+        ("s7", "s7"): [("s6", 2, 1), ("s6", 0, 2), ("s2", 3, 1)],
+        ("s3", "s3"): [("s6", 0, 1), ("s6p", 0, 1), ("s2", 1, 10 ** 29 + 7)],
+    }
+    for (a, b), want in expected.items():
+        terms = built[LABEL_INDEX[a], LABEL_INDEX[b]]
+        assert [(LABELS[k], e, type(c), c) for (k, e), c in terms.items()] \
+            == [(label, e, type(c), c) for label, e, c in want], (a, b)
     assert list(built[LABELS.index("s1"), LABELS.index("s3")]) == \
         [(LABELS.index("s4p"), 0), (LABELS.index("s0"), 1)]
     assert built[LABELS.index("s1"), LABELS.index("s8")] == {}

@@ -151,9 +151,11 @@ def _random_cubic(rng):
         roots = [r() for _ in range(3)]
         if rng.random() < 0.5:
             roots[1] = roots[0]
-        p = QPolynomial.constant(rng.choice([1, -2, Fraction(3, 5)]), "y")
-        for x in roots:
-            p = p * QPolynomial({1: rat(1), 0: -x}, "y")
+        a, (x0, x1, x2) = rng.choice([1, -2, Fraction(3, 5)]), roots
+        # a (y - x0)(y - x1)(y - x2), written out
+        p = QPolynomial({3: a, 2: -a * (x0 + x1 + x2),
+                         1: a * (x0 * x1 + x0 * x2 + x1 * x2),
+                         0: -a * x0 * x1 * x2}, "y")
         return p, roots
     coeffs = {3: Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))}
     coeffs.update((e, r()) for e in range(3))

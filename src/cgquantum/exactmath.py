@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 Rational = Fraction
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def rat(x) -> Fraction:
@@ -202,13 +201,6 @@ class GradedRing:
     def monomial(self, exps: Sequence[int], c=1) -> "MultiPolynomial":
         return MultiPolynomial(self, {tuple(exps): c})
 
-    def __eq__(self, other):
-        return (isinstance(other, GradedRing) and self.names == other.names
-                and self.degrees == other.degrees)
-
-    def __hash__(self):
-        return hash((self.names, self.degrees))
-
     def __repr__(self):
         gens = ", ".join(f"{n}:{d}" for n, d in zip(self.names, self.degrees))
         return f"GradedRing({gens})"
@@ -311,9 +303,6 @@ class MultiPolynomial:
     def __eq__(self, other) -> bool:
         return isinstance(other, MultiPolynomial) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Graded-lex descending: higher total degree first, then earlier
         generators heavier."""
@@ -374,18 +363,6 @@ def series_inverse(p: MultiPolynomial, max_degree: int) -> MultiPolynomial:
 Matrix = list  # list of rows of ints or Fractions
 
 
-def mat(rows: Iterable[Iterable]) -> Matrix:
-    return [[rat(x) for x in row] for row in rows]
-
-
-def identity(n: int) -> Matrix:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[ZERO] * cols for _ in range(rows)]
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n, k, m = len(a), len(b), len(b[0])
     out = [[0] * m for _ in range(n)]
@@ -444,47 +421,27 @@ def rref_int(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return rows[:lead], pivots
 
 
-def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
-    """Reduced row echelon form; returns (reduced copy, rank, pivot columns).
-
-    Fraction-free: rref_int of the rows scaled to integers by the lcm of
-    their denominators; Fractions are formed only for the returned rows.
-    """
-    reduced, pivots = rref_int([clear_denominators(row)[0] for row in m])
-    out = [[Fraction(x, row[col]) if x else ZERO for x in row]
-           for row, col in zip(reduced, pivots)]
-    out += [[ZERO] * len(row) for row in m[len(pivots):]]
-    return out, len(pivots), pivots
-
-
-def mat_rank(m: Matrix) -> int:
-    if not m:
-        return 0
-    return rref(m)[1]
-
-
 def solve_linear(a: Matrix, b: Sequence) -> list[Fraction]:
     """Exact unique solution of a x = b.
 
-    Raises InconsistentSystem when no solution exists and
+    Fraction-free: rref_int of the rows of [a | b], each scaled to integers
+    by the lcm of its denominators; Fractions are formed only for the
+    solution.  Raises InconsistentSystem when no solution exists and
     UnderdeterminedSystem when the solution is not unique; both are
     expected outcomes for callers, not failures.
     """
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
+    ncols = len(a[0]) if a else 0
     bb = [rat(x) for x in b]
-    if len(bb) != nrows:
+    if len(bb) != len(a):
         raise ValueError("dimension mismatch")
-    aug = [a[i][:] + [bb[i]] for i in range(nrows)]
-    r, rank, pivots = rref(aug)
+    reduced, pivots = rref_int([clear_denominators([*row, x])[0]
+                                for row, x in zip(a, bb)])
     if ncols in pivots:
         raise InconsistentSystem("no solution")
-    if rank < ncols:
+    if len(pivots) < ncols:
         raise UnderdeterminedSystem("solution not unique")
-    sol = [ZERO] * ncols
-    for i, col in enumerate(pivots):
-        sol[col] = r[i][ncols]
-    return sol
+    # every column is a pivot, in order
+    return [Fraction(row[ncols], row[col]) for row, col in zip(reduced, pivots)]
 
 
 def determinant(m: Matrix) -> Fraction:

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .exactmath import (InconsistentSystem, MultiPolynomial,
                         UnderdeterminedSystem, rat, solve_linear)
-from .presentation import (GradedQuotient, build_graded_basis,
-                           generator_ring, mismatched_products)
+from .presentation import (GradedQuotient, generator_ring,
+                           mismatched_products)
 from .schubert import (DEGREES, DUALS, LABEL_INDEX, LABELS,
                        MultiplicationTable, SchubertElement)
 
@@ -78,36 +78,17 @@ CHEVALLEY_SCENARIOS = tuple(sorted(SCENARIO_PAIRS))
 ALL_SCENARIOS = CHEVALLEY_SCENARIOS + ("4.2.1", "4.2.2", "4.2.3")
 
 
-@dataclass
-class ChevalleyUnknowns:
-    a3: Fraction
-    a3p: Fraction
-    a4: Fraction
-    a4p: Fraction
-    a4pp: Fraction
-    a5: Fraction
-    b5: Fraction
-    a5p: Fraction
-    b5p: Fraction
-
-    def as_tuple(self):
-        return (self.a3, self.a3p, self.a4, self.a4p, self.a4pp,
-                self.a5, self.b5, self.a5p, self.b5p)
-
-    def __getitem__(self, name: str) -> Fraction:
-        return getattr(self, name)
-
-
 def _expand(side: str) -> dict[str, int]:
     if side in DEGREES:
         return {side: 1}
     return RESTRICTIONS[side]
 
 
-def solve_chevalley(scenario_values: dict[str, Fraction]) -> ChevalleyUnknowns:
+def solve_chevalley(scenario_values: dict[str, Fraction]
+                    ) -> dict[str, Fraction]:
     """Invert the restriction linear system for the nine degree-one
-    unknowns; the tenth (the q^2 coefficient of the top row) is left for
-    the presentation stage.
+    unknowns, keyed by UNKNOWN_NAMES; the tenth (the q^2 coefficient of
+    the top row) is left for the presentation stage.
 
     Raises UnderdeterminedSystem if a scenario value is missing and
     InconsistentSystem if the values contradict or produce non-integral
@@ -133,7 +114,7 @@ def solve_chevalley(scenario_values: dict[str, Fraction]) -> ChevalleyUnknowns:
         if value.denominator != 1 or value < 0:
             raise InconsistentSystem(
                 f"{name} = {value} is not a non-negative integer")
-    return ChevalleyUnknowns(*sol)
+    return dict(zip(UNKNOWN_NAMES, sol))
 
 
 def derive_missing_products(table: MultiplicationTable,
@@ -163,13 +144,13 @@ def derive_missing_products(table: MultiplicationTable,
 
 @dataclass
 class DerivedPresentation:
-    relations: list[MultiPolynomial]
+    quotient: GradedQuotient  # by the derived relations R5, R6
     giambelli: dict[str, MultiPolynomial]
     a7: Fraction
 
 
 def derive_presentation(table: MultiplicationTable,
-                        unknowns: ChevalleyUnknowns,
+                        unknowns: dict[str, Fraction],
                         missing_products: tuple[SchubertElement, SchubertElement]
                         ) -> DerivedPresentation:
     """Rebuild the Giambelli dictionary and the two relations from the
@@ -262,7 +243,7 @@ def derive_presentation(table: MultiplicationTable,
     # the row of the degree-seven class gives the top class up to a q^2
     # shift; feeding that into the next row pins the shift down
     g["s8"] = lowered("s7")
-    quotient = GradedQuotient(ring, [r5, r6], max_degree=9)
+    quotient = GradedQuotient(ring, [r5, r6])
     probe = quotient.normal_form(lowered("s8"))
     reference = quotient.normal_form(2 * q ** 2 * s1)
     a7 = rat(0)
@@ -275,7 +256,7 @@ def derive_presentation(table: MultiplicationTable,
                 "top-row consistency equation has no rational solution")
     g["s8"] = g["s8"] - a7 * q ** 2
 
-    return DerivedPresentation([r5, r6], g, a7)
+    return DerivedPresentation(quotient, g, a7)
 
 
 @dataclass
@@ -291,10 +272,9 @@ def close_loop(table: MultiplicationTable,
                derived: DerivedPresentation) -> LoopReport:
     """Recompute all 120 unordered products through the derived
     presentation and diff against the shipped table."""
-    quotient = build_graded_basis(relations=derived.relations,
-                                  check_dimensions=False)
     diffs = []
-    for a, b, got in mismatched_products(table, quotient, derived.giambelli):
+    for a, b, got in mismatched_products(table, derived.quotient,
+                                         derived.giambelli):
         want = table.basis_product(a, b)
         if isinstance(got, (InconsistentSystem, UnderdeterminedSystem)):
             diffs.append((a, b, f"<{got}>", str(want)))
@@ -321,7 +301,7 @@ def run_pipeline(table: MultiplicationTable,
         "scenario_values": {k: str(v) for k, v in sorted(scenario_values.items())},
         "unknowns": {**{name: str(unknowns[name]) for name in UNKNOWN_NAMES},
                      "a7": str(derived.a7)},
-        "relations": [str(r) for r in derived.relations],
+        "relations": [str(r) for r in derived.quotient.relations],
         "giambelli": {l: str(derived.giambelli[l]) for l in LABELS},
         "diff_count": len(loop.diffs),
         "diffs": [list(d) for d in loop.diffs[:10]],

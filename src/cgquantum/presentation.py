@@ -17,8 +17,7 @@ from operator import add
 
 from .exactmath import (ZERO, GradedRing, InconsistentSystem,
                         MultiPolynomial, UnderdeterminedSystem,
-                        clear_denominators, identity, parse_rational,
-                        rref_int)
+                        clear_denominators, parse_rational, rref_int)
 from .schubert import (DEGREES, LABEL_INDEX, LABELS, DataFormatError,
                        MultiplicationTable, SchubertElement, Terms,
                        VerificationReport, default_data_dir)
@@ -76,8 +75,7 @@ class GradedQuotient:
     per-degree normal forms."""
 
     def __init__(self, ring: GradedRing, relations: list[MultiPolynomial],
-                 max_degree: int = DEFAULT_MAX_DEGREE,
-                 expected_dims=None):
+                 max_degree: int = DEFAULT_MAX_DEGREE):
         for rel in relations:
             if not rel.is_homogeneous():
                 raise ValueError("relations must be homogeneous")
@@ -92,12 +90,6 @@ class GradedQuotient:
         for d in range(max_degree + 1):
             self.slices[d] = self._build_slice(
                 d, integral, self.slices.get(d - ring.degrees[0]))
-            if expected_dims is not None:
-                want = expected_dims(d)
-                got = len(self.slices[d].basis)
-                if got != want:
-                    raise DimensionMismatch(
-                        f"degree {d}: quotient dimension {got}, expected {want}")
 
     def _build_slice(self, degree: int, integral, below) -> DegreeSlice:
         """Row-reduce the span of the relation multiples of one degree.  The
@@ -160,16 +152,18 @@ class GradedQuotient:
         return list(self._slice(degree).basis)
 
 
-def build_graded_basis(relations: list[MultiPolynomial] | None = None,
-                       max_degree: int = DEFAULT_MAX_DEGREE,
-                       check_dimensions: bool = True) -> GradedQuotient:
-    """The quotient ring with per-degree normal-form bases built."""
+def build_graded_basis() -> GradedQuotient:
+    """The quotient by the standard relations, with per-degree normal-form
+    bases built; raises DimensionMismatch at the first degree whose slice
+    does not have the expected dimension."""
     ring = generator_ring()
-    if relations is None:
-        relations = standard_relations(ring)
-    return GradedQuotient(ring, relations, max_degree,
-                          expected_dims=expected_dimension
-                          if check_dimensions else None)
+    quotient = GradedQuotient(ring, standard_relations(ring))
+    for d in range(quotient.max_degree + 1):
+        got, want = quotient.dimension(d), expected_dimension(d)
+        if got != want:
+            raise DimensionMismatch(
+                f"degree {d}: quotient dimension {got}, expected {want}")
+    return quotient
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +303,9 @@ def _change_of_basis(quotient: GradedQuotient,
     """
     cols, matrix = schubert_to_normal_form(quotient, giambelli, degree)
     n, k = len(matrix), len(cols)
-    reduced, pivots = rref_int([clear_denominators(row + unit)[0]
-                                for row, unit in zip(matrix, identity(n))])
+    reduced, pivots = rref_int([
+        clear_denominators(row + [int(i == j) for j in range(n)])[0]
+        for i, row in enumerate(matrix)])
     rank = sum(1 for col in pivots if col < k)
     targets = [(LABEL_INDEX[cols[col][0]], cols[col][1])
                for col in pivots[:rank]]

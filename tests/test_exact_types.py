@@ -46,7 +46,7 @@ def test_derived_presentation_is_exact(scenario_values):
         table, solve_chevalley(scenario_values),
         derive_missing_products(table, scenario_values))
     _assert_exact(derived.a7, "a7")
-    for i, rel in enumerate(derived.relations):
+    for i, rel in enumerate(derived.quotient.relations):
         _assert_polynomial(rel, ("relation", i))
     for label, poly in derived.giambelli.items():
         _assert_polynomial(poly, label)

@@ -9,44 +9,41 @@ from itertools import product
 
 from cgquantum.exactmath import (GradedRing, InconsistentSystem,
                                  NonSquareMatrixError, QPolynomial,
-                                 UnderdeterminedSystem, charpoly, determinant,
-                                 identity, mat, mat_mul, mat_rank,
-                                 parse_rational, rat, rref, solve_linear,
-                                 zeros)
+                                 UnderdeterminedSystem, charpoly,
+                                 clear_denominators, determinant, mat_mul,
+                                 parse_rational, rat, rref_int, solve_linear)
 from cgquantum.presentation import generator_ring
 
 
 def test_rref_identity_unchanged():
-    m = identity(3)
-    reduced, rank, pivots = rref(m)
-    assert rank == 3
+    reduced, pivots = rref_int([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert len(pivots) == 3
     assert pivots == [0, 1, 2]
-    assert reduced == identity(3)
+    assert reduced == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_rref_zero_matrix():
-    _, rank, pivots = rref(zeros(2, 5))
-    assert rank == 0
+    _, pivots = rref_int([[0, 0, 0, 0, 0], [0, 0, 0, 0, 0]])
+    assert len(pivots) == 0
     assert pivots == []
 
 
 def test_rref_dependent_rows():
-    _, rank, _ = rref(mat([[1, 2], [2, 4]]))
-    assert rank == 1
+    _, pivots = rref_int([[1, 2], [2, 4]])
+    assert len(pivots) == 1
 
 
 def test_rref_idempotent():
     rng = random.Random(11)
-    m = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(6)]
-         for _ in range(4)]
-    once, rank1, piv1 = rref(m)
-    twice, rank2, piv2 = rref(once)
+    m = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(4)]
+    once, piv1 = rref_int(m)
+    twice, piv2 = rref_int([row[:] for row in once])
     assert once == twice
-    assert (rank1, piv1) == (rank2, piv2)
+    assert (len(piv1), piv1) == (len(piv2), piv2)
 
 
 def test_solve_identity():
-    assert solve_linear(identity(2), [2, 0]) == [rat(2), rat(0)]
+    assert solve_linear([[1, 0], [0, 1]], [2, 0]) == [rat(2), rat(0)]
 
 
 def test_solve_affine_equation():
@@ -65,18 +62,18 @@ def test_solve_inconsistent():
 
 
 def test_charpoly_identity_2x2():
-    p = charpoly(identity(2))
+    p = charpoly([[1, 0], [0, 1]])
     assert p == QPolynomial({2: rat(1), 1: rat(-2), 0: rat(1)}, var="t")
 
 
 def test_charpoly_diagonal():
-    p = charpoly(mat([[3, 0], [0, -1]]))
+    p = charpoly([[3, 0], [0, -1]])
     assert p == QPolynomial({2: rat(1), 1: rat(-2), 0: rat(-3)}, var="t")
 
 
 def test_charpoly_nonsquare_rejected():
     with pytest.raises(NonSquareMatrixError):
-        charpoly(zeros(2, 3))
+        charpoly([[0, 0, 0], [0, 0, 0]])
 
 
 def test_cayley_hamilton_random_6x6():
@@ -86,7 +83,7 @@ def test_cayley_hamilton_random_6x6():
          for _ in range(n)]
     p = charpoly(m)
     # evaluate p at the matrix itself by Horner's rule
-    acc = zeros(n, n)
+    acc = [[0] * n for _ in range(n)]
     for e in range(p.degree(), -1, -1):
         acc = mat_mul(acc, m)
         c = p.coeff(e)
@@ -97,8 +94,8 @@ def test_cayley_hamilton_random_6x6():
 
 
 def test_rank_matches_rref():
-    m = mat([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    assert mat_rank(m) == 2
+    _, pivots = rref_int([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    assert len(pivots) == 2
 
 
 def test_fraction_round_trip_200_digits():
@@ -174,24 +171,36 @@ def _random_matrix(rng, nrows, ncols):
     return rows
 
 
+def _divided(reduced, pivots, m):
+    """rref_int's rows, each divided by its pivot and padded with zero rows
+    to the shape of m, as (rows, rank, pivots) like _reference_rref(m)."""
+    rows = [[Fraction(x, row[col]) for x in row]
+            for row, col in zip(reduced, pivots)]
+    rows += [[Fraction(0)] * len(row) for row in m[len(pivots):]]
+    return rows, len(pivots), pivots
+
+
 def test_rref_matches_reference_elimination():
     rng = random.Random(2024)
     shapes = [(r, c) for r in range(1, 8) for c in range(1, 9)]
     for trial in range(600):
         nrows, ncols = shapes[trial % len(shapes)]
         m = _random_matrix(rng, nrows, ncols)
-        before = [row[:] for row in m]
-        got = rref(m)
-        assert got == _reference_rref(m), m
-        assert m == before
-        assert all(type(x) is Fraction for row in got[0] for x in row)
+        # scaling a row by the lcm of its denominators keeps its span
+        rows = [clear_denominators(row)[0] for row in m]
+        before = [row[:] for row in rows]
+        reduced, pivots = rref_int(list(rows))
+        assert _divided(reduced, pivots, m) == _reference_rref(m), m
+        # the rows passed in are replaced, never written into
+        assert rows == before
+        assert all(type(x) is int for row in reduced for x in row)
 
 
 def test_rref_integer_and_empty_input():
-    assert rref([]) == ([], 0, [])
+    assert rref_int([]) == ([], [])
     m = [[2, 4, 6], [1, 1, 1], [3, 5, 7]]
-    assert rref(m) == _reference_rref(m)
-    assert rref([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], 0, [])
+    assert _divided(*rref_int([row[:] for row in m]), m) == _reference_rref(m)
+    assert rref_int([[0, 0], [0, 0]]) == ([], [])
 
 
 def _reference_determinant(m):
@@ -230,7 +239,7 @@ def test_determinant_edge_cases():
     assert determinant([]) == 1 and type(determinant([])) is Fraction
     assert determinant([[Fraction(-3, 7)]]) == Fraction(-3, 7)
     assert determinant([[5]]) == 5
-    assert determinant(zeros(4, 4)) == 0
+    assert determinant([[Fraction(0)] * 4 for _ in range(4)]) == 0
     assert determinant([[1, 2], [2, 4]]) == 0
     assert determinant([[0, 1], [1, 0]]) == -1
     with pytest.raises(NonSquareMatrixError):
@@ -319,7 +328,8 @@ def _nilpotent(rng, n):
 def test_charpoly_matches_fraction_reference():
     rng = random.Random(4242)
     cases = [[], [[0]], [[7]], [[Fraction(-3, 5)]], [[10**29 + 7]],
-             zeros(5, 5), [[0] * 4 for _ in range(4)]]
+             [[Fraction(0)] * 5 for _ in range(5)],
+             [[0] * 4 for _ in range(4)]]
     for trial in range(60):
         n = 1 + trial % 7
         kind = ("int", "fraction", "mixed", "big")[trial % 4]

@@ -11,7 +11,7 @@ from cgquantum.pipeline import (ALL_SCENARIOS, CHEVALLEY_SCENARIOS,
                                 close_loop, derive_missing_products,
                                 derive_presentation, run_pipeline,
                                 solve_chevalley)
-from cgquantum.presentation import standard_relations
+from cgquantum.presentation import GradedQuotient, standard_relations
 from cgquantum.schubert import SchubertElement, load_default_table
 
 
@@ -35,7 +35,7 @@ def derived(table, scenario_values):
 
 def test_solved_unknowns(scenario_values):
     unknowns = solve_chevalley(scenario_values)
-    assert unknowns.as_tuple() == tuple(
+    assert tuple(unknowns.values()) == tuple(
         rat(v) for v in (2, 0, 1, 1, 0, 0, 1, 1, 0))
 
 
@@ -49,7 +49,7 @@ def test_perturbed_count_detected(scenario_values):
 def test_all_zero_counts_are_consistent():
     zeros = {sid: rat(0) for sid in ALL_SCENARIOS}
     unknowns = solve_chevalley(zeros)
-    assert unknowns.as_tuple() == (rat(0),) * 9
+    assert tuple(unknowns.values()) == (rat(0),) * 9
 
 
 def test_every_count_is_load_bearing(scenario_values, table):
@@ -72,8 +72,8 @@ def test_derived_extra_products(table, scenario_values):
 
 def test_derived_relations_match_reference(derived):
     _, presentation = derived
-    ring = presentation.relations[0].ring
-    assert presentation.relations == standard_relations(ring)
+    ring = presentation.quotient.ring
+    assert presentation.quotient.relations == standard_relations(ring)
 
 
 def test_top_quantum_coefficient_vanishes(derived):
@@ -107,7 +107,7 @@ def test_classical_only_inputs_diff_in_q_terms(table, scenario_values):
 
 def test_forced_unknown_breaks_loop(table, scenario_values):
     unknowns = solve_chevalley(scenario_values)
-    unknowns.a4pp = rat(1)
+    unknowns["a4pp"] = rat(1)
     missing = derive_missing_products(table, scenario_values)
     try:
         presentation = derive_presentation(table, unknowns, missing)
@@ -128,11 +128,26 @@ def test_run_pipeline_report(table):
     assert set(result["scenario_values"]) == set(ALL_SCENARIOS)
 
 
+def test_run_pipeline_builds_each_slice_once(table, scenario_values,
+                                             monkeypatch):
+    # derive_presentation's quotient is the one close_loop expands through
+    built = []
+    build_slice = GradedQuotient._build_slice
+
+    def counted(self, degree, integral, below):
+        built.append(degree)
+        return build_slice(self, degree, integral, below)
+
+    monkeypatch.setattr(GradedQuotient, "_build_slice", counted)
+    assert run_pipeline(table, scenario_values)["ok"] is True
+    assert sorted(built) == list(range(17))
+
+
 def test_derive_presentation_leaves_unknowns_unchanged(table,
                                                        scenario_values):
     unknowns = solve_chevalley(scenario_values)
-    before = dict(vars(unknowns))
+    before = dict(unknowns)
     missing = derive_missing_products(table, scenario_values)
     presentation = derive_presentation(table, unknowns, missing)
-    assert vars(unknowns) == before
+    assert dict(unknowns) == before
     assert presentation.a7 == 0

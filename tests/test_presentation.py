@@ -9,8 +9,8 @@ import pytest
 
 from cgquantum import presentation
 from cgquantum.exactmath import (GradedRing, InconsistentSystem,
-                                 UnderdeterminedSystem, mat_rank, rat, rref,
-                                 solve_linear)
+                                 UnderdeterminedSystem, clear_denominators,
+                                 rat, rref_int, solve_linear)
 from cgquantum.presentation import (DegreeOutOfRange, DimensionMismatch,
                                     GiambelliFormatError, GradedQuotient,
                                     build_graded_basis,
@@ -130,7 +130,8 @@ def test_change_of_basis_invertible_up_to_degree_8(quotient, giambelli):
     for d in range(9):
         cols, matrix = schubert_to_normal_form(quotient, giambelli, d)
         assert len(cols) == len(matrix)
-        assert mat_rank(matrix) == len(cols)
+        _, pivots = rref_int([clear_denominators(row)[0] for row in matrix])
+        assert len(pivots) == len(cols)
 
 
 def test_full_cross_check(table, quotient, giambelli):
@@ -155,14 +156,16 @@ def test_sign_flipped_dictionary_entry_detected(table, quotient, giambelli):
     assert "giambelli_evaluation" in failed
 
 
-def test_miscopied_relation_detected(table):
+def test_miscopied_relation_detected(table, monkeypatch):
     # a transcription slip (-28q -> -27q) keeps the graded dimensions,
     # so it must surface in the cross-check instead
-    ring = generator_ring()
-    r5, r6 = standard_relations(ring)
-    bad_r6 = r6 + ring.monomial((2, 0, 1), rat(1))
+    def miscopied(ring):
+        r5, r6 = standard_relations(ring)
+        return [r5, r6 + ring.monomial((2, 0, 1), rat(1))]
+
+    monkeypatch.setattr(presentation, "standard_relations", miscopied)
     try:
-        bad_quotient = build_graded_basis([r5, bad_r6])
+        bad_quotient = build_graded_basis()
     except DimensionMismatch:
         return
     report = cross_check_presentation(
@@ -299,16 +302,11 @@ def expansion_cases(quotient, giambelli):
     s1, s2 = ring.gen("s1"), ring.gen("s2")
     cases = {
         "shipped": (quotient, giambelli),
-        "derived": (build_graded_basis(derived.relations,
-                                       check_dimensions=False),
-                    derived.giambelli),
+        "derived": (derived.quotient, derived.giambelli),
         "zero-entry": (quotient, dict(giambelli, s2p=ring.zero())),
-        "empty-slices": (build_graded_basis([s1, s2],
-                                            check_dimensions=False),
-                         giambelli),
-        "degree-10-quotient": (build_graded_basis(max_degree=10,
-                                                  check_dimensions=False),
-                               giambelli),
+        "empty-slices": (GradedQuotient(ring, [s1, s2]), giambelli),
+        "degree-10-quotient": (
+            GradedQuotient(ring, standard_relations(ring), 10), giambelli),
         "non-homogeneous-entry": (quotient,
                                   dict(giambelli, s3=giambelli["s3"] + s1)),
     }
@@ -374,7 +372,7 @@ def test_empty_slice_expansion_is_not_unique(giambelli):
     # Schubert columns s2 and s2p
     ring = generator_ring()
     s1, s2 = ring.gen("s1"), ring.gen("s2")
-    small = build_graded_basis([s1, s2], check_dimensions=False)
+    small = GradedQuotient(ring, [s1, s2])
     assert small.dimension(2) == 0
     with pytest.raises(UnderdeterminedSystem, match="solution not unique"):
         expand_in_schubert(small, giambelli, s2)
@@ -382,7 +380,8 @@ def test_empty_slice_expansion_is_not_unique(giambelli):
 
 def test_expansion_failures_repeat_for_every_product(table, giambelli):
     # nothing is kept for a degree whose map could not be built
-    small = build_graded_basis(max_degree=10, check_dimensions=False)
+    ring = generator_ring()
+    small = GradedQuotient(ring, standard_relations(ring), 10)
     for a, b, r in products_via_presentation(small, giambelli):
         degree = DEGREES[a] + DEGREES[b]
         if degree > 10:
@@ -425,7 +424,8 @@ def test_giambelli_content_errors_raise_format_error(tmp_path, mutate,
 
 def _slices_by_full_build(ring, relations, max_degree):
     """Reference slices: every relation multiple of each degree, reduced by
-    the public rref.  {degree: (basis, pivots, reducers as Fractions)}"""
+    rref_int, each row divided by its pivot.
+    {degree: (basis, pivots, reducers as Fractions)}"""
     out = {}
     for d in range(max_degree + 1):
         monomials = ring.monomials(d)
@@ -436,11 +436,11 @@ def _slices_by_full_build(ring, relations, max_degree):
                 row = [0] * len(monomials)
                 for exps, c in (rel * ring.monomial(mono)).terms.items():
                     row[index[exps]] = c
-                rows.append(row)
-        reduced, _, pivots = rref(rows)
+                rows.append(clear_denominators(row)[0])
+        reduced, pivots = rref_int(rows)
         basis = [m for i, m in enumerate(monomials) if i not in pivots]
-        reducers = [(col, [(j, c) for j, c in enumerate(row)
-                           if c and j != col])
+        reducers = [(col, [(j, Fraction(c, row[col]))
+                           for j, c in enumerate(row) if c and j != col])
                     for row, col in zip(reduced, pivots)]
         out[d] = basis, pivots, reducers
     return out
@@ -451,9 +451,9 @@ def _space_model_quotients(monkeypatch):
     from cgquantum import intersection
     built = []
 
-    def recording(ring, relations, max_degree, expected_dims=None):
+    def recording(ring, relations, max_degree):
         built.append((ring, list(relations), max_degree))
-        return GradedQuotient(ring, relations, max_degree, expected_dims)
+        return GradedQuotient(ring, relations, max_degree)
 
     monkeypatch.setattr(intersection, "GradedQuotient", recording)
     intersection.run_all_scenarios()
@@ -473,7 +473,7 @@ def _relation_sets(monkeypatch):
     s1, q = ring.gen("s1"), ring.gen("q")
     sets = {
         "standard": (ring, [r5, r6], 16),
-        "derived": (ring, derived.relations, 16),
+        "derived": (ring, derived.quotient.relations, 16),
         "duplicate": (ring, [r5, r6, r5, r6], 12),
         "dependent": (ring, [r5, s1 * r5, r6, 2 * r6 - s1 * r5], 12),
         "fractions": (ring, [r5.scale(Fraction(1, 3)),
@@ -530,14 +530,18 @@ def test_slices_built_from_the_slice_below_match_a_full_build(monkeypatch):
     ("standard", lambda d: expected_dimension(d) - (d == 12)),
     ("standard", lambda d: 1),
 ])
-def test_dimension_mismatch_is_raised_at_the_first_wrong_degree(relations,
-                                                                 expected):
+def test_dimension_mismatch_is_raised_at_the_first_wrong_degree(
+        monkeypatch, relations, expected):
+    count = 1 if relations == "r5" else 2
     ring = generator_ring()
-    rels = standard_relations(ring)[:1 if relations == "r5" else 2]
+    rels = standard_relations(ring)[:count]
     want = _slices_by_full_build(ring, rels, 16)
     first = next(d for d in range(17) if len(want[d][0]) != expected(d))
+    monkeypatch.setattr(presentation, "standard_relations",
+                        lambda ring: standard_relations(ring)[:count])
+    monkeypatch.setattr(presentation, "expected_dimension", expected)
     with pytest.raises(DimensionMismatch) as info:
-        GradedQuotient(ring, rels, 16, expected_dims=expected)
+        build_graded_basis()
     assert str(info.value) == (f"degree {first}: quotient dimension "
                                f"{len(want[first][0])}, expected "
                                f"{expected(first)}")

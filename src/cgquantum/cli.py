@@ -50,10 +50,12 @@ def _print_report(name: str, report, as_json: bool) -> int:
 
 class _Inputs:
     """What the suites of one verify call share: the table and the scenario
-    results, each computed on first use and then kept."""
+    results, each computed on first use and then kept, and the presentation
+    suite's products as close_loop takes them."""
 
     def __init__(self, args):
         self._args = args
+        self.products = None
 
     @cached_property
     def table(self) -> MultiplicationTable:
@@ -71,7 +73,8 @@ def _suite_table(args, inputs: _Inputs) -> int:
 
 def _suite_presentation(args, inputs: _Inputs) -> int:
     from .presentation import (DimensionMismatch, build_graded_basis,
-                               cross_check_presentation, load_giambelli)
+                               cross_check_presentation, load_giambelli,
+                               mismatched_products, products_key)
     try:
         quotient = build_graded_basis()
         giambelli = load_giambelli(_resolve(args.giambelli_file),
@@ -80,7 +83,9 @@ def _suite_presentation(args, inputs: _Inputs) -> int:
         report = VerificationReport()
         report.add("graded_dimensions", False, str(exc))
         return _print_report("presentation", report, args.json)
-    report = cross_check_presentation(inputs.table, quotient, giambelli)
+    found = list(mismatched_products(inputs.table, quotient, giambelli))
+    inputs.products = products_key(quotient, giambelli), found
+    report = cross_check_presentation(inputs.table, quotient, giambelli, found)
     return _print_report("presentation", report, args.json)
 
 
@@ -96,7 +101,7 @@ def _suite_pipeline(args, inputs: _Inputs) -> int:
     values = {sid: res.value for sid, res in inputs.scenarios.items()}
     report = VerificationReport()
     try:
-        result = run_pipeline(inputs.table, values)
+        result = run_pipeline(inputs.table, values, inputs.products)
     except (InconsistentSystem, UnderdeterminedSystem) as exc:
         report.add("loop_closed", False, f"{type(exc).__name__}: {exc}")
         return _print_report("pipeline", report, args.json)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, mul
 from typing import Mapping, Sequence
 
 Rational = Fraction
@@ -166,7 +167,7 @@ class GradedRing:
         self._index = {n: i for i, n in enumerate(self.names)}
 
     def monomial_degree(self, exps: Sequence[int]) -> int:
-        return sum(e * d for e, d in zip(exps, self.degrees))
+        return sum(map(mul, exps, self.degrees))
 
     def monomials(self, degree: int) -> list[tuple[int, ...]]:
         """All exponent tuples of the given weighted degree, graded-lex
@@ -276,7 +277,7 @@ class MultiPolynomial:
             out: dict[tuple[int, ...], int | Fraction] = {}
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
+                    e = tuple(map(add, e1, e2))
                     out[e] = out.get(e, 0) + c1 * c2
             return MultiPolynomial(self.ring, out)
         return self.scale(other)

@@ -8,7 +8,6 @@ use truncated power-series division.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import (GradedRing, MultiPolynomial, rat, series_inverse)
@@ -65,12 +64,12 @@ class SpaceModel:
         return nf.coeff(self._top_monomial) / self._norm_scale
 
 
-@dataclass
 class FormalBundle:
     """A virtual bundle: rank plus truncated total Chern class."""
-    space: SpaceModel
-    rank: int
-    chern: MultiPolynomial  # truncated at space.top_degree, unit constant
+
+    def __init__(self, space: SpaceModel, rank: int, chern: MultiPolynomial):
+        # chern is truncated at space.top_degree, with unit constant term
+        self.space, self.rank, self.chern = space, rank, chern
 
     @classmethod
     def from_total_chern(cls, space: SpaceModel, rank: int,
@@ -154,11 +153,10 @@ def product_of_lines(names) -> SpaceModel:
     return SpaceModel(ring, rels, len(names), (1,) * len(names))
 
 
-@dataclass
 class ScenarioResult:
-    scenario_id: str
-    main: Fraction
-    correction: Fraction
+    def __init__(self, scenario_id: str, main: Fraction, correction: Fraction):
+        self.scenario_id, self.main, self.correction = \
+            scenario_id, main, correction
 
     @property
     def value(self) -> Fraction:

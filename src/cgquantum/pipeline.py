@@ -10,13 +10,12 @@ data.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import (InconsistentSystem, MultiPolynomial,
                         UnderdeterminedSystem, rat, solve_linear)
 from .presentation import (GradedQuotient, generator_ring,
-                           mismatched_products)
+                           mismatched_products, products_key)
 from .schubert import (DEGREES, DUALS, LABEL_INDEX, LABELS,
                        MultiplicationTable, SchubertElement)
 
@@ -142,11 +141,11 @@ def derive_missing_products(table: MultiplicationTable,
     return SchubertElement.from_terms(s2_sq), SchubertElement.from_terms(s4_s2)
 
 
-@dataclass
 class DerivedPresentation:
-    quotient: GradedQuotient  # by the derived relations R5, R6
-    giambelli: dict[str, MultiPolynomial]
-    a7: Fraction
+    def __init__(self, quotient: GradedQuotient,
+                 giambelli: dict[str, MultiPolynomial], a7: Fraction):
+        # quotient is by the derived relations R5, R6
+        self.quotient, self.giambelli, self.a7 = quotient, giambelli, a7
 
 
 def derive_presentation(table: MultiplicationTable,
@@ -259,22 +258,29 @@ def derive_presentation(table: MultiplicationTable,
     return DerivedPresentation(quotient, g, a7)
 
 
-@dataclass
 class LoopReport:
-    diffs: list[tuple[str, str, str, str]]  # (a, b, derived, shipped)
+    def __init__(self, diffs: list[tuple[str, str, str, str]]):
+        self.diffs = diffs  # (a, b, derived, shipped)
 
     @property
     def ok(self) -> bool:
         return not self.diffs
 
 
-def close_loop(table: MultiplicationTable,
-               derived: DerivedPresentation) -> LoopReport:
+def close_loop(table: MultiplicationTable, derived: DerivedPresentation,
+               products: tuple | None = None) -> LoopReport:
     """Recompute all 120 unordered products through the derived
-    presentation and diff against the shipped table."""
+    presentation and diff against the shipped table.  products, if given,
+    is (products_key, mismatched_products list) of another quotient and
+    dictionary on this table; the list is reused when its key is the
+    derived presentation's."""
+    if products and products[0] == products_key(derived.quotient,
+                                                derived.giambelli):
+        found = products[1]
+    else:
+        found = mismatched_products(table, derived.quotient, derived.giambelli)
     diffs = []
-    for a, b, got in mismatched_products(table, derived.quotient,
-                                         derived.giambelli):
+    for a, b, got in found:
         want = table.basis_product(a, b)
         if isinstance(got, (InconsistentSystem, UnderdeterminedSystem)):
             diffs.append((a, b, f"<{got}>", str(want)))
@@ -286,9 +292,11 @@ def close_loop(table: MultiplicationTable,
 
 
 def run_pipeline(table: MultiplicationTable,
-                 scenario_values: dict[str, Fraction] | None = None) -> dict:
+                 scenario_values: dict[str, Fraction] | None = None,
+                 products: tuple | None = None) -> dict:
     """Full derivation: scenarios -> unknowns -> products -> presentation
-    -> closed loop.  Returns a JSON-ready report."""
+    -> closed loop, which may reuse products as close_loop says.  Returns a
+    JSON-ready report."""
     if scenario_values is None:
         from .intersection import run_all_scenarios
         scenario_values = {sid: res.value
@@ -296,7 +304,7 @@ def run_pipeline(table: MultiplicationTable,
     unknowns = solve_chevalley(scenario_values)
     missing = derive_missing_products(table, scenario_values)
     derived = derive_presentation(table, unknowns, missing)
-    loop = close_loop(table, derived)
+    loop = close_loop(table, derived, products)
     return {
         "scenario_values": {k: str(v) for k, v in sorted(scenario_values.items())},
         "unknowns": {**{name: str(unknowns[name]) for name in UNKNOWN_NAMES},

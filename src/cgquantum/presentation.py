@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import add
+from math import gcd, lcm
+from operator import add, lshift
 
-from .exactmath import (ZERO, GradedRing, InconsistentSystem,
+from .exactmath import (GradedRing, InconsistentSystem,
                         MultiPolynomial, UnderdeterminedSystem,
                         clear_denominators, parse_rational, rref_int)
 from .schubert import (DEGREES, LABEL_INDEX, LABELS, DataFormatError,
@@ -59,20 +58,20 @@ def standard_relations(ring: GradedRing) -> list[MultiPolynomial]:
     return [r5, r6]
 
 
-@dataclass
 class DegreeSlice:
-    monomials: list[tuple[int, ...]]          # graded-lex descending
-    index: dict[tuple[int, ...], int]
-    basis: list[tuple[int, ...]]              # non-pivot monomials
-    rows: list[list[int]]                     # reduced integer rows
-    # each pivot column with its row's nonzero non-pivot entries over den
-    reducers: list[tuple[int, list[tuple[int, int]]]]
-    den: int
+    """One degree of a quotient: its monomials, graded-lex descending, and
+    their index; the non-pivot monomials as basis; the reduced integer
+    rows; and each pivot column with its row's nonzero non-pivot entries
+    over den as reducers."""
+
+    def __init__(self, monomials, index, basis, rows, reducers, den: int):
+        self.monomials, self.index, self.basis = monomials, index, basis
+        self.rows, self.reducers, self.den = rows, reducers, den
 
 
 class GradedQuotient:
     """A graded polynomial ring modulo homogeneous relations, with
-    per-degree normal forms."""
+    per-degree normal forms.  Each slice is built on first use."""
 
     def __init__(self, ring: GradedRing, relations: list[MultiPolynomial],
                  max_degree: int = DEFAULT_MAX_DEGREE):
@@ -84,12 +83,12 @@ class GradedQuotient:
         self.max_degree = max_degree
         # each relation as (degree, integer terms): scaling by the lcm of
         # its denominators leaves the span of its multiples unchanged
-        integral = [(rel.degree(), _integral(rel)[0])
-                    for rel in self.relations]
-        self.slices: dict[int, DegreeSlice] = {}
-        for d in range(max_degree + 1):
-            self.slices[d] = self._build_slice(
-                d, integral, self.slices.get(d - ring.degrees[0]))
+        self._relation_terms = [(rel.degree(), _integral(rel)[0])
+                                for rel in self.relations]
+        self._slices: dict[int, DegreeSlice] = {}
+        # an exponent of a monomial of degree <= max_degree fits this width
+        width = max_degree.bit_length()
+        self._shifts = range(0, width * len(ring.degrees), width)
 
     def _build_slice(self, degree: int, integral, below) -> DegreeSlice:
         """Row-reduce the span of the relation multiples of one degree.  The
@@ -120,20 +119,27 @@ class GradedQuotient:
         return len(self._slice(degree).basis)
 
     def _slice(self, degree: int) -> DegreeSlice:
-        if degree not in self.slices:
-            raise DegreeOutOfRange(f"degree {degree} beyond built maximum "
-                                   f"{self.max_degree}")
-        return self.slices[degree]
+        """The slice of one degree, built on first use from the slice one
+        x0-degree below."""
+        if degree not in self._slices:
+            if not 0 <= degree <= self.max_degree:
+                raise DegreeOutOfRange(f"degree {degree} beyond built maximum "
+                                       f"{self.max_degree}")
+            step = self.ring.degrees[0]
+            below = self._slice(degree - step) if degree >= step else None
+            self._slices[degree] = self._build_slice(
+                degree, self._relation_terms, below)
+        return self._slices[degree]
 
-    def normal_form(self, p: MultiPolynomial) -> MultiPolynomial:
-        """Reduce a homogeneous polynomial onto the non-pivot monomial basis
-        of its degree.  normal_form(p) = 0 iff p lies in the ideal."""
-        if p.is_zero():
-            return p
-        if not p.is_homogeneous():
-            raise ValueError("normal_form expects a homogeneous polynomial")
-        sl = self._slice(p.degree())
-        terms, den = _integral(p)
+    def _key(self, exps) -> int:
+        """A monomial of degree <= max_degree packed into one int; keys add
+        as their monomials multiply."""
+        return sum(map(lshift, exps, self._shifts))
+
+    def _reduced(self, sl: DegreeSlice, terms) -> list[int]:
+        """sl.den times the normal form of sum(c * m), for pairs (m, c) of a
+        monomial of sl's degree and an integer; only the entries at the
+        basis monomials are the normal form's."""
         vec = [0] * len(sl.monomials)
         for exps, c in terms:
             vec[sl.index[exps]] = c
@@ -144,6 +150,18 @@ class GradedQuotient:
             if f:
                 for j, c in row:
                     out[j] -= f * c
+        return out
+
+    def normal_form(self, p: MultiPolynomial) -> MultiPolynomial:
+        """Reduce a homogeneous polynomial onto the non-pivot monomial basis
+        of its degree.  normal_form(p) = 0 iff p lies in the ideal."""
+        if p.is_zero():
+            return p
+        if not p.is_homogeneous():
+            raise ValueError("normal_form expects a homogeneous polynomial")
+        sl = self._slice(p.degree())
+        terms, den = _integral(p)
+        out = self._reduced(sl, terms)
         den *= sl.den
         return MultiPolynomial(self.ring, {
             m: Fraction(x, den) for m in sl.basis if (x := out[sl.index[m]])})
@@ -254,6 +272,38 @@ def evaluate_in_schubert(table: MultiplicationTable,
     return SchubertElement.from_terms(_evaluate(table, p, {}))
 
 
+def _normal_form_matrix(quotient: GradedQuotient,
+                        giambelli: dict[str, MultiPolynomial], degree: int):
+    """schubert_to_normal_form as (columns, matrix, den) on integers, with
+    matrix[i][j] / den its entry.  Each column is reduced from its entry's
+    integer terms, shifted by its power of q, with the slice's reducers."""
+    cols = [(label, rem // 4) for label in LABELS
+            if (rem := degree - DEGREES[label]) >= 0 and rem % 4 == 0]
+    index = {m: i for i, m in enumerate(quotient.basis(degree))}
+    (q_exps,) = quotient.ring.gen("q").terms
+    columns = []  # per column: (row, integer) pairs, and their denominator
+    for label, qexp in cols:
+        p, column, den = giambelli[label], [], 1
+        if not p.is_zero():
+            if not p.is_homogeneous():
+                raise ValueError("normal_form expects a homogeneous polynomial")
+            shift = [qexp * e for e in q_exps]
+            sl = quotient._slice(p.degree() + p.ring.monomial_degree(shift))
+            terms, den = _integral(p)
+            out = quotient._reduced(
+                sl, [(tuple(map(add, m, shift)), c) for m, c in terms])
+            column = [(index[m], x) for m in sl.basis
+                      if (x := out[sl.index[m]])]
+            den *= sl.den
+        columns.append((column, den))
+    den = lcm(*[d for _, d in columns])
+    matrix = [[0] * len(cols) for _ in index]
+    for j, (column, d) in enumerate(columns):
+        for i, x in column:
+            matrix[i][j] = x * (den // d)
+    return cols, matrix, den
+
+
 def schubert_to_normal_form(quotient: GradedQuotient,
                             giambelli: dict[str, MultiPolynomial],
                             degree: int):
@@ -261,22 +311,10 @@ def schubert_to_normal_form(quotient: GradedQuotient,
     {q^c * G(label) : deg(label) + 4c = degree} and the normal-form
     monomial basis.  Returns (columns, matrix) where matrix[i][j] is the
     coefficient of basis monomial i in the normal form of column j."""
-    ring = quotient.ring
-    cols: list[tuple[str, int]] = []
-    for label in LABELS:
-        rem = degree - DEGREES[label]
-        if rem >= 0 and rem % 4 == 0:
-            cols.append((label, rem // 4))
-    basis = quotient.basis(degree)
-    index = {m: i for i, m in enumerate(basis)}
-    matrix = [[ZERO] * len(cols) for _ in basis]
-    (q_exps,) = ring.gen("q").terms
-    for j, (label, qexp) in enumerate(cols):
-        poly = giambelli[label] * ring.monomial([qexp * e for e in q_exps])
-        nf = quotient.normal_form(poly)
-        for exps, c in nf.terms.items():
-            matrix[index[exps]][j] = c
-    return cols, matrix
+    cols, matrix, den = _normal_form_matrix(quotient, giambelli, degree)
+    # as in a normal form, a nonzero integral coefficient is an int
+    return cols, [[Fraction(x, den) if x % den or not x else x // den
+                   for x in row] for row in matrix]
 
 
 def _change_of_basis(quotient: GradedQuotient,
@@ -290,45 +328,47 @@ def _change_of_basis(quotient: GradedQuotient,
     column for a monomial m is E NF(m): NF(m) is a unit vector for a basis
     monomial and minus the reduced relation row for a pivot monomial.  K
     is kept as integer columns over one common denominator, the rows past
-    the rank of M included.
+    the rank of M included.  M is reduced as den * M on integers, which
+    scales the solution by den.
 
-    The returned function expands sum(c * m) / den, for pairs (m, c) of a
-    monomial m of the degree and an integer c, and a positive integer den,
-    into Terms, and raises what solve_linear(M, b) raises, in the same
-    order: InconsistentSystem when the image has a nonzero row past the
-    rank, then UnderdeterminedSystem when the rank is short of the columns.
-    An empty slice gives M no rows, so any column leaves the rank short;
-    this is where solve_linear, which reads such an M as having no columns,
-    differs.
+    The returned function expands sum(c * m) / den, for pairs (k, c) of
+    the key k of a monomial m of the degree and an integer c, and a
+    positive integer den, into Terms, and raises what solve_linear(M, b)
+    raises, in the same order: InconsistentSystem when the image has a
+    nonzero row past the rank, then UnderdeterminedSystem when the rank is
+    short of the columns.  An empty slice gives M no rows, so any column
+    leaves the rank short; this is where solve_linear, which reads such an
+    M as having no columns, differs.
     """
-    cols, matrix = schubert_to_normal_form(quotient, giambelli, degree)
+    cols, matrix, m_den = _normal_form_matrix(quotient, giambelli, degree)
     n, k = len(matrix), len(cols)
-    reduced, pivots = rref_int([
-        clear_denominators(row + [int(i == j) for j in range(n)])[0]
-        for i, row in enumerate(matrix)])
+    reduced, pivots = rref_int([row + [int(i == j) for j in range(n)]
+                                for i, row in enumerate(matrix)])
     rank = sum(1 for col in pivots if col < k)
     targets = [(LABEL_INDEX[cols[col][0]], cols[col][1])
                for col in pivots[:rank]]
-    # E on integers over e_den, one list per column
+    sl = quotient._slice(degree)
+    # E on integers over e_den, one list per column, times m_den
     e_den = lcm(*[row[col] for row, col in zip(reduced, pivots)])
-    e_cols = list(zip(*[[x * (e_den // row[col]) for x in row[k:]]
+    g = gcd(m_den, e_den * sl.den)
+    e_cols = list(zip(*[[x * (e_den // row[col]) * (m_den // g)
+                         for x in row[k:]]
                         for row, col in zip(reduced, pivots)]))
 
-    sl = quotient._slice(degree)
     position = {sl.index[m]: i for i, m in enumerate(sl.basis)}
-    columns = {m: [sl.den * x for x in e_cols[i]]
+    columns = {quotient._key(m): [sl.den * x for x in e_cols[i]]
                for i, m in enumerate(sl.basis)}
     for j, row in sl.reducers:
         column = [0] * n
         for t, c in row:
             column = [v - c * x for v, x in zip(column, e_cols[position[t]])]
-        columns[sl.monomials[j]] = column
-    map_den = e_den * sl.den
+        columns[quotient._key(sl.monomials[j])] = column
+    map_den = e_den * sl.den // g
 
     def expand(terms, den: int) -> Terms:
         v = [0] * n
-        for mono, c in terms:
-            v = [x + c * y for x, y in zip(v, columns[mono])]
+        for key, c in terms:
+            v = [x + c * y for x, y in zip(v, columns[key])]
         if any(v[rank:]):
             raise InconsistentSystem("no solution")
         if rank < k:
@@ -340,10 +380,11 @@ def _change_of_basis(quotient: GradedQuotient,
     return expand
 
 
-def _integral(p: MultiPolynomial):
-    """The terms of p with integer coefficients, and their denominator."""
+def _integral(p: MultiPolynomial, key=tuple):
+    """The terms of p with integer coefficients, each monomial m as
+    key(m), and their denominator."""
     ints, den = clear_denominators(list(p.terms.values()))
-    return list(zip(p.terms, ints)), den
+    return list(zip(map(key, p.terms), ints)), den
 
 
 def expand_in_schubert(quotient: GradedQuotient,
@@ -354,7 +395,7 @@ def expand_in_schubert(quotient: GradedQuotient,
     if p.is_zero():
         return SchubertElement.zero()
     degree = p.degree()
-    terms, den = _integral(p)
+    terms, den = _integral(p, quotient._key)
     return SchubertElement.from_terms(
         _change_of_basis(quotient, giambelli, degree)(terms, den))
 
@@ -364,17 +405,18 @@ def _product_terms(quotient: GradedQuotient,
     """All 120 unordered products of dictionary entries, recomputed
     through the quotient with each degree's change of basis factored once.
 
-    Each entry is scaled to integers once, so a product is expanded from
-    integer coefficients and only its expansion forms Fractions.  Yields
-    (a, b, result) in table order; result is the terms of the product in
-    the Schubert basis, or the exception its expansion raised.
+    Each entry is scaled to integers once, with its monomials as keys, so a
+    product is expanded from integer coefficients and only its expansion
+    forms Fractions.  Yields (a, b, result) in table order; result is the
+    terms of the product in the Schubert basis, or the exception its
+    expansion raised.
     """
     # one map per degree, factored on first use; nothing is kept for a
     # degree whose map could not be built, so its failure repeats
     expanders = {}
     # a missing entry still raises KeyError at its first pair
-    integral = {label: _integral(giambelli[label]) for label in LABELS
-                if label in giambelli}
+    integral = {label: _integral(giambelli[label], quotient._key)
+                for label in LABELS if label in giambelli}
     # a non-homogeneous entry has no degree here, and raises at each pair
     degrees = {label: giambelli[label].degree() for label in integral
                if giambelli[label].is_homogeneous()}
@@ -392,10 +434,9 @@ def _product_terms(quotient: GradedQuotient,
                     terms_a, den_a = integral[a]
                     terms_b, den_b = integral[b]
                     terms = {}
-                    for ma, ca in terms_a:
-                        for mb, cb in terms_b:
-                            m = tuple(map(add, ma, mb))
-                            terms[m] = terms.get(m, 0) + ca * cb
+                    for ka, ca in terms_a:
+                        for kb, cb in terms_b:
+                            terms[ka + kb] = terms.get(ka + kb, 0) + ca * cb
                     if degree not in expanders:
                         expanders[degree] = _change_of_basis(
                             quotient, giambelli, degree)
@@ -403,6 +444,22 @@ def _product_terms(quotient: GradedQuotient,
             except Exception as exc:
                 result = exc
             yield a, b, result
+
+
+def products_key(quotient: GradedQuotient,
+                 giambelli: dict[str, MultiPolynomial]):
+    """What the products through the quotient depend on: its ring,
+    max_degree and relations, and each entry's zero-ness, degree and normal
+    form.  Equal keys give equal products and exceptions; a missing entry
+    or one without a normal form makes a key equal to no other."""
+    try:
+        entries = [(p.is_zero(), p.degree(), quotient.normal_form(p).terms)
+                   for p in [giambelli[label] for label in LABELS]]
+    except (KeyError, ValueError, DegreeOutOfRange):
+        return object()
+    ring = quotient.ring
+    return (ring.names, ring.degrees, quotient.max_degree,
+            [rel.terms for rel in quotient.relations], entries)
 
 
 def products_via_presentation(quotient: GradedQuotient,
@@ -427,12 +484,14 @@ def mismatched_products(table: MultiplicationTable, quotient: GradedQuotient,
 
 def cross_check_presentation(table: MultiplicationTable,
                              quotient: GradedQuotient,
-                             giambelli: dict[str, MultiPolynomial]):
+                             giambelli: dict[str, MultiPolynomial],
+                             mismatches: list | None = None):
     """Three-way consistency of table, relations, and dictionary.
 
     (i) the table kills both relations; (ii) each Giambelli polynomial
     evaluates to its own class; (iii) every unordered product recomputed
-    through the quotient matches the table entry.
+    through the quotient matches the table entry.  mismatches, if given,
+    is the list of mismatched_products for these arguments.
     Returns a VerificationReport.
     """
     report = VerificationReport()
@@ -450,10 +509,11 @@ def cross_check_presentation(table: MultiplicationTable,
     report.add("giambelli_evaluation", not bad_g,
                "" if not bad_g else f"mismatches: {bad_g[:3]}")
 
+    if mismatches is None:
+        mismatches = mismatched_products(table, quotient, giambelli)
     bad_prod = [(a, b, f"expansion failed: {result}"
                  if isinstance(result, Exception) else str(result))
-                for a, b, result in mismatched_products(table, quotient,
-                                                        giambelli)]
+                for a, b, result in mismatches]
     report.add("products_match", not bad_prod,
                "" if not bad_prod else f"{len(bad_prod)} mismatches, "
                f"first: {bad_prod[:3]}")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from itertools import chain, combinations, permutations, product
 from operator import mul
 
@@ -312,16 +311,14 @@ CHEVALLEY_ROWS = {
 }
 
 
-@dataclass
 class CheckResult:
-    check_id: str
-    passed: bool
-    detail: str = ""
+    def __init__(self, check_id: str, passed: bool, detail: str = ""):
+        self.check_id, self.passed, self.detail = check_id, passed, detail
 
 
-@dataclass
 class VerificationReport:
-    checks: list[CheckResult] = field(default_factory=list)
+    def __init__(self):
+        self.checks: list[CheckResult] = []
 
     def add(self, check_id: str, passed: bool, detail: str = ""):
         self.checks.append(CheckResult(check_id, passed, detail))

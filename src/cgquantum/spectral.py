@@ -8,7 +8,6 @@ approximations, and every printed approximation carries an error radius.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactmath import (Matrix, QPolynomial, charpoly, clear_denominators,
@@ -154,17 +153,14 @@ def newton_polish(p: QPolynomial, x0, iterations: int = 60) -> float:
     return float(x)
 
 
-@dataclass
 class SpectralReport:
-    char_poly: QPolynomial
-    shape_ok: bool = False
-    y_max: float = 0.0
-    y_max_bracket: tuple[Fraction, Fraction] = (rat(0), rat(0))
-    other_modulus: float = 0.0
-    dominant_real_simple: bool = False
-    modulus_set_is_fourth_roots: bool = False
-    trace_form_nondegenerate: bool = False
-    notes: list[str] = field(default_factory=list)
+    def __init__(self, char_poly: QPolynomial):
+        self.char_poly = char_poly
+        self.shape_ok = self.dominant_real_simple = False
+        self.modulus_set_is_fourth_roots = self.trace_form_nondegenerate = False
+        self.y_max = self.other_modulus = 0.0
+        self.y_max_bracket: tuple[Fraction, Fraction] = (rat(0), rat(0))
+        self.notes: list[str] = []
 
     @property
     def ok(self) -> bool:
@@ -199,7 +195,7 @@ def conjecture_o_check(table: MultiplicationTable) -> SpectralReport:
     modulus squared equal to (constant term magnitude)/y_max).
     """
     cp = sigma1_charpoly(table, 1)
-    report = SpectralReport(char_poly=cp)
+    report = SpectralReport(cp)
     # the trace form does not depend on the cubic: it is computed on every
     # path, the early returns below included
     report.trace_form_nondegenerate, _ = check_semisimple(table, 1)

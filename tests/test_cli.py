@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -359,6 +360,125 @@ def test_verify_computes_shared_inputs_once(capsys, monkeypatch, suite,
     code, _, _ = run_cli(capsys, "verify", "--suite", suite)
     assert code == 0
     assert calls == {"load": loads, "scenario": scenarios}
+
+
+def _count_change_of_basis(monkeypatch):
+    from cgquantum import presentation
+    degrees = []
+    change_of_basis = presentation._change_of_basis
+
+    def counted(quotient, giambelli, degree):
+        degrees.append(degree)
+        return change_of_basis(quotient, giambelli, degree)
+
+    monkeypatch.setattr(presentation, "_change_of_basis", counted)
+    return degrees
+
+
+def test_verify_all_computes_the_products_once(capsys, monkeypatch):
+    # the derived presentation is the shipped one, so the pipeline reuses
+    # the presentation suite's products: one map for each degree 0-16
+    degrees = _count_change_of_basis(monkeypatch)
+    code, _, _ = run_cli(capsys, "verify", "--suite", "all")
+    assert code == 0
+    assert sorted(degrees) == list(range(17))
+
+
+def _report_lines(suite, report):
+    return [f"[{c['status']}] {suite}:{c['id']}"
+            + (f" -- {c['detail']}" if c["detail"] and c["status"] == "fail"
+               else "") for c in report["checks"]]
+
+
+def _golden_verify_all_with(suite, lines):
+    with open(os.path.join(GOLDEN, "verify_all.txt")) as fh:
+        want = fh.read().splitlines()
+    at = [i for i, line in enumerate(want) if f" {suite}:" in line]
+    return want[:at[0]] + lines + want[at[-1] + 1:]
+
+
+def _presentation_fault(section, name):
+    with open(os.path.join(GOLDEN, "presentation_faults.json")) as fh:
+        return json.load(fh)[section][name]
+
+
+def test_verify_all_recomputes_the_products_of_another_dictionary(
+        capsys, monkeypatch, tmp_path):
+    # with +1 on a Giambelli coefficient the presentation suite's products
+    # are not those of the derived presentation, which closes the loop on
+    # products of its own
+    def mutate(raw):
+        term = raw["s4p"][1]
+        term["coeff"] = str(Fraction(term["coeff"]) + 1)
+
+    path = _write_shipped_giambelli(tmp_path, mutate)
+    degrees = _count_change_of_basis(monkeypatch)
+    code, out, err = run_cli(capsys, "--giambelli-file", path,
+                             "verify", "--suite", "all")
+    report = _presentation_fault("giambelli", "s4p term 1 +1")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == _golden_verify_all_with(
+        "presentation", _report_lines("presentation", report))
+    assert sorted(degrees) == sorted(list(range(17)) * 2)
+
+
+def test_verify_all_reuses_the_products_on_a_table_fault(
+        capsys, monkeypatch, tmp_path):
+    # +1 on the q-term of s4*s1 leaves the derived presentation the
+    # shipped one; the reused products report what the pipeline reports
+    def mutate(raw):
+        rec = next(r for r in raw["products"]
+                   if {r["a"], r["b"]} == {"s1", "s4"})
+        next(t for t in rec["terms"] if t["label"] == "s1")["coeff"] += 1
+
+    path = _write_shipped_table(tmp_path, mutate)
+    degrees = _count_change_of_basis(monkeypatch)
+    code, out, err = run_cli(capsys, "--table-file", path,
+                             "verify", "--suite", "all")
+    result = _presentation_fault("table", "s4*s1 term s1 +1")
+    assert (code, err) == (1, "")
+    assert [line for line in out.splitlines() if " pipeline:" in line] == [
+        "[pass] pipeline:chevalley_solved",
+        "[pass] pipeline:top_q2_coefficient_zero",
+        f"[fail] pipeline:loop_closed -- {result['diff_count']} differing "
+        f"products, first: {result['diffs'][:3]}"]
+    assert sorted(degrees) == list(range(17))
+
+
+def test_a_huge_coefficient_fails_without_slices_past_the_top_row(
+        capsys, monkeypatch, tmp_path):
+    from cgquantum.presentation import GradedQuotient
+
+    def mutate(raw):
+        rec = next(r for r in raw["products"]
+                   if {r["a"], r["b"]} == {"s1", "s2"})
+        next(t for t in rec["terms"] if t["label"] == "s3")["coeff"] = \
+            10 ** 100 + 1
+
+    path = _write_shipped_table(tmp_path, mutate)
+    code, out, err = run_cli(capsys, "--table-file", path,
+                             "verify", "--suite", "table")
+    assert (code, err) == (1, "")
+    assert [line.split(" -- ")[0] for line in out.splitlines()
+            if line.startswith("[fail]")] == \
+        ["[fail] table:gw_symmetry", "[fail] table:associativity"]
+
+    built = []
+    build_slice = GradedQuotient._build_slice
+
+    def counted(self, degree, integral, below):
+        built.append(degree)
+        return build_slice(self, degree, integral, below)
+
+    monkeypatch.setattr(GradedQuotient, "_build_slice", counted)
+    code, out, err = run_cli(capsys, "--table-file", path,
+                             "verify", "--suite", "pipeline")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "[fail] pipeline:loop_closed -- InconsistentSystem: top-row "
+        "consistency equation has no rational solution"]
+    # the top-row check reads degrees up to 9
+    assert max(built) == 9
 
 
 def test_spectral_suite_computes_each_charpoly_once(capsys, monkeypatch):

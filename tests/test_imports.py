@@ -4,6 +4,8 @@ __init__.py is left out: its imports are the package's re-exports."""
 import ast
 import glob
 import os
+import subprocess
+import sys
 
 import cgquantum
 
@@ -39,3 +41,15 @@ def test_every_module_level_import_is_used():
         if names:
             unused[os.path.basename(path)] = names
     assert unused == {}
+
+
+def test_cold_import_loads_neither_dataclasses_nor_inspect():
+    # each cold `cgq` run would pay for their import
+    code = ("import sys\n"
+            "import cgquantum.cli, cgquantum.presentation, "
+            "cgquantum.intersection, cgquantum.pipeline, cgquantum.spectral\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

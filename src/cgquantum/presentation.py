@@ -87,7 +87,7 @@ class GradedQuotient:
                                 for rel in self.relations]
         self._slices: dict[int, DegreeSlice] = {}
         # an exponent of a monomial of degree <= max_degree fits this width
-        width = max_degree.bit_length()
+        width = max_degree.bit_length() or 1
         self._shifts = range(0, width * len(ring.degrees), width)
 
     def _build_slice(self, degree: int, integral, below) -> DegreeSlice:
@@ -328,8 +328,8 @@ def _change_of_basis(quotient: GradedQuotient,
     column for a monomial m is E NF(m): NF(m) is a unit vector for a basis
     monomial and minus the reduced relation row for a pivot monomial.  K
     is kept as integer columns over one common denominator, the rows past
-    the rank of M included.  M is reduced as den * M on integers, which
-    scales the solution by den.
+    the rank of M included.  M is reduced as the integer matrix den * M,
+    whose solution is that of M divided by den.
 
     The returned function expands sum(c * m) / den, for pairs (k, c) of
     the key k of a monomial m of the degree and an integer c, and a
@@ -348,7 +348,8 @@ def _change_of_basis(quotient: GradedQuotient,
     targets = [(LABEL_INDEX[cols[col][0]], cols[col][1])
                for col in pivots[:rank]]
     sl = quotient._slice(degree)
-    # E on integers over e_den, one list per column, times m_den
+    # E on integers over e_den, one list per column, times m_den // g:
+    # with map_den below this undoes the division of the solution by m_den
     e_den = lcm(*[row[col] for row, col in zip(reduced, pivots)])
     g = gcd(m_den, e_den * sl.den)
     e_cols = list(zip(*[[x * (e_den // row[col]) * (m_den // g)

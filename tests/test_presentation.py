@@ -87,6 +87,15 @@ def test_degree_beyond_built_range_rejected(quotient):
         quotient.normal_form(big)
 
 
+def test_a_degree_zero_quotient_has_its_one_slice():
+    ring = generator_ring()
+    quotient = GradedQuotient(ring, standard_relations(ring), 0)
+    assert quotient.basis(0) == [(0, 0, 0)]
+    with pytest.raises(DegreeOutOfRange, match="degree 1 beyond built "
+                                                "maximum 0"):
+        quotient.basis(1)
+
+
 def test_evaluation_of_square(table):
     ring = generator_ring()
     got = evaluate_in_schubert(table, ring.gen("s1") ** 2)

@@ -8,10 +8,10 @@ ints or Fractions; `mat_mul` and `charpoly` keep an integer matrix on ints.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import add, mul
-from typing import Mapping, Sequence
 
 Rational = Fraction
 
@@ -380,10 +380,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_trace(a: Matrix) -> Rational | int:
-    return sum(a[i][i] for i in range(len(a)))
-
-
 def clear_denominators(values: Sequence) -> tuple[list[int], int]:
     """The values (ints or Fractions) times the lcm of their denominators,
     as ints, and that lcm."""
@@ -478,11 +474,13 @@ def charpoly(m: Matrix, var: str = "t") -> QPolynomial:
     """Monic characteristic polynomial det(t*I - M), exactly.
 
     Faddeev-LeVerrier: M_1 = A, c_k = -tr(M_k)/k, M_{k+1} = A (M_k + c_k I).
-    On an integer matrix each c_k is an integer, so ints stay ints.
+    An integer matrix runs on packed rows (`_int_charpoly`).
     """
     n = len(m)
     if any(len(row) != n for row in m):
         raise NonSquareMatrixError("charpoly needs a square matrix")
+    if all([type(x) is int for row in m for x in row]):
+        return QPolynomial(_int_charpoly(m), var)
     coeffs = {n: 1}
     mk = m
     for k in range(1, n + 1):
@@ -491,8 +489,35 @@ def charpoly(m: Matrix, var: str = "t") -> QPolynomial:
             for i in range(n):
                 step[i][i] += ck
             mk = mat_mul(m, step)
-        ck = Fraction(-mat_trace(mk), k)
+        ck = Fraction(-sum([mk[i][i] for i in range(n)]), k)
         if ck.denominator == 1:
             ck = ck.numerator
         coeffs[n - k] = ck
     return QPolynomial(coeffs, var)
+
+
+def _int_charpoly(m: list[list[int]]) -> dict[int, int]:
+    """charpoly(m)'s coefficients for an integer m = A.  A row of M_k + c_k I
+    is one int, entry j a balanced digit in the w-bit field at w * j, and a
+    row of M_{k+1} sums A's nonzero a_it times row t.  For r A's largest
+    absolute row sum, |M_k| <= N_k with N_1 = max |a_ij| and N_{k+1} = r (N_k
+    + n N_k / k) >= |M_k + c_k I|, so N_n = N_1 r^(n-1) binomial(2n-1, n-1)
+    bounds every entry.  tr(M_k) divides by k, as c_k is an integer."""
+    n = len(m)
+    rows = [[(t, a) for t, a in enumerate(row) if a] for row in m]
+    r = max([sum([abs(a) for _, a in row]) for row in rows], default=0)
+    bound = max([abs(a) for row in m for a in row], default=0)
+    w = (bound * r ** (n - 1) * comb(2 * n - 1, n - 1) if n else 0).bit_length() + 1
+    mask, half = (1 << w) - 1, 1 << w - 1
+    bias = half * (((1 << w * n) - 1) // mask)  # half in every field
+    shifts = range(0, w * n, w)
+    packed = [sum([a << w * t for t, a in row]) for row in rows]
+    coeffs = {n: 1}
+    for k in range(1, n + 1):
+        if k > 1:
+            step = [p + (ck << s) for p, s in zip(packed, shifts)]
+            packed = [sum([a * step[t] for t, a in row]) for row in rows]
+        trace = sum([((p + bias) >> s & mask) - half
+                     for p, s in zip(packed, shifts)])
+        ck = coeffs[n - k] = -trace // k
+    return coeffs

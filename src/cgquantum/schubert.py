@@ -12,8 +12,7 @@ import os
 from itertools import chain, combinations, permutations, product
 from operator import mul
 
-from .exactmath import (QPolynomial, Rational, clear_denominators,
-                        parse_rational, rat)
+from .exactmath import QPolynomial, Rational, parse_rational, rat
 
 LABELS = ("s0", "s1", "s2", "s2p", "s3", "s3p", "s4", "s4p", "s4pp",
           "s5", "s5p", "s6", "s6p", "s7", "s8")
@@ -161,9 +160,15 @@ def _label_index(label) -> int | None:
     return LABEL_INDEX.get(label) if isinstance(label, str) else None
 
 
-def _records(value, what: str) -> list[dict]:
+def _names(indices) -> tuple[str, ...]:
+    return tuple(LABELS[i] for i in indices)
+
+
+def _records(value, what: str, *pair) -> list[dict]:
+    """value, a list of objects; what names it, with pair's labels."""
     if not isinstance(value, list) or not all(isinstance(r, dict) for r in value):
-        raise TableFormatError(f"{what} must be a list of objects")
+        raise TableFormatError(
+            f"{what.format(*map(_names, pair))} must be a list of objects")
     return value
 
 
@@ -190,9 +195,9 @@ class MultiplicationTable:
 
     def __init__(self, constants: dict[tuple[int, int], Terms]):
         self.constants = constants
-        n = len(LABELS)
-        self.tensor = [[constants[min(i, j), max(i, j)] for j in range(n)]
-                       for i in range(n)]
+        self.tensor = [[None] * len(LABELS) for _ in LABELS]
+        for (i, j), terms in constants.items():
+            self.tensor[i][j] = self.tensor[j][i] = terms
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "MultiplicationTable":
@@ -211,23 +216,35 @@ class MultiplicationTable:
         if tuple(rec.get("name") for rec in labels) != LABELS:
             raise TableFormatError("label list does not match the 15 expected labels")
         for rec in labels:
-            if DEGREES[rec["name"]] != rec.get("degree"):
+            degree = rec.get("degree")
+            if type(degree) is not int or DEGREES[rec["name"]] != degree:
                 raise TableFormatError(f"degree mismatch for {rec['name']}")
         constants: dict[tuple[int, int], Terms] = {}
-        for rec in _records(raw["products"], "'products'"):
+        seen = [-1] * len(LABELS)  # the record each class was last seen in
+        for r, rec in enumerate(_records(raw["products"], "'products'")):
             a, b = _label_index(rec.get("a")), _label_index(rec.get("b"))
             if a is None or b is None:
                 raise TableFormatError(
                     f"unknown labels in product record {rec.get('a')},{rec.get('b')}")
-            key = (min(a, b), max(a, b))
-            pair = (LABELS[key[0]], LABELS[key[1]])
+            key = (a, b) if a <= b else (b, a)
             if key in constants:
-                raise TableFormatError(f"duplicate product record {pair}")
+                raise TableFormatError(f"duplicate product record {_names(key)}")
+            # nonzero ints grouped by class, each (class, q) once: normalised
             acc: Terms = {}
-            for term in _records(rec.get("terms", []), f"terms of {pair}"):
-                k, e, c = _parse_term(term, pair)
+            last, plain = -1, True
+            for term in _records(rec.get("terms", []), "terms of {}", key):
+                label, e, c = term.get("label"), term.get("q"), term.get("coeff")
+                if type(c) is int and c and type(e) is int and e >= 0 and \
+                        type(label) is str and label in LABEL_INDEX:
+                    k = LABEL_INDEX[label]
+                else:
+                    k, e, c = _parse_term(term, _names(key))
+                    plain = False
+                if k != last:
+                    plain, seen[k], last = plain and seen[k] != r, r, k
+                plain = plain and (k, e) not in acc
                 acc[k, e] = acc.get((k, e), 0) + c  # repeated terms add up
-            constants[key] = _normalised(acc)
+            constants[key] = acc if plain else _normalised(acc)
         expected = (len(LABELS) * (len(LABELS) + 1)) // 2
         if len(constants) != expected:
             raise TableFormatError(
@@ -357,17 +374,31 @@ def verify_table(table: MultiplicationTable) -> VerificationReport:
     bad = [LABELS[i] for i in idx if tensor[0][i] != {(i, 0): 1}]
     add("identity", bad, f"s0 row wrong at {bad}")
 
-    bad_grading, bad_positive = [], []
-    for (i, j), terms in table.constants.items():
-        for (k, e), c in terms.items():
-            where = (LABELS[i], LABELS[j], LABELS[k], e)
-            if deg[k] + Q_DEGREE * e != deg[i] + deg[j]:
-                bad_grading.append(where)
-            if c < 0 or c.denominator != 1:
-                bad_positive.append(where + (str(c),))
-    add("grading", bad_grading, f"non-homogeneous entries: {bad_grading[:3]}")
-    add("positivity", bad_positive,
-        f"negative or non-integer coefficients: {bad_positive[:3]}")
+    def gw(d: int, a: int, b: int, c: int) -> Rational:
+        return tensor[a][b].get((dual[c], d), 0)
+
+    # One scan of the terms checks grading and positivity, and flags each
+    # asymmetric multiset {a, b, c} at an on-grade term, where one of its
+    # invariants is nonzero.  Its ordered triples are reported each with its
+    # first permutation with another invariant; only printed ones get labels.
+    bad_grading, bad_positive, bad_sym = [], [], set()
+    for (a, b), terms in table.constants.items():
+        degree, ta, tb, da, db = deg[a] + deg[b], tensor[a], tensor[b], \
+            dual[a], dual[b]
+        for (k, d), v in terms.items():
+            if deg[k] + Q_DEGREE * d != degree:
+                bad_grading.append((a, b, k, d))
+            elif not v == ta[dual[k]].get((db, d), 0) == \
+                    tb[dual[k]].get((da, d), 0):
+                bad_sym.update(((x, y, z), d, (x, z, y) if gw(d, x, z, y) !=
+                                gw(d, x, y, z) else (y, z, x))
+                               for x, y, z in permutations((a, b, dual[k])))
+            if v < 0 or v.denominator != 1:
+                bad_positive.append((a, b, k, d, v))
+    add("grading", bad_grading, "non-homogeneous entries: "
+        f"{[(*_names(t[:3]), t[3]) for t in bad_grading[:3]]}")
+    add("positivity", bad_positive, "negative or non-integer coefficients: "
+        f"{[(*_names(t[:3]), t[3], str(t[4])) for t in bad_positive[:3]]}")
 
     # pairing matrix per complementary degree must be the involution's
     # permutation matrix
@@ -380,36 +411,35 @@ def verify_table(table: MultiplicationTable) -> VerificationReport:
     # The table is commutative, so (xy)z = L_z L_x y and (zy)x = L_x L_z y
     # for L_x multiplication by s_x: (x, y, z) is associative iff column y
     # of [L_x, L_z] is zero.  commutator(x, z) lists its nonzero columns.
-    if bad_grading:
+    if bad_grading or any(type(v) is not int for *_, v in bad_positive):
         def commutator(x: int, z: int) -> list[int]:
             return [y for y in idx if table.times(tensor[x][y], z) !=
                     table.times(tensor[z][y], x)]
     else:
-        # A term of (xy)z has 4e + deg m = deg x + deg y + deg z, so its
-        # value at q = 1 fixes it.  On ints (scaled by D^2), packed[z][k] =
-        # s_k * s_z as the sum of c * 2^(width * m), and a coefficient of a
-        # difference of bracketings is below 2^(width - 1) in absolute
-        # value.  So sum_k cols[x][k] * packed[z][k] holds (xy)z in field y
-        # of span = 15 * width bits, and a field of its difference with
-        # (zy)x, below 2^(span - 1), is a balanced digit: nonzero iff column
-        # y of the commutator is.
-        values = clear_denominators(
-            [c for terms in table.constants.values() for c in terms.values()])[0]
-        scaled = iter(values)
-        rows = {key: [(k, next(scaled)) for k, _ in terms]
-                for key, terms in table.constants.items()}
-        row_sum = max([sum([abs(c) for _, c in row]) for row in rows.values()])
-        width = (2 * max(map(abs, values), default=0) * row_sum).bit_length() + 1
-        span = len(idx) * width
+        # A term of (xy)z has 4e + deg m = deg x + deg y + deg z: its value
+        # at q = 1 fixes it, and its classes m have one degree mod 4, each
+        # its own slot there.  With packed[z][k] = s_k * s_z as the sum of c
+        # * 2^slot[m], sum_k cols[x][k] * packed[z][k] holds (xy)z
+        # in field y of span = 5 * width bits; a coefficient of (xy)z - (zy)x
+        # is below 2^(width - 1), so each field of it is a balanced digit,
+        # nonzero iff column y of the commutator is.
+        row_sum = max([sum(map(abs, terms.values()))
+                       for terms in table.constants.values()])
+        width = (2 * row_sum * row_sum).bit_length() + 1
+        slot = [width * [d % Q_DEGREE for d in deg[:m]].count(deg[m] % Q_DEGREE)
+                for m in idx]
+        span = max(slot) + width
         mask, half = (1 << span) - 1, 1 << span - 1
         packed = [[0] * len(idx) for _ in idx]
         cols = [[0] * len(idx) for _ in idx]
-        for (i, j), row in rows.items():
-            packed[i][j] = packed[j][i] = sum([c << width * m for m, c in row])
-            for k, c in row:
-                cols[i][k] += c << span * j
+        for (i, j), terms in table.constants.items():
+            ci, cj, si, sj, p = cols[i], cols[j], span * i, span * j, 0
+            for (k, _), c in terms.items():
+                p += c << slot[k]
+                ci[k] += c << sj
                 if i != j:
-                    cols[j][k] += c << span * i
+                    cj[k] += c << si
+            packed[i][j] = packed[j][i] = p
 
         def commutator(x: int, z: int) -> list[int]:
             diff = sum(map(mul, cols[x], packed[z])) - \
@@ -424,31 +454,13 @@ def verify_table(table: MultiplicationTable) -> VerificationReport:
                 diff = (diff >> span) + (digit > half)
             return bad
 
-    bad_assoc = [t for x, z in combinations(idx, 2) for y in commutator(x, z)
-                 for t in ((x, y, z), (z, y, x))]
-
-    def gw(d: int, a: int, b: int, c: int) -> Rational:
-        return tensor[a][b].get((dual[c], d), 0)
-
-    # A multiset {a, b, c} is symmetric iff its invariants agree.  One is
-    # nonzero only at an on-grade term, so a scan of those terms flags
-    # every asymmetric multiset.  Each of its ordered triples (x, y, z) is
-    # reported with its first permutation with another invariant.
-    bad_sym = set()
-    for (a, b), terms in table.constants.items():
-        for (k, d), v in terms.items():
-            c = dual[k]
-            if deg[k] + Q_DEGREE * d == deg[a] + deg[b] and \
-                    not v == gw(d, a, c, b) == gw(d, b, c, a):
-                bad_sym.update(((x, y, z), d, (x, z, y) if gw(d, x, z, y) !=
-                                gw(d, x, y, z) else (y, z, x))
-                               for x, y, z in permutations((a, b, c)))
-    bad_sym = [(d, *(LABELS[i] for i in t), tuple(LABELS[i] for i in perm))
-               for t, d, perm in sorted(bad_sym)]
-    add("gw_symmetry", bad_sym, f"asymmetric invariants: {bad_sym[:3]}")
-    bad_assoc = [tuple(LABELS[i] for i in t) for t in sorted(bad_assoc)]
-    add("associativity", bad_assoc,
-        f"{len(bad_assoc)} failing triples, first: {bad_assoc[:3]}")
+    bad_sym = sorted(bad_sym)
+    add("gw_symmetry", bad_sym, "asymmetric invariants: "
+        f"{[(d, *_names(t), _names(perm)) for t, d, perm in bad_sym[:3]]}")
+    bad_assoc = sorted([t for x, z in combinations(idx, 2) for y in
+                        commutator(x, z) for t in ((x, y, z), (z, y, x))])
+    add("associativity", bad_assoc, f"{len(bad_assoc)} failing triples, "
+        f"first: {[_names(t) for t in bad_assoc[:3]]}")
 
     bad_chev = []
     s1 = LABEL_INDEX["s1"]

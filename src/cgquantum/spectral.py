@@ -9,6 +9,7 @@ approximations, and every printed approximation carries an error radius.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import ne
 
 from .exactmath import (Matrix, QPolynomial, charpoly, clear_denominators,
                         determinant, mat_mul, rat)
@@ -40,14 +41,17 @@ def check_semisimple(table: MultiplicationTable, q_value) -> tuple[bool, Fractio
     """Trace-form criterion: the algebra at the given q is semisimple iff
     the Gram matrix B(e_i, e_j) = trace(mult by e_i e_j) has full rank.
     Returns (semisimple, exact Gram determinant)."""
-    qv, tensor, n = _exact_q(q_value), table.tensor, len(LABELS)
+    qv, n = _exact_q(q_value), len(LABELS)
     qpow = {e: qv ** e for terms in table.constants.values() for _, e in terms}
     # trace of multiplication by each basis class
     trace = [sum(c * qpow[e] for j in range(n)
-                 for (k, e), c in tensor[i][j].items() if k == j)
+                 for (k, e), c in table.tensor[i][j].items() if k == j)
              for i in range(n)]
-    gram = [[sum(c * qpow[e] * trace[k] for (k, e), c in tensor[i][j].items())
-             for j in range(n)] for i in range(n)]
+    # B is symmetric: one entry per product s_i s_j
+    gram = [[0] * n for _ in range(n)]
+    for (i, j), terms in table.constants.items():
+        gram[i][j] = gram[j][i] = sum([c * qpow[e] * trace[k]
+                                       for (k, e), c in terms.items()])
     det = determinant(gram)
     return det != 0, det
 
@@ -91,21 +95,21 @@ def sturm_sequence(p: QPolynomial) -> list[list[int]]:
             for poly in seq]
 
 
+def _at(coeffs: list[int], n: int, d: int) -> int:
+    """d^deg * p(n/d), for p's coefficients listed from the leading one."""
+    value, dpow = 0, 1
+    for c in coeffs:
+        value = value * n + c * dpow
+        dpow *= d
+    return value
+
+
 def sign_changes(seq: list[list[int]], n: int, d: int) -> int:
     """Sign changes of the sequence at n/d, d > 0, zeros skipped.  Each
     sign is that of the homogenised sum d^deg * p(n/d), read on ints."""
-    changes, last = 0, 0
-    for coeffs in seq:
-        value, dpow = 0, 1
-        for c in coeffs:
-            value = value * n + c * dpow
-            dpow *= d
-        if value:
-            sign = 1 if value > 0 else -1
-            if last and sign != last:
-                changes += 1
-            last = sign
-    return changes
+    signs = [value > 0 for value in [_at(coeffs, n, d) for coeffs in seq]
+             if value]
+    return sum(map(ne, signs, signs[1:]))
 
 
 def count_real_roots(seq: list[list[int]], lo, hi) -> int:
@@ -118,21 +122,24 @@ def count_real_roots(seq: list[list[int]], lo, hi) -> int:
 def isolate_root(seq: list[list[int]], lo, hi,
                  width) -> tuple[Fraction, Fraction]:
     """Shrink a bracket known to contain exactly one real root down to the
-    requested width by exact bisection on Sturm counts.  The bracket is
-    kept as integer numerators a, b over a common denominator d, which
-    doubles at each step; only the midpoint is evaluated."""
+    requested width by exact bisection.  The bracket is kept as integer
+    numerators a, b over a common denominator d, which doubles at each
+    step.  g, the last Sturm member, is gcd(p, p') up to a constant, so p *
+    g has (up to one sign) the sign of p's squarefree part, where the root
+    is simple: it is in (a, mid] iff p * g is 0 at mid or signed as at b."""
     (a, b), d = clear_denominators([rat(lo), rat(hi)])
-    va = sign_changes(seq, a, d)
-    if va - sign_changes(seq, b, d) != 1:
+    if sign_changes(seq, a, d) - sign_changes(seq, b, d) != 1:
         raise ValueError("bracket does not isolate a single root")
     width = rat(width)
+    p, g = seq[0], seq[-1]
+    vb = _at(p, b, d) * _at(g, b, d)
     while (b - a) * width.denominator > width.numerator * d:
         mid, d = a + b, 2 * d
-        vmid = sign_changes(seq, mid, d)
-        if va - vmid == 1:
-            a, b = 2 * a, mid
+        vmid = _at(p, mid, d) * _at(g, mid, d)
+        if not vmid or (vmid > 0) == (vb > 0) and vb:
+            a, b, vb = 2 * a, mid, vmid
         else:
-            a, b, va = mid, 2 * b, vmid
+            a, b = mid, 2 * b
     return Fraction(a, d), Fraction(b, d)
 
 
@@ -140,13 +147,16 @@ def newton_polish(p: QPolynomial, x0, iterations: int = 60) -> float:
     """Newton iteration in exact rationals from a certified starting
     point; denominators are trimmed each step to keep sizes bounded far
     below the trim precision's effect on the result."""
-    dp = p.derivative()
+    n = p.degree()
+    coeffs = clear_denominators([p.coeff(e) for e in range(n, -1, -1)])[0]
+    slopes = [e * c for e, c in zip(range(n, 0, -1), coeffs)]
     x = rat(x0)
     for _ in range(iterations):
-        fx, dfx = p(x), dp(x)
+        a, b = x.numerator, x.denominator
+        dfx = _at(slopes, a, b)
         if dfx == 0:
             break
-        step = fx / dfx
+        step = Fraction(_at(coeffs, a, b), b * dfx)  # p(x) / p'(x)
         x = (x - step).limit_denominator(10**30)
         if abs(step) < Fraction(1, 10**20) * max(1, abs(x)):
             break

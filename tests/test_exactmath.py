@@ -9,9 +9,10 @@ from itertools import product
 
 from cgquantum.exactmath import (GradedRing, InconsistentSystem,
                                  NonSquareMatrixError, QPolynomial,
-                                 UnderdeterminedSystem, charpoly,
-                                 clear_denominators, determinant, mat_mul,
-                                 parse_rational, rat, rref_int, solve_linear)
+                                 UnderdeterminedSystem, _int_charpoly,
+                                 charpoly, clear_denominators, determinant,
+                                 mat_mul, parse_rational, rat, rref_int,
+                                 solve_linear)
 from cgquantum.presentation import generator_ring
 
 
@@ -364,13 +365,52 @@ def test_integer_input_stays_on_ints(monkeypatch):
         seen.append(out)
         return out
 
+    made = []
+
+    def polynomial(coeffs, var):
+        made.append(coeffs)
+        return QPolynomial(coeffs, var)
+
     monkeypatch.setattr(exactmath, "mat_mul", recorded)
+    monkeypatch.setattr(exactmath, "QPolynomial", polynomial)
     for n in (1, 4, 9):
+        # an integer matrix runs on packed int rows: no dense product, and
+        # every coefficient an int
         m = _random_square(rng, n, "int")
         charpoly(m)
-        assert len(seen) == n - 1  # M_1 = A needs no product
-        assert all(type(x) is int for out in seen for row in out for x in row)
+        assert seen == []
+        assert [type(c) for c in made.pop().values()] == [int] * (n + 1)
+        # a Fraction matrix keeps the dense loop; M_1 = A needs no product
+        charpoly(_random_square(rng, n, "fraction"))
+        assert len(seen) == n - 1
         seen.clear()
+
+
+def test_packed_charpoly_matches_fraction_reference():
+    rng = random.Random(2718)
+    cases = [[[0]], [[-5]], [[10 ** 29]], [[0] * 15 for _ in range(15)],
+             [[-9] * 15 for _ in range(15)],
+             [[10 ** 29 - 1, -10 ** 29], [10 ** 29, 10 ** 29 + 1]],
+             # c_k as large as binomial(15, k) while r = 1: the fields must
+             # grow with the c_k, not only with the powers of r
+             [[-int(i == j) for j in range(15)] for i in range(15)]]
+    for n in (2, 3, 6, 10, 15):
+        cases += [
+            _nilpotent(rng, n),
+            [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)],
+            [[-rng.randint(1, 9) for _ in range(n)] for _ in range(n)],
+            [[rng.choice([-1, 1]) * rng.randrange(10 ** 29)
+              if rng.random() < 0.3 else 0 for _ in range(n)]
+             for _ in range(n)],
+            # about two nonzeros a row, as in the s1 matrix
+            [[rng.randint(1, 3) if rng.random() < 2 / n else 0
+              for _ in range(n)] for _ in range(n)],
+        ]
+    for m in cases:
+        got = _int_charpoly(m)
+        assert sorted(got) == list(range(len(m) + 1))
+        assert all(type(c) is int for c in got.values())
+        assert charpoly(m) == QPolynomial(got, "t") == _reference_charpoly(m), m
 
 
 @pytest.mark.parametrize("text, want", [

@@ -53,3 +53,16 @@ def test_cold_import_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "[]\n"
+
+
+def test_cold_import_without_site_loads_no_typing():
+    # a site hook can load typing on its own; without one, it would be an
+    # import that every cold `cgq` run pays for
+    code = ("import sys\n"
+            "import cgquantum.cli, cgquantum.presentation, "
+            "cgquantum.intersection, cgquantum.pipeline, cgquantum.spectral\n"
+            "print('typing' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out == "False\n"

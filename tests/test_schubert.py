@@ -236,24 +236,45 @@ def test_non_integral_coefficient_is_named_by_positivity():
 _DELETE = object()
 
 
-@pytest.mark.parametrize("path, value", [
-    (("products",), 5),
-    (("labels",), "nope"),
-    (("products", 4), ["s0", "s3"]),
-    (("products", 4, "terms"), 5),
-    (("products", 4, "terms", 0), "s3"),
-    (("products", 4, "terms", 0, "label"), _DELETE),
-    (("products", 4, "terms", 0, "q"), _DELETE),
-    (("products", 4, "terms", 0, "coeff"), _DELETE),
-    (("products", 4, "terms", 0, "q"), 1.5),
-    (("products", 4, "terms", 0, "q"), -1),
-    (("products", 4, "terms", 0, "coeff"), "one"),
-    (("products", 4, "terms", 0, "coeff"), "1/0"),
-    (("products", 4, "terms", 0, "coeff"), None),
+_TERM = "term of ('s0', 's3') needs a known 'label', an integer 'q' >= 0 " \
+    "and a 'coeff': "
+_COEFF = "bad coefficient in ('s0', 's3'): "
+
+
+# each message is the CLI's one exit-2 line for the file, so it is pinned
+@pytest.mark.parametrize("path, value, message", [
+    (("products",), 5, "'products' must be a list of objects"),
+    (("labels",), "nope", "'labels' must be a list of objects"),
+    (("products", 4), ["s0", "s3"], "'products' must be a list of objects"),
+    (("products", 4, "terms"), 5,
+     "terms of ('s0', 's3') must be a list of objects"),
+    (("products", 4, "terms", 0), "s3",
+     "terms of ('s0', 's3') must be a list of objects"),
+    (("products", 4, "terms", 0, "label"), _DELETE,
+     _TERM + "{'q': 0, 'coeff': 1}"),
+    (("products", 4, "terms", 0, "q"), _DELETE,
+     _TERM + "{'label': 's3', 'coeff': 1}"),
+    (("products", 4, "terms", 0, "coeff"), _DELETE,
+     _TERM + "{'label': 's3', 'q': 0}"),
+    (("products", 4, "terms", 0, "q"), 1.5,
+     _TERM + "{'label': 's3', 'q': 1.5, 'coeff': 1}"),
+    (("products", 4, "terms", 0, "q"), -1,
+     _TERM + "{'label': 's3', 'q': -1, 'coeff': 1}"),
+    (("products", 4, "terms", 0, "coeff"), "one",
+     _COEFF + "{'label': 's3', 'q': 0, 'coeff': 'one'}"),
+    (("products", 4, "terms", 0, "coeff"), "1/0",
+     _COEFF + "{'label': 's3', 'q': 0, 'coeff': '1/0'}"),
+    (("products", 4, "terms", 0, "coeff"), None,
+     _COEFF + "{'label': 's3', 'q': 0, 'coeff': None}"),
+    # a degree must be an integer, as a q-exponent must
+    (("labels", 1, "degree"), True, "degree mismatch for s1"),
+    (("labels", 1, "degree"), 1.0, "degree mismatch for s1"),
+    (("products", 4, "a"), "s9", "unknown labels in product record s9,s3"),
 ], ids=["products-int", "labels-str", "record-list", "terms-int",
         "term-str", "no-label", "no-q", "no-coeff", "q-float", "q-negative",
-        "coeff-word", "coeff-div-zero", "coeff-null"])
-def test_schema_errors_raise_table_format_error(path, value):
+        "coeff-word", "coeff-div-zero", "coeff-null", "degree-bool",
+        "degree-float", "record-unknown-label"])
+def test_schema_errors_raise_table_format_error(path, value, message):
     raw = _shipped_raw()
     node = raw
     for key in path[:-1]:
@@ -262,8 +283,31 @@ def test_schema_errors_raise_table_format_error(path, value):
         del node[path[-1]]
     else:
         node[path[-1]] = value
-    with pytest.raises(TableFormatError):
+    with pytest.raises(TableFormatError) as exc:
         MultiplicationTable.from_dict(raw)
+    assert str(exc.value) == message
+
+
+def test_record_list_errors_name_the_record_or_the_count():
+    raw = _shipped_raw()
+    records = raw["products"]
+    # record 5 replaced by a copy of record 4, s0 * s3
+    with pytest.raises(TableFormatError) as exc:
+        MultiplicationTable.from_dict(
+            {**raw, "products": records[:5] + [records[4]] + records[6:]})
+    assert str(exc.value) == "duplicate product record ('s0', 's3')"
+    with pytest.raises(TableFormatError) as exc:
+        MultiplicationTable.from_dict({**raw, "products": records[1:]})
+    assert str(exc.value) == "expected 120 product records, found 119"
+
+
+def test_degree_that_is_not_an_int_exits_2(tmp_path, capsys):
+    raw = _shipped_raw()
+    raw["labels"][1]["degree"] = True
+    path = tmp_path / "degree.json"
+    path.write_text(json.dumps(raw))
+    assert main(["--table-file", str(path), "verify", "--suite", "table"]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 def _normalised_through_elements(raw):
@@ -504,11 +548,18 @@ def test_commuting_operators_match_the_per_triple_loops():
     # only the pairs (s1, s8) and (s2, s8) fail, each at y = s8
     two_pairs = _sparse(s1_s8=[("s1", 2, 1)], s2_s8=[("s2", 2, 1)])
     # width is 3, and column s1 of [L_s1, L_s6] is (s1 s1) s6 - (s6 s1) s1
-    # = -2 s8: its field is -2^(14 * 3), which in fields one bit narrower
-    # reads as a positive digit and carries into the zero column s2
+    # = -2 s8: s8 has the top slot of its degree class, so its field is
+    # -2 * 2^(4 * 3), which in slots one bit narrower reads as a positive
+    # digit and carries into the zero column s2
     narrow = _sparse(s1_s1=[("s2", 0, 1)], s2_s6=[("s8", 0, -1)],
                      s1_s6=[("s7", 0, 1)], s1_s7=[("s8", 0, 1)])
-    tables = [last_field, two_pairs, narrow]
+    # as narrow, and column s2 is (s1 s2) s6 - (s6 s2) s1 = q^2 s1, 1 in
+    # the bottom slot: one bit narrower, the carry from column s1 would
+    # cancel it and (s1, s2, s6) would pass
+    narrow_miss = _sparse(s1_s1=[("s2", 0, 1)], s2_s6=[("s8", 0, -1)],
+                          s1_s6=[("s7", 0, 1)], s1_s7=[("s8", 0, 1)],
+                          s1_s2=[("s3", 0, 1)], s3_s6=[("s1", 2, 1)])
+    tables = [last_field, two_pairs, narrow, narrow_miss]
     tables += [_with_faults(raw, fault)
                for fault in random.Random(11).sample(unit, 60)]
     for table in tables:
@@ -527,3 +578,5 @@ def test_commuting_operators_match_the_per_triple_loops():
                                     ("s8", "s8", "s1"), ("s8", "s8", "s2")]
     assert ("s1", "s1", "s6") in failing["narrow"]
     assert ("s1", "s2", "s6") not in failing["narrow"]
+    assert {("s1", "s1", "s6"), ("s1", "s2", "s6")} <= \
+        set(_reference_checks(narrow_miss)["associativity"][0])

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cgquantum.exactmath import QPolynomial, mat_mul, rat
+from cgquantum.exactmath import QPolynomial, determinant, mat_mul, rat
 from cgquantum.schubert import (LABELS, MultiplicationTable, SchubertElement,
                                 default_data_dir, load_default_table)
 from cgquantum.spectral import (check_semisimple, conjecture_o_check,
@@ -276,6 +276,32 @@ def test_sigma1_charpoly_matches_fraction_reference(table):
         for q in (0, 1):
             assert nilpotency_index(t, q) == \
                 _reference_nilpotency_index(t, q), (name, q)
+
+
+def _reference_gram(table, q_value):
+    """B(e_i, e_j) = trace(mult by e_i e_j), each of the 225 entries from
+    its own product."""
+    qv, tensor, n = rat(q_value), table.tensor, len(LABELS)
+    trace = [sum(c * qv ** e for j in range(n)
+                 for (k, e), c in tensor[i][j].items() if k == j)
+             for i in range(n)]
+    return [[sum(c * qv ** e * trace[k] for (k, e), c in tensor[i][j].items())
+             for j in range(n)] for i in range(n)]
+
+
+def test_trace_form_gram_matches_the_entrywise_formula(table, monkeypatch):
+    from cgquantum import spectral
+    grams = []
+    monkeypatch.setattr(spectral, "determinant",
+                        lambda m: grams.append(m) or determinant(m))
+    tables = [("shipped", table), ("fraction", _fraction_table())]
+    tables += _term_mutants(10, 6)
+    for name, t in tables:
+        for q in (0, 1, 16, Fraction(7, 9)):
+            got = check_semisimple(t, q)
+            want = _reference_gram(t, q)
+            assert grams.pop() == want, (name, q)
+            assert got == (determinant(want) != 0, determinant(want))
 
 
 def test_galkin_reports_match_the_fraction_charpoly(table, monkeypatch):

@@ -1,10 +1,13 @@
-"""Exact rational arithmetic: univariate and multivariate polynomials over
-the rationals, and dense exact linear algebra.
+"""Exact rational arithmetic: polynomials over the rationals, and dense
+exact linear algebra.
 
 Everything here is pure and immutable-by-convention; no floating point is
 used anywhere.  Rational numbers are ``fractions.Fraction`` (arbitrary
 precision, always in lowest terms, positive denominator).  Matrices hold
 ints or Fractions; `mat_mul` and `charpoly` keep an integer matrix on ints.
+`QPolynomial` is an output type: the result of `charpoly`, and each
+class's coefficient in `SchubertElement.coeffs`.  It has no arithmetic;
+the spectral certificate runs on integer coefficient lists instead.
 """
 from __future__ import annotations
 
@@ -79,45 +82,6 @@ class QPolynomial:
 
     def coeff(self, exp: int) -> Fraction:
         return self.coeffs.get(exp, ZERO)
-
-    def __neg__(self) -> "QPolynomial":
-        return QPolynomial({e: -c for e, c in self.coeffs.items()}, self.var)
-
-    def __call__(self, value) -> Fraction:
-        value = rat(value)
-        total = ZERO
-        for e, c in self.coeffs.items():
-            total += c * value**e
-        return total
-
-    def derivative(self) -> "QPolynomial":
-        return QPolynomial({e - 1: e * c for e, c in self.coeffs.items() if e > 0},
-                           self.var)
-
-    def divmod(self, other: "QPolynomial") -> tuple["QPolynomial", "QPolynomial"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = dict(self.coeffs)
-        quo: dict[int, Fraction] = {}
-        dg, lead = other.degree(), other.coeffs[other.degree()]
-        while rem and max(rem) >= dg:
-            e = max(rem)
-            f = rem[e] / lead
-            quo[e - dg] = f
-            for eo, co in other.coeffs.items():
-                k = e - dg + eo
-                v = rem.get(k, ZERO) - f * co
-                if v:
-                    rem[k] = v
-                elif k in rem:
-                    del rem[k]
-        return QPolynomial(quo, self.var), QPolynomial(rem, self.var)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QPolynomial) and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        return f"QPolynomial({self})"
 
     def __str__(self) -> str:
         return self.format("*")

@@ -9,6 +9,7 @@ approximations, and every printed approximation carries an error radius.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from operator import ne
 
 from .exactmath import (Matrix, QPolynomial, charpoly, clear_denominators,
@@ -80,19 +81,15 @@ def sigma1_charpoly(table: MultiplicationTable, q_value) -> QPolynomial:
 # certified real root isolation for the cubic factor
 
 
-def sturm_sequence(p: QPolynomial) -> list[list[int]]:
-    """Sturm sequence of p, each member scaled by a positive integer to
-    integer coefficients (which keeps its signs) and listed densely from
-    the leading coefficient down."""
-    seq = [p, p.derivative()]
-    while not seq[-1].is_zero():
-        rem = seq[-2].divmod(seq[-1])[1]
-        if rem.is_zero():
-            break
-        seq.append(-rem)
-    return [clear_denominators([poly.coeff(e) for e in
-                                range(poly.degree(), -1, -1)])[0]
-            for poly in seq]
+def sturm_sequence(coeffs: list[int]) -> list[list[int]]:
+    """Sturm sequence of the polynomial with these integer coefficients,
+    listed from the leading one.  Each member is primitive and a positive
+    multiple of its counterpart over the rationals, so it keeps its signs:
+    the remainders are primitive pseudo-remainders."""
+    seq = [_primitive(coeffs), _primitive(_derivative(coeffs))]
+    while seq[-1] and (rem := _prem(seq[-2], seq[-1])):
+        seq.append([-c for c in rem])
+    return seq
 
 
 def _at(coeffs: list[int], n: int, d: int) -> int:
@@ -102,6 +99,35 @@ def _at(coeffs: list[int], n: int, d: int) -> int:
         value = value * n + c * dpow
         dpow *= d
     return value
+
+
+def _primitive(coeffs: list[int]) -> list[int]:
+    """coeffs divided by the gcd of its entries; [] (zero) stays []."""
+    g = gcd(*coeffs)
+    return [c // g for c in coeffs] if g > 1 else coeffs
+
+
+def _derivative(coeffs: list[int]) -> list[int]:
+    n = len(coeffs) - 1
+    return [e * c for e, c in zip(range(n, 0, -1), coeffs)]
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """The primitive part of |lc(b)|^k times the remainder of a by b, for
+    k = deg a - deg b + 1: a positive multiple of the remainder over the
+    rationals, so it keeps its signs.  Each step scales by |lc(b)| and
+    cancels the leading term against b, made positive-leading first, as
+    a mod -b = a mod b."""
+    if b[0] < 0:
+        b = [-c for c in b]
+    lead, n = b[0], len(b)
+    for _ in range(len(a) - n + 1):
+        head, *tail = a
+        a = [lead * x - head * y for x, y in zip(tail, b[1:])] + \
+            [lead * x for x in tail[n - 1:]]
+    while a and not a[0]:
+        a = a[1:]
+    return _primitive(a)
 
 
 def sign_changes(seq: list[list[int]], n: int, d: int) -> int:
@@ -143,13 +169,12 @@ def isolate_root(seq: list[list[int]], lo, hi,
     return Fraction(a, d), Fraction(b, d)
 
 
-def newton_polish(p: QPolynomial, x0, iterations: int = 60) -> float:
+def newton_polish(coeffs: list[int], x0, iterations: int = 60) -> float:
     """Newton iteration in exact rationals from a certified starting
-    point; denominators are trimmed each step to keep sizes bounded far
+    point, on the polynomial with these integer coefficients (leading
+    first); denominators are trimmed each step to keep sizes bounded far
     below the trim precision's effect on the result."""
-    n = p.degree()
-    coeffs = clear_denominators([p.coeff(e) for e in range(n, -1, -1)])[0]
-    slopes = [e * c for e, c in zip(range(n, 0, -1), coeffs)]
+    slopes = _derivative(coeffs)
     x = rat(x0)
     for _ in range(iterations):
         a, b = x.numerator, x.denominator
@@ -210,31 +235,28 @@ def conjecture_o_check(table: MultiplicationTable) -> SpectralReport:
     # path, the early returns below included
     report.trace_form_nondegenerate, _ = check_semisimple(table, 1)
 
-    n = cp.degree()
-    report.shape_ok = (n == 15 and
-                       all(e % 4 == 3 or e == 15 for e in cp.coeffs) and
-                       all(e >= 3 for e in cp.coeffs))
+    # exponents 3 mod 4 are all >= 3, so t^3 divides the polynomial
+    report.shape_ok = (cp.degree() == 15 and
+                       all(e % 4 == 3 for e in cp.coeffs))
     if not report.shape_ok:
         report.notes.append("characteristic polynomial does not have the "
                             "t^3 * f(t^4) shape")
         return report
-    # f(y) = y^3 + c11 y^2 + c7 y + c3 so that t^3 f(t^4) = charpoly
-    f = QPolynomial({3: rat(1), 2: cp.coeff(11), 1: cp.coeff(7),
-                     0: cp.coeff(3)}, var="y")
+    # f(y) = y^3 + c11 y^2 + c7 y + c3 so that t^3 f(t^4) = charpoly,
+    # times the lcm of its denominators
+    f = clear_denominators([1, cp.coeff(11), cp.coeff(7), cp.coeff(3)])[0]
 
     # count and isolate real roots of f over a bracket certain to contain
     # them all (Cauchy bound)
-    bound = 1 + max(abs(f.coeff(i)) for i in range(3))
+    bound = 1 + Fraction(max(map(abs, f[1:])), f[0])
     seq = sturm_sequence(f)
     n_real = count_real_roots(seq, -bound, bound)
     if n_real != 1:
         report.notes.append(f"cubic has {n_real} real roots, expected 1 "
                             "(one real plus a complex pair)")
-        report.dominant_real_simple = False
         return report
     if count_real_roots(seq, 0, bound) != 1:
         report.notes.append("the real root of the cubic is not positive")
-        report.dominant_real_simple = False
         return report
     lo, hi = isolate_root(seq, 0, bound, Fraction(1, 10**14))
     report.y_max_bracket = (lo, hi)
@@ -243,14 +265,14 @@ def conjecture_o_check(table: MultiplicationTable) -> SpectralReport:
     # the complex pair z, z~ satisfies y_max * |z|^2 = -f(0), so strict
     # dominance is |z|^2 < y_max^2, i.e. -f(0) < y_max^3, certified on
     # the exact lower bracket end
-    c0 = -f.coeff(0)
+    c0 = Fraction(-f[3], f[0])
     dominant = c0 > 0 and lo > 0 and lo ** 3 > c0
-    report.dominant_real_simple = dominant and n_real == 1
+    report.dominant_real_simple = dominant
     report.other_modulus = float(c0 / ((lo + hi) / 2)) ** 0.5
     # the fifteen eigenvalues are 0 (multiplicity 3) and the fourth roots
     # of the three roots of f; the modulus-maximal set is exactly the four
     # fourth roots of y_max, i.e. T times the fourth roots of unity
-    report.modulus_set_is_fourth_roots = report.shape_ok and dominant
+    report.modulus_set_is_fourth_roots = dominant
     return report
 
 

@@ -64,12 +64,12 @@ def test_solve_inconsistent():
 
 def test_charpoly_identity_2x2():
     p = charpoly([[1, 0], [0, 1]])
-    assert p == QPolynomial({2: rat(1), 1: rat(-2), 0: rat(1)}, var="t")
+    assert p.coeffs == {2: rat(1), 1: rat(-2), 0: rat(1)}
 
 
 def test_charpoly_diagonal():
     p = charpoly([[3, 0], [0, -1]])
-    assert p == QPolynomial({2: rat(1), 1: rat(-2), 0: rat(-3)}, var="t")
+    assert p.coeffs == {2: rat(1), 1: rat(-2), 0: rat(-3)}
 
 
 def test_charpoly_nonsquare_rejected():
@@ -104,25 +104,6 @@ def test_fraction_round_trip_200_digits():
     den = int("987654321" * 22 + "7")
     x = Fraction(num, den)
     assert Fraction(str(x)) == x
-
-
-def test_qpolynomial_divmod_and_gcd():
-    # (q^2 - 1) = (q - 1)(q + 1)
-    p = QPolynomial({2: rat(1), 0: rat(-1)})
-    d = QPolynomial({1: rat(1), 0: rat(-1)})
-    quo, rem = p.divmod(d)
-    assert rem.is_zero()
-    assert quo == QPolynomial({1: rat(1), 0: rat(1)})
-    # (q - 1)^2 leaves no remainder by its derivative 2(q - 1)
-    sq = QPolynomial({2: rat(1), 1: rat(-2), 0: rat(1)})
-    quo, rem = sq.divmod(sq.derivative())
-    assert rem.is_zero()
-    assert quo == QPolynomial({1: Fraction(1, 2), 0: Fraction(-1, 2)})
-
-
-def test_qpolynomial_evaluation_exact():
-    p = QPolynomial({3: Fraction(1, 3), 0: Fraction(1, 6)})
-    assert p(Fraction(1, 2)) == Fraction(1, 24) + Fraction(1, 6)
 
 
 @pytest.mark.parametrize("coeffs, starred, spaced", [
@@ -340,12 +321,12 @@ def test_charpoly_matches_fraction_reference():
     for m in cases:
         before = [row[:] for row in m]
         got = charpoly(m)
-        assert got == _reference_charpoly(m), m
+        assert got.coeffs == _reference_charpoly(m).coeffs, m
         assert got.var == "t"
         assert all(type(c) is Fraction for c in got.coeffs.values())
         assert m == before
-    assert charpoly([]) == QPolynomial({0: 1}, "t")
-    assert charpoly([[0] * 4 for _ in range(4)]) == QPolynomial({4: 1}, "t")
+    assert charpoly([]).coeffs == {0: 1}
+    assert charpoly([[0] * 4 for _ in range(4)]).coeffs == {4: 1}
 
 
 def test_integer_input_stays_on_ints(monkeypatch):
@@ -410,7 +391,8 @@ def test_packed_charpoly_matches_fraction_reference():
         got = _int_charpoly(m)
         assert sorted(got) == list(range(len(m) + 1))
         assert all(type(c) is int for c in got.values())
-        assert charpoly(m) == QPolynomial(got, "t") == _reference_charpoly(m), m
+        assert charpoly(m).coeffs == QPolynomial(got, "t").coeffs == \
+            _reference_charpoly(m).coeffs, m
 
 
 @pytest.mark.parametrize("text, want", [

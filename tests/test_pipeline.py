@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from cgquantum.exactmath import (InconsistentSystem, QPolynomial,
-                                 UnderdeterminedSystem, rat)
+from cgquantum.exactmath import (InconsistentSystem, UnderdeterminedSystem,
+                                 rat)
 from cgquantum.pipeline import (ALL_SCENARIOS, CHEVALLEY_SCENARIOS,
                                 close_loop, derive_missing_products,
                                 derive_presentation, run_pipeline,
@@ -67,7 +67,7 @@ def test_derived_extra_products(table, scenario_values):
     s2_sq, s4_s2 = derive_missing_products(table, scenario_values)
     assert s2_sq == table.basis_product("s2", "s2")
     assert s4_s2 == table.basis_product("s4", "s2")
-    assert s4_s2.coeff("s2p") == QPolynomial.monomial(1, 2)
+    assert s4_s2.coeff("s2p").coeffs == {1: 2}
 
 
 def test_derived_relations_match_reference(derived):

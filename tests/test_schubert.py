@@ -129,7 +129,7 @@ def test_shipped_table_passes_all_checks(table):
 def test_missing_coefficient_fault_breaks_associativity(table):
     # drop the coefficient of s7 in the degree-7 entry from 3 to 1
     entry = table.basis_product("s5p", "s2")
-    assert entry.coeff("s7") == QPolynomial({0: 3})
+    assert entry.coeff("s7").coeffs == {0: 3}
     broken_entry = entry + SchubertElement({"s7": QPolynomial({0: -2})})
     broken = table.with_entry("s5p", "s2", broken_entry)
     report = verify_table(broken)

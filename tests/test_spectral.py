@@ -3,17 +3,18 @@ import json
 import os
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from cgquantum.exactmath import QPolynomial, determinant, mat_mul, rat
+from cgquantum.exactmath import clear_denominators, determinant, mat_mul, rat
 from cgquantum.schubert import (LABELS, MultiplicationTable, SchubertElement,
                                 default_data_dir, load_default_table)
-from cgquantum.spectral import (check_semisimple, conjecture_o_check,
-                                covariance_check, galkin_bound_check,
-                                isolate_root, multiplication_matrix,
-                                nilpotency_index, sigma1_charpoly,
-                                sturm_sequence)
+from cgquantum.spectral import (_at, _derivative, _prem, check_semisimple,
+                                conjecture_o_check, covariance_check,
+                                galkin_bound_check, isolate_root,
+                                multiplication_matrix, nilpotency_index,
+                                sigma1_charpoly, sturm_sequence)
 
 Y_MAX_REFERENCE = 99.00713881372502
 T_REFERENCE = 12.6175960332
@@ -36,9 +37,8 @@ def test_identity_multiplication_matrix(table):
 
 def test_charpoly_exact(table):
     p = sigma1_charpoly(table, 1)
-    want = QPolynomial({15: rat(1), 11: rat(-102), 7: rat(317),
-                        3: rat(-2048)}, var="t")
-    assert p == want
+    assert p.coeffs == {15: rat(1), 11: rat(-102), 7: rat(317),
+                        3: rat(-2048)}
 
 
 def test_classical_operator_nilpotent(table):
@@ -72,12 +72,41 @@ def test_dominant_root_value(report):
 
 def test_reference_decimal_is_near_the_root():
     # exact rational evaluation of the cubic at the published decimal
-    f = QPolynomial({3: rat(1), 2: rat(-102), 1: rat(317), 0: rat(-2048)},
-                    var="y")
-    literal = Fraction(9900713881372502, 10**14)
-    residual = f(literal)
-    scale = abs(f.derivative()(literal) * literal)
-    assert abs(residual) < Fraction(1, 10**6) * scale
+    y = Fraction(9900713881372502, 10**14)
+    residual = y**3 - 102 * y**2 + 317 * y - 2048
+    slope = 3 * y**2 - 204 * y + 317
+    assert abs(residual) < Fraction(1, 10**6) * abs(slope * y)
+
+
+def test_prem_and_derivative():
+    # (q^2 - 1) = (q - 1)(q + 1)
+    assert _prem([1, 0, -1], [1, -1]) == []
+    # (q - 1)^2 leaves no remainder by its derivative 2(q - 1)
+    sq = [1, -2, 1]
+    assert _derivative(sq) == [2, -2]
+    assert _prem(sq, _derivative(sq)) == []
+    # 3q^3 + 6 = (-2q^2 + 4q)(-3q/2 - 3) + 12q + 6: the primitive part,
+    # with the remainder's signs, although lc(b) is negative
+    assert _prem([3, 0, 0, 6], [-2, 4, 0]) == [2, 1]
+    # q^2 - 1 = (-2q + 4)(-q/2 - 1) + 3
+    assert _prem([1, 0, -1], [-2, 4]) == [1]
+    # odd k with lc(b) < 0: lc(b)^k would flip the remainder's signs
+    # q^2 + 1 = (-q^2 + q)(-1) + q + 1 and q^3 = (-q + 2)(-q^2 - 2q - 4) + 8
+    assert _prem([1, 0, 1], [-1, 1, 0]) == [1, 1]
+    assert _prem([1, 0, 0, 0], [-1, 2]) == [1]
+    # no division step: a itself, made primitive
+    assert _prem([4, -6], [1, 0, 0]) == [2, -3]
+    assert _derivative([7]) == [] and _derivative([]) == []
+
+
+def test_at_evaluates_exactly():
+    # 6 p for p = q^3 / 3 + 1 / 6, read at q = 1/2 and -1/2 as
+    # 2^3 * 6 p(+-1/2)
+    six_p = [2, 0, 0, 1]
+    assert Fraction(_at(six_p, 1, 2), 6 * 2**3) == \
+        Fraction(1, 24) + Fraction(1, 6)
+    assert Fraction(_at(six_p, -1, 2), 6 * 2**3) == \
+        Fraction(-1, 24) + Fraction(1, 6)
 
 
 def test_all_flags_true(report):
@@ -114,19 +143,42 @@ def test_charpoly_scaling_with_q(table):
     assert p16.coeff(3) == -2048 * 16 ** 3
 
 
-def _reference_isolate_root(p, lo, hi, width):
-    """Bisection that rebuilds the Sturm sequence over Fractions and
-    evaluates both bracket ends at every step."""
-    def count(a, b):
-        seq = [p, p.derivative()]
-        while not seq[-1].is_zero():
-            rem = seq[-2].divmod(seq[-1])[1]
-            if rem.is_zero():
-                break
-            seq.append(-rem)
+def _value(coeffs, x):
+    """The polynomial at x, by Horner's rule in Fractions; coefficients
+    are listed from the leading one, as everywhere below."""
+    value = Fraction(0)
+    for c in coeffs:
+        value = value * x + c
+    return value
 
+
+def _fraction_rem(a, b):
+    """Remainder of a by b, by long division over Fractions."""
+    while len(a) >= len(b):
+        f = Fraction(a[0]) / b[0]
+        a = [x - f * y for x, y in zip(a[1:], b[1:])] + a[len(b):]
+        while a and not a[0]:
+            a = a[1:]
+    return a
+
+
+def _fraction_sturm(p):
+    """p, p' and the negated remainders, over Fractions."""
+    seq = [p, [e * c for e, c in zip(range(len(p) - 1, 0, -1), p)]]
+    while seq[-1] and (rem := _fraction_rem(seq[-2], seq[-1])):
+        seq.append([-c for c in rem])
+    return seq
+
+
+def _reference_isolate_root(p, lo, hi, width):
+    """Bisection on the Fraction Sturm sequence that evaluates both
+    bracket ends at every step."""
+    seq = _fraction_sturm(p)
+
+    def count(a, b):
         def changes(x):
-            signs = [1 if v > 0 else -1 for v in (q(x) for q in seq) if v]
+            signs = [1 if v > 0 else -1 for v in (_value(q, x) for q in seq)
+                     if v]
             return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
         return changes(a) - changes(b)
 
@@ -143,6 +195,7 @@ def _reference_isolate_root(p, lo, hi, width):
 
 
 def _random_cubic(rng):
+    """Fraction coefficients, leading first, and the roots if known."""
     def r():
         return Fraction(rng.randint(-40, 40), rng.randint(1, 6))
     if rng.random() < 0.4:
@@ -150,15 +203,13 @@ def _random_cubic(rng):
         roots = [r() for _ in range(3)]
         if rng.random() < 0.5:
             roots[1] = roots[0]
-        a, (x0, x1, x2) = rng.choice([1, -2, Fraction(3, 5)]), roots
+        a, (x0, x1, x2) = Fraction(rng.choice([1, -2, Fraction(3, 5)])), roots
         # a (y - x0)(y - x1)(y - x2), written out
-        p = QPolynomial({3: a, 2: -a * (x0 + x1 + x2),
-                         1: a * (x0 * x1 + x0 * x2 + x1 * x2),
-                         0: -a * x0 * x1 * x2}, "y")
-        return p, roots
-    coeffs = {3: Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))}
-    coeffs.update((e, r()) for e in range(3))
-    return QPolynomial(coeffs, "y"), []
+        return [a, -a * (x0 + x1 + x2), a * (x0 * x1 + x0 * x2 + x1 * x2),
+                -a * x0 * x1 * x2], roots
+    lead = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
+    c0, c1, c2 = [r() for _ in range(3)]
+    return [lead, c2, c1, c0], []
 
 
 def test_isolate_root_matches_per_step_reference():
@@ -180,12 +231,47 @@ def test_isolate_root_matches_per_step_reference():
         except ValueError as exc:
             raised += 1
             with pytest.raises(ValueError, match=str(exc)):
-                isolate_root(sturm_sequence(p), lo, hi, width)
+                isolate_root(sturm_sequence(clear_denominators(p)[0]),
+                             lo, hi, width)
             continue
-        got = isolate_root(sturm_sequence(p), lo, hi, width)
+        got = isolate_root(sturm_sequence(clear_denominators(p)[0]),
+                           lo, hi, width)
         assert got == want, (p, lo, hi, width)
         assert all(type(x) is Fraction for x in got)
     assert 20 < raised < 230  # both outcomes are exercised
+
+
+def test_sturm_members_are_primitive_positive_multiples(table):
+    rng = random.Random(3041)
+    cases = []
+    for _ in range(150):
+        p, _ = _random_cubic(rng)
+        # an integer input with a content of its own, now and then
+        k = rng.choice([1, 1, 6])
+        cases.append((p, [k * c for c in clear_denominators(p)[0]]))
+    # y^4 + y: the member after p' = 4y^3 + 1 is -3y/4, and p' takes
+    # k = 3 steps to divide by it, where lc^k would flip the signs
+    for ints in ([1, 0, 0, 1, 0], [-2, 0, 0, 3, 0, -1]):
+        cases.append(([Fraction(c) for c in ints], ints))
+    cp = sigma1_charpoly(table, 1)
+    shipped = [cp.coeff(e) for e in range(15, -1, -1)]
+    cases.append((shipped, clear_denominators(shipped)[0]))
+    seen = set()
+    for p, ints in cases:
+        got, want = sturm_sequence(ints), _fraction_sturm(p)
+        assert len(got) == len(want), p
+        for member, ref in zip(got, want):
+            assert len(member) == len(ref) and gcd(*member) == 1, p
+            ratio = member[0] / ref[0]
+            assert ratio > 0, p
+            assert all(x == ratio * y for x, y in zip(member, ref)), p
+        seen |= {ints[0] < 0 and "negative lead", abs(ints[0]) > 1 and
+                 "non-unit lead", gcd(*ints) > 1 and "content",
+                 len(got[-1]) > 1 and "gcd(p, p') nonconstant"}
+    assert seen >= {"negative lead", "non-unit lead", "content",
+                    "gcd(p, p') nonconstant"}
+    # the t^3 factor: gcd(p, p') of the shipped charpoly is t^2
+    assert got[-1] == [1, 0, 0]
 
 
 def _table_with(mutate):
@@ -251,6 +337,23 @@ def _fraction_table():
     return _table_with(_s2_coefficient("3/2"))
 
 
+@pytest.mark.parametrize("s2", ["3/2", "1/3"])
+def test_cubic_with_denominators_matches_fraction_bisection(s2):
+    # D > 1: the integer cubic is D^k times the Fraction one, and the
+    # bracket must be the one a bisection of the Fraction cubic gives
+    from test_exactmath import _reference_charpoly
+    table = _table_with(_s2_coefficient(s2))
+    cp = _reference_charpoly(multiplication_matrix(
+        table, SchubertElement.basis("s1"), 1))
+    f = [cp.coeff(e) for e in (15, 11, 7, 3)]
+    assert any(c.denominator > 1 for c in f)
+    bound = 1 + max(abs(c) for c in f[1:])
+    report = conjecture_o_check(table)
+    assert report.y_max_bracket == _reference_isolate_root(
+        f, 0, bound, Fraction(1, 10**14))
+    assert report.ok
+
+
 def _reference_nilpotency_index(table, q_value):
     """Powers of the Fraction matrix itself."""
     m = multiplication_matrix(table, SchubertElement.basis("s1"), q_value)
@@ -270,7 +373,7 @@ def test_sigma1_charpoly_matches_fraction_reference(table):
         for q in (0, 1, 2, Fraction(7, 9), -3, 16, Fraction(1, 2)):
             m = multiplication_matrix(t, SchubertElement.basis("s1"), q)
             got = sigma1_charpoly(t, q)
-            assert got == _reference_charpoly(m), (name, q)
+            assert got.coeffs == _reference_charpoly(m).coeffs, (name, q)
             assert got.var == "t"
             assert all(type(c) is Fraction for c in got.coeffs.values())
         for q in (0, 1):

@@ -236,8 +236,7 @@ def cmd_charpoly(args) -> int:
         return EXIT_USAGE
     poly = sigma1_charpoly(table, qv)
     if args.json:
-        print(json.dumps({str(e): str(c)
-                          for e, c in sorted(poly.coeffs.items())}))
+        print(json.dumps(poly.to_dict()))
     else:
         print(poly.format(" "))
     return EXIT_OK

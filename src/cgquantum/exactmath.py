@@ -86,6 +86,9 @@ class QPolynomial:
     def __str__(self) -> str:
         return self.format("*")
 
+    def to_dict(self) -> dict[str, str]:
+        return {str(e): str(c) for e, c in sorted(self.coeffs.items())}
+
     def format(self, sep: str) -> str:
         """The terms by descending exponent, each coefficient joined to its
         power of var by sep; a coefficient 1 is left out.  After the first

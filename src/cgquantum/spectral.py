@@ -2,14 +2,14 @@
 semisimplicity via the trace form, dominant-eigenvalue structure, and the
 spectral-radius lower bound.
 
-The certified parts (root isolation, strict inequalities) are done with
-exact rational arithmetic; floating point only polishes the final decimal
-approximations, and every printed approximation carries an error radius.
+Root isolation and the strict inequalities are exact; no float decides a
+check.  y_max prints as the float nearest the isolated root, and T and the
+complex pair's modulus as floats taken from y_max and its exact bracket.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 from operator import ne
 
 from .exactmath import (Matrix, QPolynomial, charpoly, clear_denominators,
@@ -169,23 +169,24 @@ def isolate_root(seq: list[list[int]], lo, hi,
     return Fraction(a, d), Fraction(b, d)
 
 
-def newton_polish(coeffs: list[int], x0, iterations: int = 60) -> float:
-    """Newton iteration in exact rationals from a certified starting
-    point, on the polynomial with these integer coefficients (leading
-    first); denominators are trimmed each step to keep sizes bounded far
-    below the trim precision's effect on the result."""
-    slopes = _derivative(coeffs)
-    x = rat(x0)
-    for _ in range(iterations):
-        a, b = x.numerator, x.denominator
-        dfx = _at(slopes, a, b)
-        if dfx == 0:
-            break
-        step = Fraction(_at(coeffs, a, b), b * dfx)  # p(x) / p'(x)
-        x = (x - step).limit_denominator(10**30)
-        if abs(step) < Fraction(1, 10**20) * max(1, abs(x)):
-            break
-    return float(x)
+def _float(x: Fraction) -> float:
+    """float(x), but +-inf where float(x) overflows."""
+    try:
+        return float(x)
+    except OverflowError:
+        return inf if x > 0 else -inf
+
+
+def _rounded_root(seq: list[list[int]], lo, hi) -> float:
+    """The float nearest the root in (lo, hi], 0 <= lo, ties to even: the
+    bracket is halved until its ends round alike, or until the root is
+    the tie halfway between their floats (inf counting as 2^1024)."""
+    while (x := _float(lo)) != (y := _float(hi)):
+        m = (Fraction(x) + (Fraction(y) if y < inf else 2**1024)) / 2
+        if lo < m and not _at(seq[0], m.numerator, m.denominator):
+            return _float(m)
+        lo, hi = isolate_root(seq, lo, hi, (hi - lo) / 2)
+    return x
 
 
 class SpectralReport:
@@ -206,8 +207,7 @@ class SpectralReport:
     def to_dict(self) -> dict:
         lo, hi = self.y_max_bracket
         return {
-            "char_poly": {str(e): str(c)
-                          for e, c in sorted(self.char_poly.coeffs.items())},
+            "char_poly": self.char_poly.to_dict(),
             "shape_t3_f_t4": self.shape_ok,
             "y_max": {"value": repr(self.y_max),
                       "bracket": [str(lo), str(hi)],
@@ -260,7 +260,7 @@ def conjecture_o_check(table: MultiplicationTable) -> SpectralReport:
         return report
     lo, hi = isolate_root(seq, 0, bound, Fraction(1, 10**14))
     report.y_max_bracket = (lo, hi)
-    report.y_max = newton_polish(f, float((lo + hi) / 2))
+    report.y_max = _rounded_root(seq, lo, hi)
 
     # the complex pair z, z~ satisfies y_max * |z|^2 = -f(0), so strict
     # dominance is |z|^2 < y_max^2, i.e. -f(0) < y_max^3, certified on
@@ -268,7 +268,7 @@ def conjecture_o_check(table: MultiplicationTable) -> SpectralReport:
     c0 = Fraction(-f[3], f[0])
     dominant = c0 > 0 and lo > 0 and lo ** 3 > c0
     report.dominant_real_simple = dominant
-    report.other_modulus = float(c0 / ((lo + hi) / 2)) ** 0.5
+    report.other_modulus = _float(c0 / ((lo + hi) / 2)) ** 0.5
     # the fifteen eigenvalues are 0 (multiplicity 3) and the fourth roots
     # of the three roots of f; the modulus-maximal set is exactly the four
     # fourth roots of y_max, i.e. T times the fourth roots of unity
@@ -287,8 +287,7 @@ def galkin_bound_check(table: MultiplicationTable) -> tuple[float, bool, Spectra
     tested on the exact lower end of the isolation bracket.
     """
     report = conjecture_o_check(table)
-    lo, hi = report.y_max_bracket
-    bound_ok = lo > GALKIN_THRESHOLD
+    bound_ok = report.y_max_bracket[0] > GALKIN_THRESHOLD
     t_cg = 4 * (report.y_max ** 0.25)
     return t_cg, bound_ok, report
 
@@ -317,9 +316,7 @@ def covariance_check(table: MultiplicationTable, q_value=16,
     scaled = sigma1_charpoly(table, q_value)
     qv = rat(q_value)
     for e in set(base.coeffs) | set(scaled.coeffs):
-        expo = Fraction(15 - e, 4)
-        if expo.denominator != 1:
-            return False
-        if scaled.coeff(e) != base.coeff(e) * qv ** int(expo):
+        k, r = divmod(15 - e, 4)
+        if r or scaled.coeff(e) != base.coeff(e) * qv ** k:
             return False
     return True

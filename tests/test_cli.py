@@ -272,11 +272,16 @@ def test_unreadable_giambelli_file_is_a_data_error(capsys, tmp_path):
     assert len(err.splitlines()) == 1
 
 
-def _s1_s1_coefficient_of_s2(value):
+def _coefficient(a, b, label, q, value):
     def mutate(raw):
-        rec = next(r for r in raw["products"] if (r["a"], r["b"]) == ("s1", "s1"))
-        next(t for t in rec["terms"] if t["label"] == "s2")["coeff"] = value
+        rec = next(r for r in raw["products"] if (r["a"], r["b"]) == (a, b))
+        next(t for t in rec["terms"]
+             if (t["label"], t["q"]) == (label, q))["coeff"] = value
     return mutate
+
+
+def _s1_s1_coefficient_of_s2(value):
+    return _coefficient("s1", "s1", "s2", 0, value)
 
 
 @pytest.mark.parametrize("argv, failing", [
@@ -292,6 +297,58 @@ def test_cubic_without_positive_root_is_a_verification_failure(
     assert code == 1
     assert err == ""
     assert failing in out
+
+
+def test_root_past_the_float_range_prints_inf(capsys, tmp_path):
+    # with the s2 coefficient of s1 * s1 at 10^400 the cubic's real root
+    # is far past the largest float: y_max and T print as inf, and every
+    # spectral check still passes
+    path = _write_shipped_table(tmp_path, _s1_s1_coefficient_of_s2(10**400))
+    code, out, err = run_cli(capsys, "--table-file", path, "conjecture-o")
+    assert (code, err) == (0, "")
+    assert "\ny_max = inf (certified within " in out
+    assert out.endswith("\nT = inf; strict bound T > 9: True\n")
+    code, out, err = run_cli(capsys, "--table-file", path,
+                             "verify", "--suite", "spectral")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [f"[pass] spectral:{check}" for check in (
+        "charpoly_shape", "dominant_real_simple", "modulus_set_fourth_roots",
+        "trace_form_nondegenerate", "spectral_radius_bound",
+        "classical_nilpotent", "classical_not_semisimple",
+        "charpoly_covariance")]
+
+
+@pytest.mark.parametrize("term", [("s7", "s1", "s8", 0),
+                                  ("s6p", "s1", "s3", 1)],
+                         ids=["s7*s1:s8", "s6p*s1:q*s3"])
+def test_huge_s1_row_term_fails_verify_all(capsys, tmp_path, term):
+    path = _write_shipped_table(tmp_path, _coefficient(*term, 10**400))
+    code, out, err = run_cli(capsys, "--table-file", path,
+                             "verify", "--suite", "all")
+    assert (code, err) == (1, "")
+    assert "[fail] table:associativity" in out
+
+
+def test_complex_pair_past_the_float_range_prints_inf(capsys, tmp_path):
+    # s0 * s1 = 10^400 s1 and an s3p coefficient of s2p * s1 at -10^401
+    # leave a real root near 5 and put the complex pair's squared
+    # modulus, |f(0)| / y_max, past the largest float
+    def mutate(raw):
+        _coefficient("s0", "s1", "s1", 0, 10**400)(raw)
+        _coefficient("s2p", "s1", "s3p", 0, -10**401)(raw)
+    path = _write_shipped_table(tmp_path, mutate)
+    code, out, err = run_cli(capsys, "--table-file", path,
+                             "--json", "conjecture-o")
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert report["other_root_modulus"]["value"] == "inf"
+    assert not report["dominant_real_simple"]
+
+
+def test_charpoly_json_is_the_conjecture_o_char_poly(capsys):
+    _, charpoly, _ = run_cli(capsys, "--json", "charpoly")
+    _, report, _ = run_cli(capsys, "--json", "conjecture-o")
+    assert json.loads(charpoly) == json.loads(report)["char_poly"]
 
 
 @pytest.mark.parametrize("argv, golden", [

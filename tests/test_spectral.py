@@ -2,15 +2,17 @@
 import json
 import os
 import random
+import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 
 import pytest
 
 from cgquantum.exactmath import clear_denominators, determinant, mat_mul, rat
 from cgquantum.schubert import (LABELS, MultiplicationTable, SchubertElement,
                                 default_data_dir, load_default_table)
-from cgquantum.spectral import (_at, _derivative, _prem, check_semisimple,
+from cgquantum.spectral import (_at, _derivative, _prem, _rounded_root,
+                                check_semisimple,
                                 conjecture_o_check, covariance_check,
                                 galkin_bound_check, isolate_root,
                                 multiplication_matrix, nilpotency_index,
@@ -65,9 +67,7 @@ def test_trace_form_rank_is_full(table, report):
 def test_dominant_root_value(report):
     assert report.shape_ok
     assert abs(report.y_max - Y_MAX_REFERENCE) <= 1e-9 * Y_MAX_REFERENCE
-    lo, hi = report.y_max_bracket
-    assert lo < Fraction(report.y_max).limit_denominator(10**18) < hi or \
-        float(lo) <= report.y_max <= float(hi)
+    assert report.y_max == _reference_rounded_root(*_cubic_and_bound(report))
 
 
 def test_reference_decimal_is_near_the_root():
@@ -194,6 +194,23 @@ def _reference_isolate_root(p, lo, hi, width):
     return lo, hi
 
 
+def _reference_rounded_root(p, lo, hi):
+    """The Fraction bisection run on until both bracket ends round to the
+    same float: enough for a root that is no tie between two floats."""
+    for _ in range(200):
+        if float(lo) == float(hi):
+            return float(lo)
+        lo, hi = _reference_isolate_root(p, lo, hi, (hi - lo) / 2)
+    raise AssertionError("the bracket ends still round apart")
+
+
+def _cubic_and_bound(report):
+    """The report's monic cubic f, leading first, and the bracket (0,
+    Cauchy bound] that holds its real roots."""
+    f = [report.char_poly.coeff(e) for e in (15, 11, 7, 3)]
+    return f, 0, 1 + max(abs(c) for c in f[1:])
+
+
 def _random_cubic(rng):
     """Fraction coefficients, leading first, and the roots if known."""
     def r():
@@ -315,19 +332,21 @@ def test_covariance_check_with_and_without_the_q1_polynomial(table):
         assert covariance_check(t, 16, sigma1_charpoly(t, 1)) is want
 
 
-def _term_mutants(seed, count):
-    """Seeded +-1 mutants of terms in the products s1 * x, which are the
-    entries the s1 matrix reads, as (name, table)."""
+def _term_mutants(seed, count, deltas=(1, -1)):
+    """Seeded mutants of terms in the products s1 * x, which are the
+    entries the s1 matrix reads, each term changed by one of the deltas,
+    as (name, table)."""
     with open(os.path.join(default_data_dir(), "cg_table.json")) as fh:
         raw = json.load(fh)
     sites = [(p, t, d) for p, rec in enumerate(raw["products"])
              if "s1" in (rec["a"], rec["b"])
-             for t in range(len(rec["terms"])) for d in (1, -1)]
+             for t in range(len(rec["terms"])) for d in deltas]
     out = []
     for p, t, d in random.Random(seed).sample(sites, count):
         term = raw["products"][p]["terms"][t]
         term["coeff"] += d
-        out.append((f"{p}.{t}{d:+d}", MultiplicationTable.from_dict(raw)))
+        out.append((f"{p}.{t}{'+' if d > 0 else ''}{d}",
+                    MultiplicationTable.from_dict(raw)))
         term["coeff"] -= d
     return out
 
@@ -352,6 +371,55 @@ def test_cubic_with_denominators_matches_fraction_bisection(s2):
     assert report.y_max_bracket == _reference_isolate_root(
         f, 0, bound, Fraction(1, 10**14))
     assert report.ok
+
+
+def test_y_max_is_the_rounded_root_on_mutants(table):
+    checked = 0
+    for name, t in [("shipped", table)] + _term_mutants(
+            2075, 24, (1, -1, Fraction(1, 2), Fraction(-1, 3), 100)):
+        report = conjecture_o_check(t)
+        if report.y_max_bracket[1]:  # a positive root was isolated
+            checked += 1
+            assert report.y_max == _reference_rounded_root(
+                *_cubic_and_bound(report)), name
+    assert checked > 12, checked
+
+
+@pytest.mark.parametrize("root, b, want", [
+    # the Cauchy bound is exactly 4 * root, so the second bisection step
+    # lands on the root, which lies halfway between two floats
+    (Fraction(1, 2) + Fraction(3, 2**54), 1 + Fraction(3, 2**52),
+     float.fromhex("0x1.0000000000002p-1")),
+    # a tie off the bisection grid: the bound 2^53 + 2 has the odd factor
+    # 2^52 + 1, which does not divide the root
+    (2**53 + 1, 1, 2.0**53),
+    # the least value that rounds to inf is a tie, and inf takes it
+    (2**1024 - 2**970, 1, inf),
+    (2**1024 - 2**970 - 1, 1, sys.float_info.max),
+    (10**400, 1, inf),
+    (Fraction(1, 10**330), 1, 0.0),
+], ids=["tie-on-grid", "tie-off-grid", "tie-at-inf", "largest-float",
+        "past-largest-float", "below-least-subnormal"])
+def test_rounded_root_ties_and_range_ends(root, b, want):
+    # (y - root)(y^2 + b): one real root, bracketed by the Cauchy bound
+    p = [1, -root, b, -root * b]
+    bound = 1 + max(abs(Fraction(c)) for c in p[1:])
+    seq = sturm_sequence(clear_denominators(p)[0])
+    if b != 1:  # b = 4 * root - 1
+        assert bound == 4 * root
+        assert isolate_root(seq, 0, bound, root) == (0, root)
+    got = _rounded_root(seq, 0, bound)
+    assert got == want and type(got) is float
+    assert str(got) == str(want)  # 0.0, not -0.0
+
+
+def test_rounded_root_is_the_one_in_the_bracket():
+    # lo = 1 + 2^-53 is a root too, and the tie halfway between the
+    # floats that lo and hi round to; the root in (lo, hi] is 1 + 2^-52
+    lo, root = 1 + Fraction(1, 2**53), 1 + Fraction(1, 2**52)
+    seq = sturm_sequence(clear_denominators(
+        [1, -(lo + root), lo * root])[0])
+    assert _rounded_root(seq, lo, root + Fraction(1, 2**60)) == float(root)
 
 
 def _reference_nilpotency_index(table, q_value):

@@ -14,7 +14,22 @@ from operator import ne
 
 from .exactmath import (Matrix, QPolynomial, charpoly, clear_denominators,
                         determinant, mat_mul, rat)
-from .schubert import LABEL_INDEX, LABELS, MultiplicationTable, SchubertElement
+from .schubert import (DEGREES, LABEL_INDEX, LABELS, MultiplicationTable,
+                       SchubertElement)
+
+# V_r holds the classes of degree r mod 4.  On a graded table the s1 matrix
+# is zero at (k, j) with deg k != deg j + 1, and the Gram matrix at (i, j)
+# with deg i + deg j != 0, mod 4.
+_GRADE = [DEGREES[label] % 4 for label in LABELS]
+_V = [[i for i, g in enumerate(_GRADE) if g == r] for r in range(4)]
+_PAIRS = [(i, j) for i in range(len(LABELS)) for j in range(len(LABELS))]
+_OFF_S1 = [(k, j) for k, j in _PAIRS if (_GRADE[k] - _GRADE[j] - 1) % 4]
+_OFF_GRAM = [(i, j) for i, j in _PAIRS if (_GRADE[i] + _GRADE[j]) % 4]
+
+
+def _block(m: Matrix, r: int, s: int) -> Matrix:
+    """The block of m with rows in V_r and columns in V_s."""
+    return [[m[i][j] for j in _V[s]] for i in _V[r]]
 
 
 def multiplication_matrix(table: MultiplicationTable, x: SchubertElement,
@@ -41,7 +56,10 @@ def _exact_q(q_value):
 def check_semisimple(table: MultiplicationTable, q_value) -> tuple[bool, Fraction]:
     """Trace-form criterion: the algebra at the given q is semisimple iff
     the Gram matrix B(e_i, e_j) = trace(mult by e_i e_j) has full rank.
-    Returns (semisimple, exact Gram determinant)."""
+    Returns (semisimple, exact Gram determinant).  Where B is zero at every
+    deg i + deg j != 0 mod 4, as on a graded table, B in the order V0, V2,
+    V1, V3 is diag(B_00, B_22, [[0, B_13], [B_13^T, 0]]), B_13 3x3, so det B
+    = -det(B_00) det(B_22) det(B_13)^2; elsewhere B is taken whole."""
     qv, n = _exact_q(q_value), len(LABELS)
     qpow = {e: qv ** e for terms in table.constants.values() for _, e in terms}
     # trace of multiplication by each basis class
@@ -53,7 +71,11 @@ def check_semisimple(table: MultiplicationTable, q_value) -> tuple[bool, Fractio
     for (i, j), terms in table.constants.items():
         gram[i][j] = gram[j][i] = sum([c * qpow[e] * trace[k]
                                        for (k, e), c in terms.items()])
-    det = determinant(gram)
+    if any(gram[i][j] for i, j in _OFF_GRAM):
+        det = determinant(gram)
+    else:
+        det = -determinant(_block(gram, 0, 0)) * determinant(
+            _block(gram, 2, 2)) * determinant(_block(gram, 1, 3)) ** 2
     return det != 0, det
 
 
@@ -70,11 +92,21 @@ def _sigma1_rows(table: MultiplicationTable, q_value) -> tuple[Matrix, int]:
 
 def sigma1_charpoly(table: MultiplicationTable, q_value) -> QPolynomial:
     """Characteristic polynomial of multiplication by s1 at q_value, taken
-    on the integer matrix D*M: its t^(n-k) coefficient is D^k times M's."""
+    on the integer matrix A = D*M: its t^(n-k) coefficient is D^k times M's.
+    Where A is zero at every deg k != deg j + 1 mod 4, as on a graded table,
+    A maps V_r into V_(r+1), and det(t - A) = t^3 det(t^4 - P) for the 3x3
+    P = A^4 on V1, the product of A's blocks around the cycle; elsewhere
+    the 15x15 charpoly of A is taken.  Both give Fractions, divided exactly."""
     rows, den = _sigma1_rows(table, q_value)
     n = len(rows)
-    return QPolynomial({e: c / den ** (n - e) for e, c in
-                        charpoly(rows, var="t").coeffs.items()}, var="t")
+    if any(rows[k][j] for k, j in _OFF_S1):
+        coeffs = charpoly(rows).coeffs
+    else:
+        p = _block(rows, 1, 0)
+        for r in 3, 2, 1:
+            p = mat_mul(p, _block(rows, (r + 1) % 4, r))
+        coeffs = {4 * e + 3: c for e, c in charpoly(p).coeffs.items()}
+    return QPolynomial({e: c / den ** (n - e) for e, c in coeffs.items()}, "t")
 
 
 # ---------------------------------------------------------------------------

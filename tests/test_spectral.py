@@ -460,19 +460,103 @@ def _reference_gram(table, q_value):
              for j in range(n)] for i in range(n)]
 
 
+def _shape_table():
+    # an s1 term in s1 * s1 is off grade: the s1 matrix maps V1 into V1,
+    # and the Gram matrix pairs s0 with s1
+    return _table_with(lambda terms: terms.append(
+        {"label": "s1", "q": 0, "coeff": 1}))
+
+
 def test_trace_form_gram_matches_the_entrywise_formula(table, monkeypatch):
+    # on a graded table determinant receives only the blocks V0 x V0,
+    # V2 x V2 and V1 x V3 of the Gram matrix; then every reference entry
+    # outside them and V3 x V1 = (V1 x V3)^T must be zero, so that all 225
+    # entries are compared on either path
     from cgquantum import spectral
+    from cgquantum.spectral import _V
     grams = []
     monkeypatch.setattr(spectral, "determinant",
                         lambda m: grams.append(m) or determinant(m))
-    tables = [("shipped", table), ("fraction", _fraction_table())]
+    blocks = [(0, 0), (2, 2), (1, 3)]
+    tables = [("shipped", table), ("fraction", _fraction_table()),
+              ("shape", _shape_table())]
     tables += _term_mutants(10, 6)
+    paths = set()
     for name, t in tables:
         for q in (0, 1, 16, Fraction(7, 9)):
+            grams.clear()
             got = check_semisimple(t, q)
             want = _reference_gram(t, q)
-            assert grams.pop() == want, (name, q)
+            paths.add(len(grams))
+            if len(grams) == 1:
+                assert grams == [want], (name, q)
+            else:
+                assert grams == [[[want[i][j] for j in _V[s]] for i in _V[r]]
+                                 for r, s in blocks], (name, q)
+                inside = {(i, j) for r, s in blocks for i in _V[r]
+                          for j in _V[s]}
+                for i, row in enumerate(want):
+                    for j, x in enumerate(row):
+                        if (j, i) in inside:
+                            assert x == want[j][i], (name, q, i, j)
+                        elif (i, j) not in inside:
+                            assert x == 0, (name, q, i, j)
             assert got == (determinant(want) != 0, determinant(want))
+    assert paths == {1, 3}
+
+
+def _all_term_mutants(table):
+    """Every term of the table changed by +1 and by -1, a zero dropped, as
+    (name, table): 594 tables on the shipped one, each as graded as it."""
+    out = []
+    for key, terms in table.constants.items():
+        for term, c in terms.items():
+            for d in (1, -1):
+                changed = {t: x for t, x in {**terms, term: c + d}.items() if x}
+                out.append((f"{key}:{term}{d:+d}", MultiplicationTable(
+                    {**table.constants, key: changed})))
+    return out
+
+
+def test_block_paths_match_the_general_kernels(table, monkeypatch):
+    # the sizes of the matrices that charpoly and determinant receive tell
+    # the path: the 3x3 P and the blocks 5, 4, 3 on a graded table, the
+    # 15x15 matrices otherwise; with every entry counted as off grade
+    # both functions take the 15x15 kernels on the same matrices
+    from cgquantum import spectral
+    sizes = []
+    for kernel in ("charpoly", "determinant"):
+        monkeypatch.setattr(spectral, kernel, lambda m, f=getattr(
+            spectral, kernel): sizes.append(len(m)) or f(m))
+
+    def run(t, q):
+        sizes.clear()
+        got = repr((sigma1_charpoly(t, q).coeffs, check_semisimple(t, q)))
+        return got, sizes[:]
+
+    def general(t, q):
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_OFF_S1", spectral._PAIRS)
+            m.setattr(spectral, "_OFF_GRAM", spectral._PAIRS)
+            return run(t, q)
+
+    mutants = _all_term_mutants(table)
+    assert len(mutants) == 594
+    qs = (0, 16, Fraction(7, 9), -3, Fraction(1, 2))
+    cases = [(name, t, q) for name, t in [("shipped", table), (
+        "fraction", _fraction_table())] for q in (1,) + qs]
+    cases += [(name, t, 1) for name, t in mutants]
+    cases += [(name, t, q) for name, t in random.Random(2121).sample(
+        mutants, 8) for q in qs]
+    for name, t, q in cases:
+        got, path = run(t, q)
+        want, general_path = general(t, q)
+        assert (path, general_path) == ([3, 5, 4, 3], [15, 15]), (name, q)
+        assert got == want, (name, q)
+    shape = _shape_table()
+    for q in (1,) + qs:
+        assert run(shape, q) == general(shape, q), q
+        assert run(shape, q)[1] == [15, 15], q
 
 
 def test_galkin_reports_match_the_fraction_charpoly(table, monkeypatch):
@@ -480,8 +564,7 @@ def test_galkin_reports_match_the_fraction_charpoly(table, monkeypatch):
     from cgquantum import spectral
     tables = [("shipped", table), ("fraction", _fraction_table()),
               ("three-real-roots", _table_with(_s2_coefficient(-4))),
-              ("shape", _table_with(lambda terms: terms.append(
-                  {"label": "s1", "q": 0, "coeff": 1})))]
+              ("shape", _shape_table())]
     tables += _term_mutants(9, 6)
     got = [galkin_bound_check(t) for _, t in tables]
     monkeypatch.setattr(spectral, "sigma1_charpoly", lambda t, q: (

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import add, mul
 
 Rational = Fraction
@@ -441,13 +441,13 @@ def charpoly(m: Matrix, var: str = "t") -> QPolynomial:
     """Monic characteristic polynomial det(t*I - M), exactly.
 
     Faddeev-LeVerrier: M_1 = A, c_k = -tr(M_k)/k, M_{k+1} = A (M_k + c_k I).
-    An integer matrix runs on packed rows (`_int_charpoly`).
+    An integer matrix stays on ints: `mat_mul` sums from int 0, and each
+    c_k, an integer then, is kept as one.  A Fraction matrix runs the
+    same loop.
     """
     n = len(m)
     if any(len(row) != n for row in m):
         raise NonSquareMatrixError("charpoly needs a square matrix")
-    if all([type(x) is int for row in m for x in row]):
-        return QPolynomial(_int_charpoly(m), var)
     coeffs = {n: 1}
     mk = m
     for k in range(1, n + 1):
@@ -461,30 +461,3 @@ def charpoly(m: Matrix, var: str = "t") -> QPolynomial:
             ck = ck.numerator
         coeffs[n - k] = ck
     return QPolynomial(coeffs, var)
-
-
-def _int_charpoly(m: list[list[int]]) -> dict[int, int]:
-    """charpoly(m)'s coefficients for an integer m = A.  A row of M_k + c_k I
-    is one int, entry j a balanced digit in the w-bit field at w * j, and a
-    row of M_{k+1} sums A's nonzero a_it times row t.  For r A's largest
-    absolute row sum, |M_k| <= N_k with N_1 = max |a_ij| and N_{k+1} = r (N_k
-    + n N_k / k) >= |M_k + c_k I|, so N_n = N_1 r^(n-1) binomial(2n-1, n-1)
-    bounds every entry.  tr(M_k) divides by k, as c_k is an integer."""
-    n = len(m)
-    rows = [[(t, a) for t, a in enumerate(row) if a] for row in m]
-    r = max([sum([abs(a) for _, a in row]) for row in rows], default=0)
-    bound = max([abs(a) for row in m for a in row], default=0)
-    w = (bound * r ** (n - 1) * comb(2 * n - 1, n - 1) if n else 0).bit_length() + 1
-    mask, half = (1 << w) - 1, 1 << w - 1
-    bias = half * (((1 << w * n) - 1) // mask)  # half in every field
-    shifts = range(0, w * n, w)
-    packed = [sum([a << w * t for t, a in row]) for row in rows]
-    coeffs = {n: 1}
-    for k in range(1, n + 1):
-        if k > 1:
-            step = [p + (ck << s) for p, s in zip(packed, shifts)]
-            packed = [sum([a * step[t] for t, a in row]) for row in rows]
-        trace = sum([((p + bias) >> s & mask) - half
-                     for p, s in zip(packed, shifts)])
-        ck = coeffs[n - k] = -trace // k
-    return coeffs

@@ -79,34 +79,31 @@ def check_semisimple(table: MultiplicationTable, q_value) -> tuple[bool, Fractio
     return det != 0, det
 
 
-def _sigma1_rows(table: MultiplicationTable, q_value) -> tuple[Matrix, int]:
-    """D*M as int rows, M the s1 matrix at q_value, and D (1 at integral q)."""
+def _sigma1_rows(table: MultiplicationTable, q_value) -> Matrix:
+    """M, the s1 matrix at q_value: ints at integral q on an integer table,
+    Fractions otherwise."""
     qv, n = _exact_q(q_value), len(LABELS)
     m = [[0] * n for _ in range(n)]
     for j, terms in enumerate(table.tensor[LABEL_INDEX["s1"]]):
         for (k, e), c in terms.items():
             m[k][j] += c * qv ** e
-    flat, den = clear_denominators([x for row in m for x in row])
-    return [flat[i:i + n] for i in range(0, len(flat), n)], den
+    return m
 
 
 def sigma1_charpoly(table: MultiplicationTable, q_value) -> QPolynomial:
-    """Characteristic polynomial of multiplication by s1 at q_value, taken
-    on the integer matrix A = D*M: its t^(n-k) coefficient is D^k times M's.
-    Where A is zero at every deg k != deg j + 1 mod 4, as on a graded table,
-    A maps V_r into V_(r+1), and det(t - A) = t^3 det(t^4 - P) for the 3x3
-    P = A^4 on V1, the product of A's blocks around the cycle; elsewhere
-    the 15x15 charpoly of A is taken.  Both give Fractions, divided exactly."""
-    rows, den = _sigma1_rows(table, q_value)
-    n = len(rows)
-    if any(rows[k][j] for k, j in _OFF_S1):
-        coeffs = charpoly(rows).coeffs
-    else:
-        p = _block(rows, 1, 0)
-        for r in 3, 2, 1:
-            p = mat_mul(p, _block(rows, (r + 1) % 4, r))
-        coeffs = {4 * e + 3: c for e, c in charpoly(p).coeffs.items()}
-    return QPolynomial({e: c / den ** (n - e) for e, c in coeffs.items()}, "t")
+    """Characteristic polynomial of multiplication by s1 at q_value.  Where
+    its matrix M is zero at every deg k != deg j + 1 mod 4, as on a graded
+    table, M maps V_r into V_(r+1), and det(t - M) = t^3 det(t^4 - P) for
+    the 3x3 P = M^4 on V1, the product of M's blocks around the cycle;
+    elsewhere the 15x15 charpoly of M is taken."""
+    m = _sigma1_rows(table, q_value)
+    if any(m[k][j] for k, j in _OFF_S1):
+        return charpoly(m)
+    p = _block(m, 1, 0)
+    for r in 3, 2, 1:
+        p = mat_mul(p, _block(m, (r + 1) % 4, r))
+    return QPolynomial({4 * e + 3: c for e, c in charpoly(p).coeffs.items()},
+                       "t")
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +324,7 @@ def galkin_bound_check(table: MultiplicationTable) -> tuple[float, bool, Spectra
 def nilpotency_index(table: MultiplicationTable, q_value=0) -> int:
     """Smallest k with the k-th power of hyperplane multiplication zero;
     returns 0 if no power up to the algebra dimension vanishes."""
-    # D*M has the same vanishing powers as M
-    m, _ = _sigma1_rows(table, q_value)
+    m = _sigma1_rows(table, q_value)
     n = len(m)
     power = m
     for k in range(1, n + 1):

@@ -680,6 +680,16 @@ def test_verify_reports_an_off_grade_s4_s2_term_as_loop_closed(
     assert len([line for line in lines if " spectral:" in line]) == 8
 
 
+def _cli_env():
+    """The environment for a fresh `python -m cgquantum.cli`, with the
+    package's source directory first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cgquantum.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 @pytest.mark.parametrize("argv, unbuffered", [
     # buffered, the closed pipe first shows when stdout is flushed
     (["product", "s2", "s2"], False),
@@ -688,12 +698,10 @@ def test_verify_reports_an_off_grade_s4_s2_term_as_loop_closed(
     (["--json", "scenario", "--all"], True),
 ])
 def test_closed_stdout_exits_141_without_a_message(argv, unbuffered):
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env = _cli_env()
+    env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cgquantum.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -773,3 +781,62 @@ def test_charpoly_q_parses_integers_fractions_and_decimals(capsys, value,
                                                            want):
     code, out, err = run_cli(capsys, "charpoly", f"--q={value}")
     assert (code, out, err) == (0, want + "\n", "")
+
+
+def _s1_s1_gains_s1(raw):
+    # an s1 term in s1 * s1 is off grade: the s1 matrix is taken whole
+    next(r for r in raw["products"] if (r["a"], r["b"]) == ("s1", "s1"))[
+        "terms"].append({"label": "s1", "q": 0, "coeff": 1})
+
+
+def _s3_s1_quantum_term_q_plus_one(raw):
+    rec = next(r for r in raw["products"] if {r["a"], r["b"]} == {"s1", "s3"})
+    next(t for t in rec["terms"] if t["q"])["q"] += 1
+
+
+@pytest.mark.parametrize("mutate, argv, code", [
+    (_s1_s1_gains_s1, ["conjecture-o"], 1),
+    (_s1_s1_gains_s1, ["verify", "--suite", "spectral"], 1),
+    (_s1_s1_coefficient_of_s2("3/2"), ["conjecture-o"], 0),
+    (_s1_s1_coefficient_of_s2("3/2"), ["verify", "--suite", "spectral"], 0),
+    (_s3_s1_quantum_term_q_plus_one, ["verify", "--suite", "table"], 1),
+    (_s3_s1_quantum_term_q_plus_one, ["verify", "--suite", "spectral"], 1),
+], ids=["shape-conjecture-o", "shape-spectral", "s2=3/2-conjecture-o",
+        "s2=3/2-spectral", "s3*s1-q+1-table", "s3*s1-q+1-spectral"])
+def test_off_shipped_table_exit_codes(capsys, tmp_path, mutate, argv, code):
+    path = _write_shipped_table(tmp_path, mutate)
+    got, out, err = run_cli(capsys, "--table-file", path, *argv)
+    assert (got, err) == (code, "")
+    assert out
+
+
+def test_off_grade_charpoly_at_a_rational_q_is_the_reference(capsys,
+                                                             tmp_path):
+    from test_exactmath import _reference_charpoly
+    from cgquantum.schubert import SchubertElement
+    from cgquantum.spectral import multiplication_matrix
+    path = _write_shipped_table(tmp_path, _s1_s1_gains_s1)
+    m = multiplication_matrix(MultiplicationTable.load(path),
+                              SchubertElement.basis("s1"), Fraction(7, 9))
+    code, out, err = run_cli(capsys, "--table-file", path,
+                             "charpoly", "--q", "7/9")
+    assert (code, out, err) == (0, _reference_charpoly(m).format(" ") + "\n",
+                                "")
+
+
+def test_spectral_suite_work_is_bounded_in_a_huge_q_exponent(tmp_path):
+    # an s3 term at q^100000 in s1 * s2 is on the degree-mod-4 pattern, so
+    # only the grading covariance fails; the charpoly at q = 16 reads
+    # 16^100000, and a fresh process must still finish within the bound
+    def mutate(raw):
+        next(r for r in raw["products"] if {r["a"], r["b"]} == {"s1", "s2"})[
+            "terms"].append({"label": "s3", "q": 100000, "coeff": 1})
+    path = _write_shipped_table(tmp_path, mutate)
+    proc = subprocess.run([sys.executable, "-m", "cgquantum.cli",
+                           "--table-file", path, "verify", "--suite",
+                           "spectral"], capture_output=True, text=True,
+                          env=_cli_env(), timeout=4)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    failed = [line for line in proc.stdout.splitlines()
+              if not line.startswith("[pass] ")]
+    assert failed == ["[fail] spectral:charpoly_covariance"]

@@ -435,7 +435,16 @@ def _reference_nilpotency_index(table, q_value):
 
 def test_sigma1_charpoly_matches_fraction_reference(table):
     from test_exactmath import _reference_charpoly
-    tables = [("shipped", table), ("fraction", _fraction_table())]
+
+    def off_grade_huge(terms):
+        terms.append({"label": "s1", "q": 0, "coeff": 1})
+        _s2_coefficient(10**400)(terms)
+
+    # the two off-grade tables run the 15x15 matrix through charpoly's
+    # loop, on Fractions at 7/9 and 1/2
+    tables = [("shipped", table), ("fraction", _fraction_table()),
+              ("shape", _shape_table()),
+              ("shape-10^400", _table_with(off_grade_huge))]
     tables += _term_mutants(8, 4)
     for name, t in tables:
         for q in (0, 1, 2, Fraction(7, 9), -3, 16, Fraction(1, 2)):

@@ -308,32 +308,15 @@ def _nilpotent(rng, n):
 
 def test_charpoly_matches_fraction_reference():
     rng = random.Random(4242)
-    cases = [[], [[0]], [[7]], [[-5]], [[Fraction(-3, 5)]], [[10**29 + 7]],
-             [[10**29]], [[Fraction(0)] * 5 for _ in range(5)],
-             [[0] * 4 for _ in range(4)], [[0] * 15 for _ in range(15)],
-             [[-9] * 15 for _ in range(15)],
-             [[10**29 - 1, -10**29], [10**29, 10**29 + 1]],
-             # -I: c_k = binomial(15, k)
-             [[-int(i == j) for j in range(15)] for i in range(15)]]
+    cases = [[], [[0]], [[7]], [[Fraction(-3, 5)]], [[10**29 + 7]],
+             [[Fraction(0)] * 5 for _ in range(5)],
+             [[0] * 4 for _ in range(4)]]
     for trial in range(60):
         n = 1 + trial % 7
         kind = ("int", "fraction", "mixed", "big")[trial % 4]
         cases.append(_random_square(rng, n, kind))
         if trial % 6 == 0:
             cases.append(_nilpotent(rng, n))
-    rng = random.Random(2718)
-    for n in (2, 3, 6, 10, 15):
-        cases += [
-            _nilpotent(rng, n),
-            [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)],
-            [[-rng.randint(1, 9) for _ in range(n)] for _ in range(n)],
-            [[rng.choice([-1, 1]) * rng.randrange(10**29)
-              if rng.random() < 0.3 else 0 for _ in range(n)]
-             for _ in range(n)],
-            # about two nonzeros a row, as in the s1 matrix
-            [[rng.randint(1, 3) if rng.random() < 2 / n else 0
-              for _ in range(n)] for _ in range(n)],
-        ]
     for m in cases:
         before = [row[:] for row in m]
         got = charpoly(m)
@@ -384,6 +367,44 @@ def test_integer_input_stays_on_ints(monkeypatch):
         assert len(seen) == n - 1
         seen.clear()
 
+
+
+def test_packed_charpoly_matches_fraction_reference(monkeypatch):
+    # integer matrices whose coefficients outgrow a machine word: the
+    # int-only loop must agree with the Fraction reference and stay on ints
+    from cgquantum import exactmath
+    made = []
+
+    def polynomial(coeffs, var):
+        made.append(coeffs)
+        return QPolynomial(coeffs, var)
+
+    monkeypatch.setattr(exactmath, "QPolynomial", polynomial)
+    rng = random.Random(2718)
+    cases = [[[0]], [[-5]], [[10 ** 29]], [[0] * 15 for _ in range(15)],
+             [[-9] * 15 for _ in range(15)],
+             [[10 ** 29 - 1, -10 ** 29], [10 ** 29, 10 ** 29 + 1]],
+             # -I: c_k = binomial(15, k)
+             [[-int(i == j) for j in range(15)] for i in range(15)]]
+    for n in (2, 3, 6, 10, 15):
+        cases += [
+            _nilpotent(rng, n),
+            [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)],
+            [[-rng.randint(1, 9) for _ in range(n)] for _ in range(n)],
+            [[rng.choice([-1, 1]) * rng.randrange(10 ** 29)
+              if rng.random() < 0.3 else 0 for _ in range(n)]
+             for _ in range(n)],
+            # about two nonzeros a row, as in the s1 matrix
+            [[rng.randint(1, 3) if rng.random() < 2 / n else 0
+              for _ in range(n)] for _ in range(n)],
+        ]
+    for m in cases:
+        got = charpoly(m)
+        raw = made.pop()
+        assert sorted(raw) == list(range(len(m) + 1))
+        assert all(type(c) is int for c in raw.values())
+        assert got.coeffs == QPolynomial(raw, "t").coeffs
+        assert got.coeffs == _reference_charpoly(m).coeffs, m
 
 @pytest.mark.parametrize("text, want", [
     ("12", Fraction(12)), ("-3/4", Fraction(-3, 4)), ("0.5", Fraction(1, 2)),

@@ -9,8 +9,7 @@ complex pair's modulus as floats taken from y_max and its exact bracket.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, inf
-from operator import ne
+from math import inf
 
 from .exactmath import (Matrix, QPolynomial, charpoly, clear_denominators,
                         determinant, mat_mul, rat)
@@ -110,17 +109,6 @@ def sigma1_charpoly(table: MultiplicationTable, q_value) -> QPolynomial:
 # certified real root isolation for the cubic factor
 
 
-def sturm_sequence(coeffs: list[int]) -> list[list[int]]:
-    """Sturm sequence of the polynomial with these integer coefficients,
-    listed from the leading one.  Each member is primitive and a positive
-    multiple of its counterpart over the rationals, so it keeps its signs:
-    the remainders are primitive pseudo-remainders."""
-    seq = [_primitive(coeffs), _primitive(_derivative(coeffs))]
-    while seq[-1] and (rem := _prem(seq[-2], seq[-1])):
-        seq.append([-c for c in rem])
-    return seq
-
-
 def _at(coeffs: list[int], n: int, d: int) -> int:
     """d^deg * p(n/d), for p's coefficients listed from the leading one."""
     value, dpow = 0, 1
@@ -130,67 +118,32 @@ def _at(coeffs: list[int], n: int, d: int) -> int:
     return value
 
 
-def _primitive(coeffs: list[int]) -> list[int]:
-    """coeffs divided by the gcd of its entries; [] (zero) stays []."""
-    g = gcd(*coeffs)
-    return [c // g for c in coeffs] if g > 1 else coeffs
+def _real_roots(f: list[int]) -> int:
+    """Distinct real roots of the cubic with coefficients f = [a, b, c, d],
+    a != 0, from the sign of its discriminant: 3 where it is positive, 1
+    where it is negative; where it is 0, 1 for a triple root (b^2 = 3ac)
+    and 2 for a double and a simple one."""
+    a, b, c, d = f
+    disc = (18 * a * b * c * d - 4 * b ** 3 * d + b * b * c * c
+            - 4 * a * c ** 3 - 27 * a * a * d * d)
+    if disc:
+        return 3 if disc > 0 else 1
+    return 1 if b * b == 3 * a * c else 2
 
 
-def _derivative(coeffs: list[int]) -> list[int]:
-    n = len(coeffs) - 1
-    return [e * c for e, c in zip(range(n, 0, -1), coeffs)]
-
-
-def _prem(a: list[int], b: list[int]) -> list[int]:
-    """The primitive part of |lc(b)|^k times the remainder of a by b, for
-    k = deg a - deg b + 1: a positive multiple of the remainder over the
-    rationals, so it keeps its signs.  Each step scales by |lc(b)| and
-    cancels the leading term against b, made positive-leading first, as
-    a mod -b = a mod b."""
-    if b[0] < 0:
-        b = [-c for c in b]
-    lead, n = b[0], len(b)
-    for _ in range(len(a) - n + 1):
-        head, *tail = a
-        a = [lead * x - head * y for x, y in zip(tail, b[1:])] + \
-            [lead * x for x in tail[n - 1:]]
-    while a and not a[0]:
-        a = a[1:]
-    return _primitive(a)
-
-
-def sign_changes(seq: list[list[int]], n: int, d: int) -> int:
-    """Sign changes of the sequence at n/d, d > 0, zeros skipped.  Each
-    sign is that of the homogenised sum d^deg * p(n/d), read on ints."""
-    signs = [value > 0 for value in [_at(coeffs, n, d) for coeffs in seq]
-             if value]
-    return sum(map(ne, signs, signs[1:]))
-
-
-def count_real_roots(seq: list[list[int]], lo, hi) -> int:
-    """Distinct real roots in (lo, hi] of the polynomial whose Sturm
-    sequence this is."""
+def isolate_root(p: list[int], lo, hi, width) -> tuple[Fraction, Fraction]:
+    """Shrink the bracket (lo, hi] down to the requested width by exact
+    bisection.  p lists integer coefficients from the leading one; it must
+    have exactly one real root in (lo, hi] and change sign there, which is
+    not checked.  The bracket is kept as integer numerators a, b over a
+    common denominator d, which doubles at each step; the root is in (a,
+    mid] iff p is 0 at mid or signed as at b."""
     (a, b), d = clear_denominators([rat(lo), rat(hi)])
-    return sign_changes(seq, a, d) - sign_changes(seq, b, d)
-
-
-def isolate_root(seq: list[list[int]], lo, hi,
-                 width) -> tuple[Fraction, Fraction]:
-    """Shrink a bracket known to contain exactly one real root down to the
-    requested width by exact bisection.  The bracket is kept as integer
-    numerators a, b over a common denominator d, which doubles at each
-    step.  g, the last Sturm member, is gcd(p, p') up to a constant, so p *
-    g has (up to one sign) the sign of p's squarefree part, where the root
-    is simple: it is in (a, mid] iff p * g is 0 at mid or signed as at b."""
-    (a, b), d = clear_denominators([rat(lo), rat(hi)])
-    if sign_changes(seq, a, d) - sign_changes(seq, b, d) != 1:
-        raise ValueError("bracket does not isolate a single root")
     width = rat(width)
-    p, g = seq[0], seq[-1]
-    vb = _at(p, b, d) * _at(g, b, d)
+    vb = _at(p, b, d)
     while (b - a) * width.denominator > width.numerator * d:
         mid, d = a + b, 2 * d
-        vmid = _at(p, mid, d) * _at(g, mid, d)
+        vmid = _at(p, mid, d)
         if not vmid or (vmid > 0) == (vb > 0) and vb:
             a, b, vb = 2 * a, mid, vmid
         else:
@@ -206,15 +159,16 @@ def _float(x: Fraction) -> float:
         return inf if x > 0 else -inf
 
 
-def _rounded_root(seq: list[list[int]], lo, hi) -> float:
-    """The float nearest the root in (lo, hi], 0 <= lo, ties to even: the
-    bracket is halved until its ends round alike, or until the root is
-    the tie halfway between their floats (inf counting as 2^1024)."""
+def _rounded_root(p: list[int], lo, hi) -> float:
+    """The float nearest the root of p in (lo, hi], 0 <= lo, ties to even,
+    for a bracket that isolate_root accepts: it is halved until its ends
+    round alike, or until the root is the tie halfway between their
+    floats (inf counting as 2^1024)."""
     while (x := _float(lo)) != (y := _float(hi)):
         m = (Fraction(x) + (Fraction(y) if y < inf else 2**1024)) / 2
-        if lo < m and not _at(seq[0], m.numerator, m.denominator):
+        if lo < m and not _at(p, m.numerator, m.denominator):
             return _float(m)
-        lo, hi = isolate_root(seq, lo, hi, (hi - lo) / 2)
+        lo, hi = isolate_root(p, lo, hi, (hi - lo) / 2)
     return x
 
 
@@ -275,27 +229,27 @@ def conjecture_o_check(table: MultiplicationTable) -> SpectralReport:
     # times the lcm of its denominators
     f = clear_denominators([1, cp.coeff(11), cp.coeff(7), cp.coeff(3)])[0]
 
-    # count and isolate real roots of f over a bracket certain to contain
-    # them all (Cauchy bound)
-    bound = 1 + Fraction(max(map(abs, f[1:])), f[0])
-    seq = sturm_sequence(f)
-    n_real = count_real_roots(seq, -bound, bound)
+    # count real roots of f by its discriminant; a lone one has the sign
+    # of -f(0), as f[0] > 0, and the bisection starts from a bracket
+    # certain to contain it (Cauchy bound)
+    n_real = _real_roots(f)
     if n_real != 1:
         report.notes.append(f"cubic has {n_real} real roots, expected 1 "
                             "(one real plus a complex pair)")
         return report
-    if count_real_roots(seq, 0, bound) != 1:
+    if f[3] >= 0:
         report.notes.append("the real root of the cubic is not positive")
         return report
-    lo, hi = isolate_root(seq, 0, bound, Fraction(1, 10**14))
+    bound = 1 + Fraction(max(map(abs, f[1:])), f[0])
+    lo, hi = isolate_root(f, 0, bound, Fraction(1, 10**14))
     report.y_max_bracket = (lo, hi)
-    report.y_max = _rounded_root(seq, lo, hi)
+    report.y_max = _rounded_root(f, lo, hi)
 
     # the complex pair z, z~ satisfies y_max * |z|^2 = -f(0), so strict
     # dominance is |z|^2 < y_max^2, i.e. -f(0) < y_max^3, certified on
-    # the exact lower bracket end
+    # the exact lower bracket end (c0 > 0, as f[3] < 0, so lo = 0 fails)
     c0 = Fraction(-f[3], f[0])
-    dominant = c0 > 0 and lo > 0 and lo ** 3 > c0
+    dominant = lo ** 3 > c0
     report.dominant_real_simple = dominant
     report.other_modulus = _float(c0 / ((lo + hi) / 2)) ** 0.5
     # the fifteen eigenvalues are 0 (multiplicity 3) and the fourth roots

@@ -799,10 +799,14 @@ def _s3_s1_quantum_term_q_plus_one(raw):
     (_s1_s1_gains_s1, ["verify", "--suite", "spectral"], 1),
     (_s1_s1_coefficient_of_s2("3/2"), ["conjecture-o"], 0),
     (_s1_s1_coefficient_of_s2("3/2"), ["verify", "--suite", "spectral"], 0),
+    # the cubic has three real roots
+    (_s1_s1_coefficient_of_s2(-4), ["conjecture-o"], 1),
+    (_s1_s1_coefficient_of_s2(-4), ["verify", "--suite", "spectral"], 1),
     (_s3_s1_quantum_term_q_plus_one, ["verify", "--suite", "table"], 1),
     (_s3_s1_quantum_term_q_plus_one, ["verify", "--suite", "spectral"], 1),
 ], ids=["shape-conjecture-o", "shape-spectral", "s2=3/2-conjecture-o",
-        "s2=3/2-spectral", "s3*s1-q+1-table", "s3*s1-q+1-spectral"])
+        "s2=3/2-spectral", "s2=-4-conjecture-o", "s2=-4-spectral",
+        "s3*s1-q+1-table", "s3*s1-q+1-spectral"])
 def test_off_shipped_table_exit_codes(capsys, tmp_path, mutate, argv, code):
     path = _write_shipped_table(tmp_path, mutate)
     got, out, err = run_cli(capsys, "--table-file", path, *argv)

@@ -12,7 +12,7 @@ import json
 import os
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, lshift
+from operator import lshift, mul
 
 from .exactmath import (GradedRing, InconsistentSystem,
                         MultiPolynomial, UnderdeterminedSystem,
@@ -60,13 +60,13 @@ def standard_relations(ring: GradedRing) -> list[MultiPolynomial]:
 
 class DegreeSlice:
     """One degree of a quotient: its monomials, graded-lex descending, and
-    their index; the non-pivot monomials as basis; the reduced integer
-    rows; and each pivot column with its row's nonzero non-pivot entries
-    over den as reducers."""
+    the index of each monomial's key; the non-pivot monomials as basis, and
+    their indices as free; the reduced integer rows; and each pivot column
+    with its row's nonzero non-pivot entries over den as reducers."""
 
-    def __init__(self, monomials, index, basis, rows, reducers, den: int):
+    def __init__(self, monomials, index, basis, free, rows, reducers, den):
         self.monomials, self.index, self.basis = monomials, index, basis
-        self.rows, self.reducers, self.den = rows, reducers, den
+        self.free, self.rows, self.reducers, self.den = free, rows, reducers, den
 
 
 class GradedQuotient:
@@ -81,14 +81,14 @@ class GradedQuotient:
         self.ring = ring
         self.relations = list(relations)
         self.max_degree = max_degree
-        # each relation as (degree, integer terms): scaling by the lcm of
-        # its denominators leaves the span of its multiples unchanged
-        self._relation_terms = [(rel.degree(), _integral(rel)[0])
-                                for rel in self.relations]
-        self._slices: dict[int, DegreeSlice] = {}
         # an exponent of a monomial of degree <= max_degree fits this width
         width = max_degree.bit_length() or 1
         self._shifts = range(0, width * len(ring.degrees), width)
+        # each relation as (degree, integer terms): scaling by the lcm of
+        # its denominators leaves the span of its multiples unchanged
+        self._relation_terms = [(rel.degree(), _integral(rel, self._key)[0])
+                                for rel in self.relations]
+        self._slices: dict[int, DegreeSlice] = {}
 
     def _build_slice(self, degree: int, integral, below) -> DegreeSlice:
         """Row-reduce the span of the relation multiples of one degree.  The
@@ -96,24 +96,29 @@ class GradedQuotient:
         below, so the multiples by x0 span the reduced rows below, padded
         with zeros; only the x0-free multiples are written out."""
         monomials = self.ring.monomials(degree)
-        index = {m: i for i, m in enumerate(monomials)}
         n = len(monomials)
+        # x0 has key 1, so the key of x0*m is the key of m plus 1
+        keys = [key + 1 for key in below.index] if below else []
+        keys += map(self._key, monomials[len(keys):])
+        index = dict(zip(keys, range(n)))
         rows = [row + [0] * (n - len(row)) for row in below.rows] if below else []
         for rel_degree, terms in integral:
             for mono in self.ring.monomials(degree - rel_degree):
                 if not mono[0]:
                     row = [0] * n
-                    for exps, c in terms:
-                        row[index[tuple(map(add, exps, mono))]] = c
+                    shift = self._key(mono)
+                    for key, c in terms:
+                        row[index[key + shift]] = c
                     rows.append(row)
         rows, pivots = rref_int(rows)
         pivot_set = set(pivots)
-        basis = [m for i, m in enumerate(monomials) if i not in pivot_set]
+        free = [i for i in range(n) if i not in pivot_set]
         den = lcm(*[row[col] for row, col in zip(rows, pivots)])
         reducers = [(col, [(j, c * (den // row[col]))
                            for j, c in enumerate(row) if c and j != col])
                     for row, col in zip(rows, pivots)]
-        return DegreeSlice(monomials, index, basis, rows, reducers, den)
+        return DegreeSlice(monomials, index, [monomials[i] for i in free],
+                           free, rows, reducers, den)
 
     def dimension(self, degree: int) -> int:
         return len(self._slice(degree).basis)
@@ -137,12 +142,12 @@ class GradedQuotient:
         return sum(map(lshift, exps, self._shifts))
 
     def _reduced(self, sl: DegreeSlice, terms) -> list[int]:
-        """sl.den times the normal form of sum(c * m), for pairs (m, c) of a
-        monomial of sl's degree and an integer; only the entries at the
-        basis monomials are the normal form's."""
+        """sl.den times the normal form of sum(c * m), for pairs (k, c) of
+        the key k of a monomial m of sl's degree and an integer, as its
+        coefficients on sl.basis."""
         vec = [0] * len(sl.monomials)
-        for exps, c in terms:
-            vec[sl.index[exps]] = c
+        for key, c in terms:
+            vec[sl.index[key]] = c
         # eliminate pivot coordinates using the reduced relation rows
         out = [sl.den * x for x in vec]
         for col, row in sl.reducers:
@@ -150,7 +155,7 @@ class GradedQuotient:
             if f:
                 for j, c in row:
                     out[j] -= f * c
-        return out
+        return [out[i] for i in sl.free]
 
     def normal_form(self, p: MultiPolynomial) -> MultiPolynomial:
         """Reduce a homogeneous polynomial onto the non-pivot monomial basis
@@ -160,11 +165,11 @@ class GradedQuotient:
         if not p.is_homogeneous():
             raise ValueError("normal_form expects a homogeneous polynomial")
         sl = self._slice(p.degree())
-        terms, den = _integral(p)
+        terms, den = _integral(p, self._key)
         out = self._reduced(sl, terms)
         den *= sl.den
         return MultiPolynomial(self.ring, {
-            m: Fraction(x, den) for m in sl.basis if (x := out[sl.index[m]])})
+            m: Fraction(x, den) for m, x in zip(sl.basis, out) if x})
 
     def basis(self, degree: int) -> list[tuple[int, ...]]:
         return list(self._slice(degree).basis)
@@ -203,7 +208,7 @@ def _parse_monomial(label: str, term, ngens: int):
         raise GiambelliFormatError(f"exponents of a {label} term must be "
                                    f"{ngens} integers >= 0: {term!r}")
     try:
-        return exps, parse_rational(term["coeff"])
+        return tuple(exps), parse_rational(term["coeff"])
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise GiambelliFormatError(
             f"bad coefficient in {label}: {term!r}") from None
@@ -229,10 +234,13 @@ def load_giambelli(path: str | os.PathLike | None = None,
                 f"unknown label {label!r} in dictionary")
         if not isinstance(terms, list):
             raise GiambelliFormatError(f"terms of {label} must be a list")
-        poly = ring.zero()
+        acc: dict = {}  # repeated exponents sum; a zero sum drops out at once
         for term in terms:
-            poly = poly + ring.monomial(
-                *_parse_monomial(label, term, len(ring.names)))
+            exps, c = _parse_monomial(label, term, len(ring.names))
+            acc[exps] = acc.get(exps, 0) + c
+            if not acc[exps]:
+                del acc[exps]
+        poly = MultiPolynomial(ring, acc)
         if not poly.is_homogeneous() or poly.degree() != DEGREES[label]:
             raise GiambelliFormatError(
                 f"dictionary entry for {label} is not homogeneous of "
@@ -275,33 +283,37 @@ def evaluate_in_schubert(table: MultiplicationTable,
 def _normal_form_matrix(quotient: GradedQuotient,
                         giambelli: dict[str, MultiPolynomial], degree: int):
     """schubert_to_normal_form as (columns, matrix, den) on integers, with
-    matrix[i][j] / den its entry.  Each column is reduced from its entry's
-    integer terms, shifted by its power of q, with the slice's reducers."""
+    matrix[i][j] / den its entry.  Column (label, c) is reduced from the
+    entry's integer terms, its keys shifted by the key of q^c, with the
+    reducers of the slice of the entry's degree plus 4c."""
     cols = [(label, rem // 4) for label in LABELS
             if (rem := degree - DEGREES[label]) >= 0 and rem % 4 == 0]
-    index = {m: i for i, m in enumerate(quotient.basis(degree))}
+    target = quotient._slice(degree)
     (q_exps,) = quotient.ring.gen("q").terms
-    columns = []  # per column: (row, integer) pairs, and their denominator
+    q_key = quotient._key(q_exps)
+    columns = []  # per column: its integers at target.free, and their den
     for label, qexp in cols:
-        p, column, den = giambelli[label], [], 1
+        p, column, den = giambelli[label], [0] * len(target.free), 1
         if not p.is_zero():
-            if not p.is_homogeneous():
+            degs = {p.ring.monomial_degree(m) for m in p.terms}
+            if len(degs) > 1:
                 raise ValueError("normal_form expects a homogeneous polynomial")
-            shift = [qexp * e for e in q_exps]
-            sl = quotient._slice(p.degree() + p.ring.monomial_degree(shift))
-            terms, den = _integral(p)
-            out = quotient._reduced(
-                sl, [(tuple(map(add, m, shift)), c) for m, c in terms])
-            column = [(index[m], x) for m in sl.basis
-                      if (x := out[sl.index[m]])]
+            sl = quotient._slice(
+                degs.pop() + qexp * p.ring.monomial_degree(q_exps))
+            terms, den = _integral(p, quotient._key)
+            out = quotient._reduced(sl, [(k + qexp * q_key, c)
+                                         for k, c in terms])
+            if sl is target:
+                column = out
+            else:  # an entry of another degree has no place in the target
+                for m, x in zip(sl.basis, out):
+                    if x:
+                        raise KeyError(m)
             den *= sl.den
         columns.append((column, den))
     den = lcm(*[d for _, d in columns])
-    matrix = [[0] * len(cols) for _ in index]
-    for j, (column, d) in enumerate(columns):
-        for i, x in column:
-            matrix[i][j] = x * (den // d)
-    return cols, matrix, den
+    scaled = [[x * (den // d) for x in column] for column, d in columns]
+    return cols, [list(row) for row in zip(*scaled)], den
 
 
 def schubert_to_normal_form(quotient: GradedQuotient,
@@ -319,26 +331,24 @@ def schubert_to_normal_form(quotient: GradedQuotient,
 
 def _change_of_basis(quotient: GradedQuotient,
                       giambelli: dict[str, MultiPolynomial], degree: int):
-    """Factor one degree's change of basis once, as an integer map on the
-    monomials of that degree.
+    """Factor one degree's change of basis once, as an integer matrix E.
 
     Row-reducing [M | I], for the matrix M of schubert_to_normal_form,
     gives [E M | E] with E M in reduced echelon form, so M x = b costs one
-    product E b.  Composed with the normal form this is the map K whose
-    column for a monomial m is E NF(m): NF(m) is a unit vector for a basis
-    monomial and minus the reduced relation row for a pivot monomial.  K
-    is kept as integer columns over one common denominator, the rows past
-    the rank of M included.  M is reduced as the integer matrix den * M,
-    whose solution is that of M divided by den.
+    product E b.  E is kept on integers over one common denominator, the
+    rows past the rank of M included.  M is reduced as the integer matrix
+    den * M, whose solution is that of M divided by den.
 
     The returned function expands sum(c * m) / den, for pairs (k, c) of
     the key k of a monomial m of the degree and an integer c, and a
-    positive integer den, into Terms, and raises what solve_linear(M, b)
-    raises, in the same order: InconsistentSystem when the image has a
-    nonzero row past the rank, then UnderdeterminedSystem when the rank is
-    short of the columns.  An empty slice gives M no rows, so any column
-    leaves the rank short; this is where solve_linear, which reads such an
-    M as having no columns, differs.
+    positive integer den, into Terms: it reduces the input with the
+    slice's reducers, as normal_form does, and applies E to the basis
+    coordinates, E NF(p).  It raises what solve_linear(M, b) raises, in
+    the same order: InconsistentSystem when the image has a nonzero row
+    past the rank, then UnderdeterminedSystem when the rank is short of the
+    columns.  An empty slice gives M no rows, so any column leaves the
+    rank short; this is where solve_linear, which reads such an M as
+    having no columns, differs.
     """
     cols, matrix, m_den = _normal_form_matrix(quotient, giambelli, degree)
     n, k = len(matrix), len(cols)
@@ -348,28 +358,17 @@ def _change_of_basis(quotient: GradedQuotient,
     targets = [(LABEL_INDEX[cols[col][0]], cols[col][1])
                for col in pivots[:rank]]
     sl = quotient._slice(degree)
-    # E on integers over e_den, one list per column, times m_den // g:
-    # with map_den below this undoes the division of the solution by m_den
+    # the rows of E on integers over e_den, times m_den // g: with map_den
+    # below this undoes the division of the solution by m_den
     e_den = lcm(*[row[col] for row, col in zip(reduced, pivots)])
     g = gcd(m_den, e_den * sl.den)
-    e_cols = list(zip(*[[x * (e_den // row[col]) * (m_den // g)
-                         for x in row[k:]]
-                        for row, col in zip(reduced, pivots)]))
-
-    position = {sl.index[m]: i for i, m in enumerate(sl.basis)}
-    columns = {quotient._key(m): [sl.den * x for x in e_cols[i]]
-               for i, m in enumerate(sl.basis)}
-    for j, row in sl.reducers:
-        column = [0] * n
-        for t, c in row:
-            column = [v - c * x for v, x in zip(column, e_cols[position[t]])]
-        columns[quotient._key(sl.monomials[j])] = column
+    e_rows = [[x * (e_den // row[col]) * (m_den // g) for x in row[k:]]
+              for row, col in zip(reduced, pivots)]
     map_den = e_den * sl.den // g
 
     def expand(terms, den: int) -> Terms:
-        v = [0] * n
-        for key, c in terms:
-            v = [x + c * y for x, y in zip(v, columns[key])]
+        nf = quotient._reduced(sl, terms)
+        v = [sum(map(mul, row, nf)) for row in e_rows]
         if any(v[rank:]):
             raise InconsistentSystem("no solution")
         if rank < k:
@@ -381,7 +380,7 @@ def _change_of_basis(quotient: GradedQuotient,
     return expand
 
 
-def _integral(p: MultiPolynomial, key=tuple):
+def _integral(p: MultiPolynomial, key):
     """The terms of p with integer coefficients, each monomial m as
     key(m), and their denominator."""
     ints, den = clear_denominators(list(p.terms.values()))

@@ -1,6 +1,8 @@
 """End-to-end derivation: unknown coefficients from the curve counts,
 the two extra products, the relations and generator dictionary, and the
 closed loop against the shipped table."""
+import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,8 @@ from cgquantum.pipeline import (ALL_SCENARIOS, CHEVALLEY_SCENARIOS,
                                 derive_presentation, run_pipeline,
                                 solve_chevalley)
 from cgquantum.presentation import GradedQuotient, standard_relations
-from cgquantum.schubert import SchubertElement, load_default_table
+from cgquantum.schubert import (MultiplicationTable, SchubertElement,
+                                default_data_dir, load_default_table)
 
 
 @pytest.fixture(scope="module")
@@ -151,3 +154,60 @@ def test_derive_presentation_leaves_unknowns_unchanged(table,
     presentation = derive_presentation(table, unknowns, missing)
     assert dict(unknowns) == before
     assert presentation.a7 == 0
+
+
+def test_derivation_reduces_each_degree_once(table, scenario_values,
+                                             monkeypatch):
+    # one reduction of [rows | one column per monomial] for each of the
+    # degrees 3, 4, 5 and 6, and no solve per monomial
+    from cgquantum import pipeline
+    sizes = []
+    rref_int = pipeline.rref_int
+
+    def counted(rows):
+        sizes.append((len(rows), len(rows[0])))
+        return rref_int(rows)
+
+    def no_solve(a, b):
+        raise AssertionError("solve_linear called")
+
+    unknowns = solve_chevalley(scenario_values)
+    missing = derive_missing_products(table, scenario_values)
+    monkeypatch.setattr(pipeline, "rref_int", counted)
+    monkeypatch.setattr(pipeline, "solve_linear", no_solve)
+    derive_presentation(table, unknowns, missing)
+    # (equations, targets + monomials) at degrees 3, 4, 5 and 6
+    assert sizes == [(2, 2 + 2), (3, 3 + 4), (2, 2 + 4), (2, 2 + 6)]
+
+
+def _degree_three_rows(s2_row, s2p_row):
+    """The shipped table with the terms of s2*s1 and s2p*s1, both on s3
+    and s3p at q^0, set to the given coefficients."""
+    with open(os.path.join(default_data_dir(), "cg_table.json")) as fh:
+        raw = json.load(fh)
+    for rec in raw["products"]:
+        for label, row in (("s2", s2_row), ("s2p", s2p_row)):
+            if {rec["a"], rec["b"]} == {label, "s1"}:
+                rec["terms"] = [{"label": t, "q": 0, "coeff": c}
+                                for t, c in zip(("s3", "s3p"), row)]
+    return MultiplicationTable.from_dict(raw)
+
+
+@pytest.mark.parametrize("s2_row, s2p_row, error", [
+    # singular rows, and the first monomial, s1^3, has a solution
+    ((0, 0), (1, 1), UnderdeterminedSystem),
+    ((0, 0), (1, 0), UnderdeterminedSystem),
+    # singular rows, and s1^3 has none: its failure is the one raised
+    ((1, 0), (0, 0), InconsistentSystem),
+    ((1, 3), (2, 6), InconsistentSystem),
+])
+def test_first_failing_monomial_decides_the_error(
+        scenario_values, s2_row, s2p_row, error):
+    broken = _degree_three_rows(s2_row, s2p_row)
+    unknowns = solve_chevalley(scenario_values)
+    missing = derive_missing_products(broken, scenario_values)
+    message = ("solution not unique" if error is UnderdeterminedSystem
+               else "no solution")
+    with pytest.raises(error) as info:
+        derive_presentation(broken, unknowns, missing)
+    assert type(info.value) is error and str(info.value) == message

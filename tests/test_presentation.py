@@ -274,6 +274,23 @@ def test_giambelli_schema_errors_raise_format_error(tmp_path, mutate):
         load_giambelli(path)
 
 
+def test_giambelli_repeated_exponents_sum_and_zero_sums_drop(tmp_path,
+                                                             giambelli):
+    # s3 = 3/4*s1^3 - 5/4*s1*s2; s1^3 is cancelled, so given again it
+    # comes after s1*s2, and s1*s2 sums with its repeats
+    def mutate(raw):
+        raw["s3"] += [{"exponents": [3, 0, 0], "coeff": "-3/4"},
+                      {"exponents": [1, 1, 0], "coeff": "1/4"},
+                      {"exponents": [1, 1, 0], "coeff": 0},
+                      {"exponents": [3, 0, 0], "coeff": 2}]
+
+    got = load_giambelli(_write_shipped_giambelli(tmp_path, mutate))
+    assert list(got["s3"].terms.items()) == [((1, 1, 0), -1), ((3, 0, 0), 2)]
+    assert [type(c) for c in got["s3"].terms.values()] == [int, int]
+    assert all(got[label] == giambelli[label] for label in LABELS
+               if label != "s3")
+
+
 def _outcome(fn, *args):
     """The value fn returns, or the type and message of what it raises;
     an expansion reported the way the cross-check reports a product."""

@@ -9,6 +9,7 @@ Regenerate the golden file (only where a change of output is intended):
 """
 import json
 import os
+import random
 import tempfile
 from fractions import Fraction
 
@@ -133,6 +134,29 @@ def test_table_faults_are_pinned():
     want = _golden()["table"]
     assert len(got) == 72
     assert got == want
+
+
+def test_table_faults_outside_the_derivation_diff_in_close_loop():
+    # a +-1 fault on an entry the derivation does not read leaves the
+    # derived presentation the shipped one, so close_loop's comparison
+    # reports exactly the faulted product, derived value first
+    with open(os.path.join(default_data_dir(), "cg_table.json")) as fh:
+        raw = json.load(fh)
+    clean = MultiplicationTable.from_dict(raw)
+    values = {sid: r.value for sid, r in run_all_scenarios().items()}
+    faults = [(rec, term, d) for rec in raw["products"]
+              if {rec["a"], rec["b"]} not in DERIVATION_ENTRIES
+              for term in rec["terms"] for d in (1, -1)]
+    assert len(faults) == 536
+    for rec, term, d in random.Random(24).sample(faults, 40):
+        term["coeff"] += d
+        faulted = MultiplicationTable.from_dict(raw)
+        term["coeff"] -= d
+        a, b = sorted((rec["a"], rec["b"]), key=LABELS.index)
+        report = run_pipeline(faulted, values)
+        assert (report["ok"], report["diff_count"]) == (False, 1)
+        assert report["diffs"] == [[a, b, str(clean.basis_product(a, b)),
+                                    str(faulted.basis_product(a, b))]]
 
 
 if __name__ == "__main__":

@@ -260,12 +260,8 @@ class MultiPolynomial:
         if n < 0:
             raise ValueError("negative power")
         result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        for _ in range(n):
+            result = result * self
         return result
 
     def __eq__(self, other) -> bool:

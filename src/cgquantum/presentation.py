@@ -280,64 +280,19 @@ def evaluate_in_schubert(table: MultiplicationTable,
     return SchubertElement.from_terms(_evaluate(table, p, {}))
 
 
-def _normal_form_matrix(quotient: GradedQuotient,
-                        giambelli: dict[str, MultiPolynomial], degree: int):
-    """schubert_to_normal_form as (columns, matrix, den) on integers, with
-    matrix[i][j] / den its entry.  Column (label, c) is reduced from the
-    entry's integer terms, its keys shifted by the key of q^c, with the
-    reducers of the slice of the entry's degree plus 4c."""
-    cols = [(label, rem // 4) for label in LABELS
-            if (rem := degree - DEGREES[label]) >= 0 and rem % 4 == 0]
-    target = quotient._slice(degree)
-    (q_exps,) = quotient.ring.gen("q").terms
-    q_key = quotient._key(q_exps)
-    columns = []  # per column: its integers at target.free, and their den
-    for label, qexp in cols:
-        p, column, den = giambelli[label], [0] * len(target.free), 1
-        if not p.is_zero():
-            degs = {p.ring.monomial_degree(m) for m in p.terms}
-            if len(degs) > 1:
-                raise ValueError("normal_form expects a homogeneous polynomial")
-            sl = quotient._slice(
-                degs.pop() + qexp * p.ring.monomial_degree(q_exps))
-            terms, den = _integral(p, quotient._key)
-            out = quotient._reduced(sl, [(k + qexp * q_key, c)
-                                         for k, c in terms])
-            if sl is target:
-                column = out
-            else:  # an entry of another degree has no place in the target
-                for m, x in zip(sl.basis, out):
-                    if x:
-                        raise KeyError(m)
-            den *= sl.den
-        columns.append((column, den))
-    den = lcm(*[d for _, d in columns])
-    scaled = [[x * (den // d) for x in column] for column, d in columns]
-    return cols, [list(row) for row in zip(*scaled)], den
-
-
-def schubert_to_normal_form(quotient: GradedQuotient,
-                            giambelli: dict[str, MultiPolynomial],
-                            degree: int):
-    """Change of basis in a fixed degree between Schubert-type generators
-    {q^c * G(label) : deg(label) + 4c = degree} and the normal-form
-    monomial basis.  Returns (columns, matrix) where matrix[i][j] is the
-    coefficient of basis monomial i in the normal form of column j."""
-    cols, matrix, den = _normal_form_matrix(quotient, giambelli, degree)
-    # as in a normal form, a nonzero integral coefficient is an int
-    return cols, [[Fraction(x, den) if x % den or not x else x // den
-                   for x in row] for row in matrix]
-
-
 def _change_of_basis(quotient: GradedQuotient,
                       giambelli: dict[str, MultiPolynomial], degree: int):
     """Factor one degree's change of basis once, as an integer matrix E.
 
-    Row-reducing [M | I], for the matrix M of schubert_to_normal_form,
-    gives [E M | E] with E M in reduced echelon form, so M x = b costs one
+    M is this degree's change of basis: column (label, c), for each
+    q^c * G(label) with deg(label) + 4c = degree, is the normal form of
+    q^c * G(label) on the slice's basis, reduced from the entry's integer
+    terms, their keys shifted by the key of q^c, with the reducers of the
+    slice of the entry's degree plus 4c.  Row-reducing [M | I] gives
+    [E M | E] with E M in reduced echelon form, so M x = b costs one
     product E b.  E is kept on integers over one common denominator, the
     rows past the rank of M included.  M is reduced as the integer matrix
-    den * M, whose solution is that of M divided by den.
+    m_den * M, whose solution is that of M divided by m_den.
 
     The returned function expands sum(c * m) / den, for pairs (k, c) of
     the key k of a monomial m of the degree and an integer c, and a
@@ -350,14 +305,41 @@ def _change_of_basis(quotient: GradedQuotient,
     rank short; this is where solve_linear, which reads such an M as
     having no columns, differs.
     """
-    cols, matrix, m_den = _normal_form_matrix(quotient, giambelli, degree)
-    n, k = len(matrix), len(cols)
-    reduced, pivots = rref_int([row + [int(i == j) for j in range(n)]
-                                for i, row in enumerate(matrix)])
+    cols = [(label, rem // 4) for label in LABELS
+            if (rem := degree - DEGREES[label]) >= 0 and rem % 4 == 0]
+    sl = quotient._slice(degree)
+    (q_exps,) = quotient.ring.gen("q").terms
+    q_key = quotient._key(q_exps)
+    n, k = len(sl.free), len(cols)
+    columns = []  # per column: its integers at sl.free, and their den
+    for label, qexp in cols:
+        p, column, den = giambelli[label], [0] * n, 1
+        if not p.is_zero():
+            degs = {p.ring.monomial_degree(m) for m in p.terms}
+            if len(degs) > 1:
+                raise ValueError("normal_form expects a homogeneous polynomial")
+            entry_sl = quotient._slice(
+                degs.pop() + qexp * p.ring.monomial_degree(q_exps))
+            terms, den = _integral(p, quotient._key)
+            out = quotient._reduced(entry_sl, [(key + qexp * q_key, c)
+                                               for key, c in terms])
+            if entry_sl is sl:
+                column = out
+            else:  # an entry of another degree has no place in this slice
+                for m, x in zip(entry_sl.basis, out):
+                    if x:
+                        raise KeyError(m)
+            den *= entry_sl.den
+        columns.append((column, den))
+    m_den = lcm(*[d for _, d in columns])
+    rows = [[0] * k + [int(i == j) for j in range(n)] for i in range(n)]
+    for j, (column, d) in enumerate(columns):
+        for row, x in zip(rows, column):
+            row[j] = x * (m_den // d)
+    reduced, pivots = rref_int(rows)
     rank = sum(1 for col in pivots if col < k)
     targets = [(LABEL_INDEX[cols[col][0]], cols[col][1])
                for col in pivots[:rank]]
-    sl = quotient._slice(degree)
     # the rows of E on integers over e_den, times m_den // g: with map_den
     # below this undoes the division of the solution by m_den
     e_den = lcm(*[row[col] for row, col in zip(reduced, pivots)])

@@ -18,7 +18,6 @@ from cgquantum.presentation import (DegreeOutOfRange, DimensionMismatch,
                                     evaluate_in_schubert, expand_in_schubert,
                                     expected_dimension, generator_ring,
                                     load_giambelli, products_via_presentation,
-                                    schubert_to_normal_form,
                                     standard_relations)
 from cgquantum.schubert import (DEGREES, LABEL_INDEX, LABELS,
                                 SchubertElement, default_data_dir,
@@ -135,14 +134,6 @@ def test_evaluation_is_a_homomorphism(table):
         assert lhs == rhs
 
 
-def test_change_of_basis_invertible_up_to_degree_8(quotient, giambelli):
-    for d in range(9):
-        cols, matrix = schubert_to_normal_form(quotient, giambelli, d)
-        assert len(cols) == len(matrix)
-        _, pivots = rref_int([clear_denominators(row)[0] for row in matrix])
-        assert len(pivots) == len(cols)
-
-
 def test_full_cross_check(table, quotient, giambelli):
     report = cross_check_presentation(table, quotient, giambelli)
     assert report.ok, [c.detail for c in report.failures()]
@@ -190,11 +181,40 @@ def test_products_via_presentation_match_table(table, quotient, giambelli):
         assert got == table.basis_product(a, b), (a, b, got)
 
 
+def _change_of_basis_matrix(quotient, giambelli, degree):
+    """Reference change of basis in one degree: for each column (label, c)
+    with deg(label) + 4c = degree, the coefficients of
+    normal_form(q^c * giambelli[label]) at quotient.basis(degree).
+    Returns (columns, matrix), matrix[i][j] of basis monomial i and
+    column j; a normal form of another degree raises KeyError."""
+    cols = [(label, (degree - DEGREES[label]) // 4) for label in LABELS
+            if degree >= DEGREES[label]
+            and (degree - DEGREES[label]) % 4 == 0]
+    index = {m: i for i, m in enumerate(quotient.basis(degree))}
+    q = quotient.ring.gen("q")
+    matrix = [[0] * len(cols) for _ in index]
+    for j, (label, c) in enumerate(cols):
+        for m, x in quotient.normal_form(q**c * giambelli[label]).terms.items():
+            matrix[index[m]][j] = x
+    return cols, matrix
+
+
+def test_change_of_basis_invertible_up_to_degree_16(expansion_cases):
+    for case in ("shipped", "derived"):
+        quotient, giambelli = expansion_cases[case]
+        for d in range(17):
+            cols, matrix = _change_of_basis_matrix(quotient, giambelli, d)
+            assert len(matrix) == len(cols) == quotient.dimension(d), (case, d)
+            _, pivots = rref_int([clear_denominators(row)[0]
+                                  for row in matrix])
+            assert len(pivots) == len(cols), (case, d)
+
+
 def _expansion_by_solve_linear(quotient, giambelli, p):
     """Reference: one solve_linear per right-hand side, reported the way
     the cross-check reports a product."""
     degree = p.degree()
-    cols, matrix = schubert_to_normal_form(quotient, giambelli, degree)
+    cols, matrix = _change_of_basis_matrix(quotient, giambelli, degree)
     # solve_linear reads a matrix without rows as having no columns, so
     # an empty slice with Schubert columns is decided here
     if cols and not matrix:

@@ -70,8 +70,8 @@ class QPolynomial:
                     self.coeffs[int(e)] = c
 
     @classmethod
-    def monomial(cls, exp: int, c=1, var: str = "q") -> "QPolynomial":
-        return cls({exp: rat(c)}, var)
+    def monomial(cls, exp: int, c=1) -> "QPolynomial":
+        return cls({exp: rat(c)})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -267,18 +267,14 @@ class MultiPolynomial:
     def __eq__(self, other) -> bool:
         return isinstance(other, MultiPolynomial) and self.terms == other.terms
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        """Graded-lex descending: higher total degree first, then earlier
-        generators heavier."""
-        return sorted(self.terms.items(),
-                      key=lambda kv: (self.ring.monomial_degree(kv[0]), kv[0]),
-                      reverse=True)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         parts = []
-        for exps, c in self.sorted_terms():
+        # graded-lex descending: higher total degree first, then earlier
+        # generators heavier
+        for exps, c in sorted(self.terms.items(), reverse=True, key=lambda kv:
+                              (self.ring.monomial_degree(kv[0]), kv[0])):
             factors = []
             for name, e in zip(self.ring.names, exps):
                 if e == 1:
@@ -433,7 +429,7 @@ def determinant(m: Matrix) -> Fraction:
     return Fraction(sign * prev, scale)
 
 
-def charpoly(m: Matrix, var: str = "t") -> QPolynomial:
+def charpoly(m: Matrix) -> QPolynomial:
     """Monic characteristic polynomial det(t*I - M), exactly.
 
     Faddeev-LeVerrier: M_1 = A, c_k = -tr(M_k)/k, M_{k+1} = A (M_k + c_k I).
@@ -456,4 +452,4 @@ def charpoly(m: Matrix, var: str = "t") -> QPolynomial:
         if ck.denominator == 1:
             ck = ck.numerator
         coeffs[n - k] = ck
-    return QPolynomial(coeffs, var)
+    return QPolynomial(coeffs, "t")

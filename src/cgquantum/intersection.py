@@ -83,16 +83,6 @@ class FormalBundle:
     def chern_class(self, i: int) -> MultiPolynomial:
         return self.chern.component(i)
 
-    def dual(self) -> "FormalBundle":
-        total = self.space.ring.zero()
-        for d, comp in self.chern.homogeneous_components().items():
-            total = total + (comp if d % 2 == 0 else -comp)
-        return FormalBundle(self.space, self.rank, total)
-
-    def plus(self, other: "FormalBundle") -> "FormalBundle":
-        chern = (self.chern * other.chern).truncate(self.space.top_degree)
-        return FormalBundle(self.space, self.rank + other.rank, chern)
-
     def minus(self, other: "FormalBundle") -> "FormalBundle":
         chern = quotient_chern(self.chern, other.chern, self.space.top_degree)
         return FormalBundle(self.space, self.rank - other.rank, chern)
@@ -142,9 +132,9 @@ def quotient_chern(numerator: MultiPolynomial, denominator: MultiPolynomial,
         .truncate(max_degree)
 
 
-def projective_space(n: int, var: str = "h") -> SpaceModel:
-    ring = GradedRing((var,), (1,))
-    return SpaceModel(ring, [ring.gen(var) ** (n + 1)], n, (n,))
+def projective_space(n: int) -> SpaceModel:
+    ring = GradedRing(("h",), (1,))
+    return SpaceModel(ring, [ring.gen("h") ** (n + 1)], n, (n,))
 
 
 def product_of_lines(names) -> SpaceModel:

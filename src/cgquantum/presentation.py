@@ -21,7 +21,6 @@ from .schubert import (DEGREES, LABEL_INDEX, LABELS, DataFormatError,
                        MultiplicationTable, SchubertElement, Terms,
                        VerificationReport, default_data_dir)
 
-BETTI = (1, 1, 2, 2, 3, 2, 2, 1, 1)
 DEFAULT_MAX_DEGREE = 16
 
 
@@ -37,16 +36,16 @@ def generator_ring() -> GradedRing:
     return GradedRing(("s1", "s2", "q"), (1, 2, 4))
 
 
+def _columns(degree: int) -> list[tuple[str, int]]:
+    """The (label, c) of each q^c * s_label of this degree, in label order."""
+    return [(label, rem // 4) for label in LABELS
+            if (rem := degree - DEGREES[label]) >= 0 and rem % 4 == 0]
+
+
 def expected_dimension(degree: int) -> int:
     """Dimension of the degree-d slice: the quotient is a free Q[q]-module
-    on the 15 classes, so dim = sum of Betti numbers b_{d-4c}."""
-    total = 0
-    d = degree
-    while d >= 0:
-        if d < len(BETTI):
-            total += BETTI[d]
-        d -= 4
-    return total
+    on the 15 classes, so dim counts the q^c * s_label of degree d."""
+    return len(_columns(degree))
 
 
 def standard_relations(ring: GradedRing) -> list[MultiPolynomial]:
@@ -305,8 +304,7 @@ def _change_of_basis(quotient: GradedQuotient,
     rank short; this is where solve_linear, which reads such an M as
     having no columns, differs.
     """
-    cols = [(label, rem // 4) for label in LABELS
-            if (rem := degree - DEGREES[label]) >= 0 and rem % 4 == 0]
+    cols = _columns(degree)
     sl = quotient._slice(degree)
     (q_exps,) = quotient.ring.gen("q").terms
     q_key = quotient._key(q_exps)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from itertools import chain, combinations, permutations, product
+from itertools import combinations, permutations, product
 from operator import mul
 
 from .exactmath import QPolynomial, Rational, parse_rational, rat
@@ -106,14 +106,10 @@ class SchubertElement:
         return self.coeffs.get(label, QPolynomial({}))
 
     def __add__(self, other: "SchubertElement") -> "SchubertElement":
-        # summed per class, so that a class keeps its place when one of
-        # its terms cancels
-        by_class: dict[int, Terms] = {}
-        for (k, e), c in chain(self._terms.items(), other._terms.items()):
-            cs = by_class.setdefault(k, {})
-            cs[k, e] = cs.get((k, e), 0) + c
-        return SchubertElement.from_terms(
-            {key: c for cs in by_class.values() for key, c in cs.items()})
+        acc = dict(self._terms)
+        for key, c in other._terms.items():
+            acc[key] = acc.get(key, 0) + c
+        return SchubertElement.from_terms(acc)
 
     def __sub__(self, other: "SchubertElement") -> "SchubertElement":
         return self + -other

@@ -58,7 +58,7 @@ def _poly(p):
             "coeffs": _typed(((e,), c) for e, c in p.coeffs.items())}
 
 
-def element_observations(table, count=100, seed=2024):
+def seeded_elements(count=100, seed=2024):
     rng = random.Random(seed)
     elems = []
     for i in range(count):
@@ -69,9 +69,14 @@ def element_observations(table, count=100, seed=2024):
         else:
             elems.append(SchubertElement.zero() if i % 25 == 0
                          else _element(rng))
+    return elems
+
+
+def element_observations(table):
+    elems = seeded_elements()
     out = []
     for i, x in enumerate(elems):
-        y = elems[(i + 1) % count]
+        y = elems[(i + 1) % len(elems)]
         rebuilt = SchubertElement.from_terms(x.terms())
         pairing = poincare_pairing(table, x, y)
         out.append({
@@ -120,6 +125,22 @@ def test_element_behaviour_is_pinned():
     assert len(got["elements"]) == len(golden["elements"])
     for i, (g, w) in enumerate(zip(got["elements"], golden["elements"])):
         assert g == w, i
+
+
+def test_sum_and_difference_keep_the_from_terms_order():
+    # a sum is normalised as every element is, so equal elements iterate
+    # alike however they were built
+    elems = seeded_elements()
+    for i, x in enumerate(elems):
+        y = elems[(i + 1) % len(elems)]
+        for got, sign in ((x + y, 1), (x - y, -1)):
+            summed = dict(x.terms())
+            for key, c in y.terms().items():
+                summed[key] = summed.get(key, 0) + sign * c
+            want = SchubertElement.from_terms(summed)
+            assert list(got.terms().items()) == \
+                list(want.terms().items()), (i, sign)
+            assert list(got.coeffs) == list(want.coeffs), (i, sign)
 
 
 def _dump(obs):

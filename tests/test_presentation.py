@@ -47,6 +47,16 @@ def test_graded_dimensions(quotient):
         assert quotient.dimension(d) == expected_dimension(d)
 
 
+def test_expected_dimension_sums_the_betti_numbers():
+    # the Betti numbers of CG, typed here rather than read from DEGREES: the
+    # degree-d slice of the free Q[q]-module has dim sum_c b_{d - 4c}
+    betti = (1, 1, 2, 2, 3, 2, 2, 1, 1)
+    for d in range(17):
+        want = sum(betti[d - 4 * c] for c in range(d // 4 + 1)
+                   if d - 4 * c < len(betti))
+        assert expected_dimension(d) == want, d
+
+
 def test_relations_have_zero_normal_form(quotient):
     for rel in standard_relations(quotient.ring):
         assert quotient.normal_form(rel).is_zero()

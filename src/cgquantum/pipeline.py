@@ -278,10 +278,11 @@ class LoopReport:
 
 def close_loop(table: MultiplicationTable, derived: DerivedPresentation,
                products: tuple | None = None) -> LoopReport:
-    """Recompute all 120 unordered products through the derived
-    presentation and diff against the shipped table.  products, if given,
-    is (products_key, mismatched_products list) of another quotient and
-    dictionary on this table; the list is reused when its key is the
+    """Check all 120 unordered products through the derived presentation
+    against the shipped table, each as M c = NF(p), and diff the E NF(p)
+    expansion of each one that fails (mismatched_products).  products, if
+    given, is (products_key, mismatched_products list) of another quotient
+    and dictionary on this table; the list is reused when its key is the
     derived presentation's."""
     if products and products[0] == products_key(derived.quotient,
                                                 derived.giambelli):

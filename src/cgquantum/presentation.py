@@ -280,45 +280,32 @@ def evaluate_in_schubert(table: MultiplicationTable,
 
 
 def _change_of_basis(quotient: GradedQuotient,
-                      giambelli: dict[str, MultiPolynomial], degree: int):
-    """Factor one degree's change of basis once, as an integer matrix E.
-
-    M is this degree's change of basis: column (label, c), for each
+                     giambelli: dict[str, MultiPolynomial], degree: int,
+                     integral):
+    """One degree's change of basis M: column (label, c), for each
     q^c * G(label) with deg(label) + 4c = degree, is the normal form of
-    q^c * G(label) on the slice's basis, reduced from the entry's integer
-    terms, their keys shifted by the key of q^c, with the reducers of the
-    slice of the entry's degree plus 4c.  Row-reducing [M | I] gives
-    [E M | E] with E M in reduced echelon form, so M x = b costs one
-    product E b.  E is kept on integers over one common denominator, the
-    rows past the rank of M included.  M is reduced as the integer matrix
-    m_den * M, whose solution is that of M divided by m_den.
-
-    The returned function expands sum(c * m) / den, for pairs (k, c) of
-    the key k of a monomial m of the degree and an integer c, and a
-    positive integer den, into Terms: it reduces the input with the
-    slice's reducers, as normal_form does, and applies E to the basis
-    coordinates, E NF(p).  It raises what solve_linear(M, b) raises, in
-    the same order: InconsistentSystem when the image has a nonzero row
-    past the rank, then UnderdeterminedSystem when the rank is short of the
-    columns.  An empty slice gives M no rows, so any column leaves the
-    rank short; this is where solve_linear, which reads such an M as
-    having no columns, differs.
-    """
+    q^c * G(label), reduced from integral(label), the entry's integer terms
+    and denominator, their keys shifted by the key of q^c, with the slice
+    of the entry's degree plus 4c.  Returns (keys, sl, m_den, columns):
+    each column's (label index, c), the slice, and the columns of the
+    integer matrix m_den * M at sl.free.  A missing entry raises KeyError,
+    a non-homogeneous one ValueError, a column past max_degree
+    DegreeOutOfRange, and an entry of another degree KeyError of its first
+    basis monomial with a nonzero coefficient."""
     cols = _columns(degree)
     sl = quotient._slice(degree)
     (q_exps,) = quotient.ring.gen("q").terms
     q_key = quotient._key(q_exps)
-    n, k = len(sl.free), len(cols)
     columns = []  # per column: its integers at sl.free, and their den
     for label, qexp in cols:
-        p, column, den = giambelli[label], [0] * n, 1
+        p, column, den = giambelli[label], [0] * len(sl.free), 1
         if not p.is_zero():
             degs = {p.ring.monomial_degree(m) for m in p.terms}
             if len(degs) > 1:
                 raise ValueError("normal_form expects a homogeneous polynomial")
             entry_sl = quotient._slice(
                 degs.pop() + qexp * p.ring.monomial_degree(q_exps))
-            terms, den = _integral(p, quotient._key)
+            terms, den = integral(label)
             out = quotient._reduced(entry_sl, [(key + qexp * q_key, c)
                                                for key, c in terms])
             if entry_sl is sl:
@@ -330,14 +317,32 @@ def _change_of_basis(quotient: GradedQuotient,
             den *= entry_sl.den
         columns.append((column, den))
     m_den = lcm(*[d for _, d in columns])
-    rows = [[0] * k + [int(i == j) for j in range(n)] for i in range(n)]
-    for j, (column, d) in enumerate(columns):
-        for row, x in zip(rows, column):
-            row[j] = x * (m_den // d)
+    return ([(LABEL_INDEX[label], c) for label, c in cols], sl, m_den,
+            [[x * (m_den // d) for x in column] for column, d in columns])
+
+
+def _expander(keys, sl: DegreeSlice, m_den: int, columns):
+    """Factor a change of basis from _change_of_basis as an integer E.
+
+    Row-reducing [m_den * M | I] gives [E M | E] with E M in reduced
+    echelon form; E is kept on integers over one common denominator, the
+    rows past the rank of M included.  The returned function expands
+    p = sum(c * m) / den, for pairs (k, c) of the key k of a monomial m of
+    the degree and an integer c, and a positive integer den, into Terms as
+    E NF(p).  It is given nf = quotient._reduced(sl, pairs), NF(p) times
+    den * sl.den as normal_form reduces it.  It raises what
+    solve_linear(M, b) raises, in the same order: InconsistentSystem when
+    the image has a nonzero row past the rank, then UnderdeterminedSystem
+    when the rank is short of the columns.  An empty slice gives M no
+    rows, so any column leaves the rank short; there solve_linear, which
+    reads such an M as having no columns, differs.
+    """
+    n, k = len(sl.free), len(keys)
+    rows = [[column[i] for column in columns]
+            + [int(i == j) for j in range(n)] for i in range(n)]
     reduced, pivots = rref_int(rows)
     rank = sum(1 for col in pivots if col < k)
-    targets = [(LABEL_INDEX[cols[col][0]], cols[col][1])
-               for col in pivots[:rank]]
+    targets = [keys[col] for col in pivots[:rank]]
     # the rows of E on integers over e_den, times m_den // g: with map_den
     # below this undoes the division of the solution by m_den
     e_den = lcm(*[row[col] for row, col in zip(reduced, pivots)])
@@ -346,8 +351,7 @@ def _change_of_basis(quotient: GradedQuotient,
               for row, col in zip(reduced, pivots)]
     map_den = e_den * sl.den // g
 
-    def expand(terms, den: int) -> Terms:
-        nf = quotient._reduced(sl, terms)
+    def expand(nf: list[int], den: int) -> Terms:
         v = [sum(map(mul, row, nf)) for row in e_rows]
         if any(v[rank:]):
             raise InconsistentSystem("no solution")
@@ -376,24 +380,44 @@ def expand_in_schubert(quotient: GradedQuotient,
         return SchubertElement.zero()
     degree = p.degree()
     terms, den = _integral(p, quotient._key)
-    return SchubertElement.from_terms(
-        _change_of_basis(quotient, giambelli, degree)(terms, den))
+    basis = _change_of_basis(quotient, giambelli, degree, lambda label:
+                             _integral(giambelli[label], quotient._key))
+    nf = quotient._reduced(basis[1], terms)
+    return SchubertElement.from_terms(_expander(*basis)(nf, den))
+
+
+def _is_expansion(keys, sl: DegreeSlice, m_den: int, columns, nf: list[int],
+                  den: int, want: Terms) -> bool:
+    """Whether want is the expansion of p, given nf as for _expander, where
+    the change of basis M has full column rank: M want = NF(p), both sides
+    times m_den * sl.den * den, so on integers where want is."""
+    lhs = [0] * len(sl.free)  # m_den * M want
+    for t, c in want.items():
+        if c:
+            if t not in keys:  # no column of this degree
+                return False
+            lhs = [y + c * x for y, x in zip(lhs, columns[keys.index(t)])]
+    scale = sl.den * den
+    return [x * scale for x in lhs] == [y * m_den for y in nf]
 
 
 def _product_terms(quotient: GradedQuotient,
-                   giambelli: dict[str, MultiPolynomial]):
-    """All 120 unordered products of dictionary entries, recomputed
-    through the quotient with each degree's change of basis factored once.
+                   giambelli: dict[str, MultiPolynomial],
+                   table: MultiplicationTable | None = None):
+    """All 120 unordered products of dictionary entries through the
+    quotient, each degree's change of basis M built once.
 
-    Each entry is scaled to integers once, with its monomials as keys, so a
-    product is expanded from integer coefficients and only its expansion
-    forms Fractions.  Yields (a, b, result) in table order; result is the
-    terms of the product in the Schubert basis, or the exception its
-    expansion raised.
+    Each entry is scaled to integers once, with its monomials as keys; a
+    product and every column are formed from these terms.  Yields
+    (a, b, result) in table order; result is the terms of the product in
+    the Schubert basis, or the exception its expansion raised.  With a
+    table, a product is not yielded when M has full column rank and
+    M c = NF(p), c its table entry; E is factored only for the others.
     """
-    # one map per degree, factored on first use; nothing is kept for a
-    # degree whose map could not be built, so its failure repeats
-    expanders = {}
+    # per degree, built on first use: its columns and whether M has full
+    # column rank, and its E; nothing is kept for a degree whose columns
+    # raise, so its failure repeats
+    bases, expanders = {}, {}
     # a missing entry still raises KeyError at its first pair
     integral = {label: _integral(giambelli[label], quotient._key)
                 for label in LABELS if label in giambelli}
@@ -417,10 +441,21 @@ def _product_terms(quotient: GradedQuotient,
                     for ka, ca in terms_a:
                         for kb, cb in terms_b:
                             terms[ka + kb] = terms.get(ka + kb, 0) + ca * cb
+                    den = den_a * den_b
+                    if degree not in bases:
+                        basis = _change_of_basis(quotient, giambelli, degree,
+                                                 integral.__getitem__)
+                        bases[degree] = basis, len(basis[0]) == len(
+                            rref_int(list(basis[3]))[1])
+                    basis, full = bases[degree]
+                    nf = quotient._reduced(basis[1], terms.items())
+                    if full and table is not None and _is_expansion(
+                            *basis, nf, den,
+                            table.tensor[LABEL_INDEX[a]][LABEL_INDEX[b]]):
+                        continue
                     if degree not in expanders:
-                        expanders[degree] = _change_of_basis(
-                            quotient, giambelli, degree)
-                    result = expanders[degree](terms.items(), den_a * den_b)
+                        expanders[degree] = _expander(*basis)
+                    result = expanders[degree](nf, den)
             except Exception as exc:
                 result = exc
             yield a, b, result
@@ -453,8 +488,12 @@ def products_via_presentation(quotient: GradedQuotient,
 def mismatched_products(table: MultiplicationTable, quotient: GradedQuotient,
                         giambelli: dict[str, MultiPolynomial]):
     """The (a, b, result) of products_via_presentation whose result is an
-    exception or differs from the table entry, compared on terms."""
-    for a, b, r in _product_terms(quotient, giambelli):
+    exception or differs from the table entry c, compared on terms.  A
+    product p is decided as M c = NF(p), on integers, where the change of
+    basis M of its degree has full column rank; only a product that fails
+    this, or one of a degree whose M is rank-deficient, is expanded as
+    E NF(p)."""
+    for a, b, r in _product_terms(quotient, giambelli, table):
         want = table.tensor[LABEL_INDEX[a]][LABEL_INDEX[b]]
         if isinstance(r, Exception):
             yield a, b, r
@@ -469,9 +508,11 @@ def cross_check_presentation(table: MultiplicationTable,
     """Three-way consistency of table, relations, and dictionary.
 
     (i) the table kills both relations; (ii) each Giambelli polynomial
-    evaluates to its own class; (iii) every unordered product recomputed
-    through the quotient matches the table entry.  mismatches, if given,
-    is the list of mismatched_products for these arguments.
+    evaluates to its own class; (iii) every unordered product through the
+    quotient matches the table entry c: M c = NF(p), and only the products
+    that fail it are expanded as E NF(p) (mismatched_products).
+    mismatches, if given, is the list of mismatched_products for these
+    arguments.
     Returns a VerificationReport.
     """
     report = VerificationReport()

@@ -10,8 +10,8 @@ import pytest
 
 import cgquantum
 from cgquantum.cli import main
-from cgquantum.schubert import (MultiplicationTable, default_data_dir,
-                                load_default_table)
+from cgquantum.schubert import (DEGREES, MultiplicationTable,
+                                default_data_dir, load_default_table)
 
 
 def run_cli(capsys, *argv):
@@ -419,22 +419,32 @@ def test_verify_computes_shared_inputs_once(capsys, monkeypatch, suite,
     assert calls == {"load": loads, "scenario": scenarios}
 
 
-def _count_change_of_basis(monkeypatch):
+def _count_calls(monkeypatch, name):
+    """The degree of each call of presentation's name, in call order: the
+    column build of a change of basis (_change_of_basis), which is given
+    the degree, or its factoring (_expander), which is given the slice."""
     from cgquantum import presentation
     degrees = []
-    change_of_basis = presentation._change_of_basis
+    built = getattr(presentation, name)
+    ring = presentation.generator_ring()
 
-    def counted(quotient, giambelli, degree):
-        degrees.append(degree)
-        return change_of_basis(quotient, giambelli, degree)
+    def counted(*args):
+        degrees.append(args[2] if name == "_change_of_basis" else
+                       ring.monomial_degree(args[1].monomials[0]))
+        return built(*args)
 
-    monkeypatch.setattr(presentation, "_change_of_basis", counted)
+    monkeypatch.setattr(presentation, name, counted)
     return degrees
+
+
+def _count_change_of_basis(monkeypatch):
+    return _count_calls(monkeypatch, "_change_of_basis")
 
 
 def test_verify_all_computes_the_products_once(capsys, monkeypatch):
     # the derived presentation is the shipped one, so the pipeline reuses
-    # the presentation suite's products: one map for each degree 0-16
+    # the presentation suite's products: one column build for each degree
+    # 0-16
     degrees = _count_change_of_basis(monkeypatch)
     code, _, _ = run_cli(capsys, "verify", "--suite", "all")
     assert code == 0
@@ -500,6 +510,32 @@ def test_verify_all_reuses_the_products_on_a_table_fault(
         f"[fail] pipeline:loop_closed -- {result['diff_count']} differing "
         f"products, first: {result['diffs'][:3]}"]
     assert sorted(degrees) == list(range(17))
+
+
+def test_only_the_degrees_of_failing_products_are_factored(
+        capsys, monkeypatch, tmp_path):
+    # a product that satisfies M c = NF(p) needs no E: the clean data
+    # factors none, and with +1 on a Giambelli coefficient each degree
+    # with a failing product is factored once, and no other degree
+    from cgquantum.presentation import (build_graded_basis, load_giambelli,
+                                        mismatched_products)
+
+    def mutate(raw):
+        term = raw["s4p"][1]
+        term["coeff"] = str(Fraction(term["coeff"]) + 1)
+
+    path = _write_shipped_giambelli(tmp_path, mutate)
+    quotient = build_graded_basis()
+    failing = {DEGREES[a] + DEGREES[b] for a, b, _ in mismatched_products(
+        load_default_table(), quotient, load_giambelli(path, quotient.ring))}
+    assert 0 < len(failing) < 17
+    degrees = _count_calls(monkeypatch, "_expander")
+    code, _, _ = run_cli(capsys, "verify", "--suite", "all")
+    assert (code, degrees) == (0, [])
+    code, _, err = run_cli(capsys, "--giambelli-file", path,
+                           "verify", "--suite", "all")
+    assert (code, err) == (1, "")
+    assert sorted(degrees) == sorted(failing)
 
 
 def test_a_huge_coefficient_fails_without_slices_past_the_top_row(

@@ -17,11 +17,13 @@ from cgquantum.presentation import (DegreeOutOfRange, DimensionMismatch,
                                     cross_check_presentation,
                                     evaluate_in_schubert, expand_in_schubert,
                                     expected_dimension, generator_ring,
-                                    load_giambelli, products_via_presentation,
+                                    load_giambelli, mismatched_products,
+                                    products_via_presentation,
                                     standard_relations)
 from cgquantum.schubert import (DEGREES, LABEL_INDEX, LABELS,
-                                SchubertElement, default_data_dir,
-                                load_default_table, quantum_product)
+                                MultiplicationTable, SchubertElement,
+                                default_data_dir, load_default_table,
+                                quantum_product)
 
 
 @pytest.fixture(scope="module")
@@ -399,6 +401,56 @@ def test_products_match_solve_linear_reference(expansion_cases, case):
                              dictionary[a] * dictionary[b])
             for a, b in pairs}
     assert got == want
+
+
+@pytest.fixture(scope="module")
+def check_tables():
+    """The shipped table; 40 seeded +-1 faults on one of its 297 terms; an
+    off-grade term (s1 in s1 * s1); and a Fraction coefficient (1/2 on the
+    s4 term of s2 * s2)."""
+    with open(os.path.join(default_data_dir(), "cg_table.json")) as fh:
+        shipped = json.load(fh)
+
+    def mutant(pick, change):
+        raw = json.loads(json.dumps(shipped))
+        change(pick(raw))
+        return MultiplicationTable.from_dict(raw)
+
+    def record(a, b):
+        return lambda raw: next(r for r in raw["products"]
+                                if (r["a"], r["b"]) in ((a, b), (b, a)))
+
+    tables = {"shipped": MultiplicationTable.from_dict(shipped)}
+    sites = [(i, j) for i, rec in enumerate(shipped["products"])
+             for j in range(len(rec["terms"]))]
+    assert len(sites) == 297
+    rng = random.Random(27)
+    for i, j in rng.sample(sites, 40):
+        d = rng.choice((1, -1))
+        tables[f"term-{i}-{j}{d:+d}"] = mutant(
+            lambda raw: raw["products"][i]["terms"][j],
+            lambda term: term.update(coeff=term["coeff"] + d))
+    tables["off-grade"] = mutant(record("s1", "s1"), lambda rec: rec[
+        "terms"].append({"label": "s1", "q": 0, "coeff": 1}))
+    tables["fraction"] = mutant(record("s2", "s2"), lambda rec: next(
+        t for t in rec["terms"] if t["label"] == "s4").update(coeff="1/2"))
+    return tables
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_mismatched_products_filter_the_full_expansion(expansion_cases,
+                                                       check_tables, case):
+    # mismatched_products expands only the products that fail M c = NF(p);
+    # the pairs, results and exceptions it yields are those of expanding
+    # every product and comparing it with the table entry
+    quotient, dictionary = expansion_cases[case]
+    expanded = list(products_via_presentation(quotient, dictionary))
+    for name, table in check_tables.items():
+        want = [(a, b, _outcome(lambda r=r: r)) for a, b, r in expanded
+                if isinstance(r, Exception) or r != table.basis_product(a, b)]
+        got = [(a, b, _outcome(lambda r=r: r))
+               for a, b, r in mismatched_products(table, quotient, dictionary)]
+        assert got == want, name
 
 
 def _random_polynomial(rng, ring, degree):

@@ -437,15 +437,11 @@ def _count_calls(monkeypatch, name):
     return degrees
 
 
-def _count_change_of_basis(monkeypatch):
-    return _count_calls(monkeypatch, "_change_of_basis")
-
-
 def test_verify_all_computes_the_products_once(capsys, monkeypatch):
     # the derived presentation is the shipped one, so the pipeline reuses
     # the presentation suite's products: one column build for each degree
     # 0-16
-    degrees = _count_change_of_basis(monkeypatch)
+    degrees = _count_calls(monkeypatch, "_change_of_basis")
     code, _, _ = run_cli(capsys, "verify", "--suite", "all")
     assert code == 0
     assert sorted(degrees) == list(range(17))
@@ -479,7 +475,7 @@ def test_verify_all_recomputes_the_products_of_another_dictionary(
         term["coeff"] = str(Fraction(term["coeff"]) + 1)
 
     path = _write_shipped_giambelli(tmp_path, mutate)
-    degrees = _count_change_of_basis(monkeypatch)
+    degrees = _count_calls(monkeypatch, "_change_of_basis")
     code, out, err = run_cli(capsys, "--giambelli-file", path,
                              "verify", "--suite", "all")
     report = _presentation_fault("giambelli", "s4p term 1 +1")
@@ -499,7 +495,7 @@ def test_verify_all_reuses_the_products_on_a_table_fault(
         next(t for t in rec["terms"] if t["label"] == "s1")["coeff"] += 1
 
     path = _write_shipped_table(tmp_path, mutate)
-    degrees = _count_change_of_basis(monkeypatch)
+    degrees = _count_calls(monkeypatch, "_change_of_basis")
     code, out, err = run_cli(capsys, "--table-file", path,
                              "verify", "--suite", "all")
     result = _presentation_fault("table", "s4*s1 term s1 +1")

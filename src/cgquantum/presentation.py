@@ -11,8 +11,8 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
-from math import gcd, lcm
-from operator import lshift, mul
+from math import lcm
+from operator import lshift
 
 from .exactmath import (GradedRing, InconsistentSystem,
                         MultiPolynomial, UnderdeterminedSystem,
@@ -281,11 +281,12 @@ def evaluate_in_schubert(table: MultiplicationTable,
 
 def _change_of_basis(quotient: GradedQuotient,
                      giambelli: dict[str, MultiPolynomial], degree: int,
-                     integral):
+                     entry):
     """One degree's change of basis M: column (label, c), for each
     q^c * G(label) with deg(label) + 4c = degree, is the normal form of
-    q^c * G(label), reduced from integral(label), the entry's integer terms
-    and denominator, their keys shifted by the key of q^c, with the slice
+    q^c * G(label), reduced from entry(label), the entry's degree (None if
+    it is not homogeneous) and its integer terms and denominator as
+    _entry gives them, their keys shifted by the key of q^c, with the slice
     of the entry's degree plus 4c.  Returns (keys, sl, m_den, columns):
     each column's (label index, c), the slice, and the columns of the
     integer matrix m_den * M at sl.free.  A missing entry raises KeyError,
@@ -300,12 +301,11 @@ def _change_of_basis(quotient: GradedQuotient,
     for label, qexp in cols:
         p, column, den = giambelli[label], [0] * len(sl.free), 1
         if not p.is_zero():
-            degs = {p.ring.monomial_degree(m) for m in p.terms}
-            if len(degs) > 1:
+            entry_degree, terms, den = entry(label)
+            if entry_degree is None:
                 raise ValueError("normal_form expects a homogeneous polynomial")
             entry_sl = quotient._slice(
-                degs.pop() + qexp * p.ring.monomial_degree(q_exps))
-            terms, den = integral(label)
+                entry_degree + qexp * p.ring.monomial_degree(q_exps))
             out = quotient._reduced(entry_sl, [(key + qexp * q_key, c)
                                                for key, c in terms])
             if entry_sl is sl:
@@ -321,47 +321,33 @@ def _change_of_basis(quotient: GradedQuotient,
             [[x * (m_den // d) for x in column] for column, d in columns])
 
 
-def _expander(keys, sl: DegreeSlice, m_den: int, columns):
-    """Factor a change of basis from _change_of_basis as an integer E.
-
-    Row-reducing [m_den * M | I] gives [E M | E] with E M in reduced
-    echelon form; E is kept on integers over one common denominator, the
-    rows past the rank of M included.  The returned function expands
-    p = sum(c * m) / den, for pairs (k, c) of the key k of a monomial m of
-    the degree and an integer c, and a positive integer den, into Terms as
-    E NF(p).  It is given nf = quotient._reduced(sl, pairs), NF(p) times
-    den * sl.den as normal_form reduces it.  It raises what
-    solve_linear(M, b) raises, in the same order: InconsistentSystem when
-    the image has a nonzero row past the rank, then UnderdeterminedSystem
-    when the rank is short of the columns.  An empty slice gives M no
-    rows, so any column leaves the rank short; there solve_linear, which
-    reads such an M as having no columns, differs.
-    """
-    n, k = len(sl.free), len(keys)
-    rows = [[column[i] for column in columns]
-            + [int(i == j) for j in range(n)] for i in range(n)]
-    reduced, pivots = rref_int(rows)
-    rank = sum(1 for col in pivots if col < k)
-    targets = [keys[col] for col in pivots[:rank]]
-    # the rows of E on integers over e_den, times m_den // g: with map_den
-    # below this undoes the division of the solution by m_den
-    e_den = lcm(*[row[col] for row, col in zip(reduced, pivots)])
-    g = gcd(m_den, e_den * sl.den)
-    e_rows = [[x * (e_den // row[col]) * (m_den // g) for x in row[k:]]
-              for row, col in zip(reduced, pivots)]
-    map_den = e_den * sl.den // g
-
-    def expand(nf: list[int], den: int) -> Terms:
-        v = [sum(map(mul, row, nf)) for row in e_rows]
-        if any(v[rank:]):
-            raise InconsistentSystem("no solution")
-        if rank < k:
-            raise UnderdeterminedSystem("solution not unique")
-        den *= map_den
-        return {t: Fraction(x, den) if x % den else x // den
-                for t, x in zip(targets, v) if x}
-
-    return expand
+def _solve(keys, sl: DegreeSlice, m_den: int, columns, nf: list[int],
+           den: int) -> Terms:
+    """The Terms of the solution x of M x = NF(p), for a change of basis
+    from _change_of_basis and p = sum(c * m) / den, for pairs (k, c) of the
+    key k of a monomial m of the degree and an integer c, and a positive
+    integer den.  nf = quotient._reduced(sl, pairs) is NF(p) times
+    den * sl.den, as normal_form reduces it.  One rref_int of the rows
+    [m_den * M | nf], one per entry of nf, raises what solve_linear(M, b)
+    raises, in the same order: InconsistentSystem for a pivot in the last
+    column, then UnderdeterminedSystem when the rank is short of the
+    columns.  An empty slice gives no rows, so any column leaves the rank
+    short; there solve_linear, which reads such an M as having no columns,
+    differs."""
+    k = len(keys)
+    reduced, pivots = rref_int([[column[i] for column in columns] + [x]
+                                for i, x in enumerate(nf)])
+    if k in pivots:
+        raise InconsistentSystem("no solution")
+    if len(pivots) < k:
+        raise UnderdeterminedSystem("solution not unique")
+    # m_den * M x = nf * m_den / (sl.den * den), and every column is a pivot
+    out: Terms = {}
+    for t, row, col in zip(keys, reduced, pivots):
+        x, d = row[k] * m_den, row[col] * sl.den * den
+        if x:
+            out[t] = Fraction(x, d) if x % d else x // d
+    return out
 
 
 def _integral(p: MultiPolynomial, key):
@@ -369,6 +355,13 @@ def _integral(p: MultiPolynomial, key):
     key(m), and their denominator."""
     ints, den = clear_denominators(list(p.terms.values()))
     return list(zip(map(key, p.terms), ints)), den
+
+
+def _entry(p: MultiPolynomial, key):
+    """p's degree, None if p is zero or not homogeneous, then the terms and
+    denominator of _integral(p, key)."""
+    degs = {p.ring.monomial_degree(m) for m in p.terms}
+    return (degs.pop() if len(degs) == 1 else None, *_integral(p, key))
 
 
 def expand_in_schubert(quotient: GradedQuotient,
@@ -381,16 +374,16 @@ def expand_in_schubert(quotient: GradedQuotient,
     degree = p.degree()
     terms, den = _integral(p, quotient._key)
     basis = _change_of_basis(quotient, giambelli, degree, lambda label:
-                             _integral(giambelli[label], quotient._key))
+                             _entry(giambelli[label], quotient._key))
     nf = quotient._reduced(basis[1], terms)
-    return SchubertElement.from_terms(_expander(*basis)(nf, den))
+    return SchubertElement.from_terms(_solve(*basis, nf, den))
 
 
 def _is_expansion(keys, sl: DegreeSlice, m_den: int, columns, nf: list[int],
                   den: int, want: Terms) -> bool:
-    """Whether want is the expansion of p, given nf as for _expander, where
-    the change of basis M has full column rank: M want = NF(p), both sides
-    times m_den * sl.den * den, so on integers where want is."""
+    """Whether want is the expansion of p, given nf and den as for _solve,
+    where the change of basis M has full column rank: M want = NF(p), both
+    sides times m_den * sl.den * den, so on integers where want is."""
     lhs = [0] * len(sl.free)  # m_den * M want
     for t, c in want.items():
         if c:
@@ -401,42 +394,42 @@ def _is_expansion(keys, sl: DegreeSlice, m_den: int, columns, nf: list[int],
     return [x * scale for x in lhs] == [y * m_den for y in nf]
 
 
-def _product_terms(quotient: GradedQuotient,
-                   giambelli: dict[str, MultiPolynomial],
-                   table: MultiplicationTable | None = None):
-    """All 120 unordered products of dictionary entries through the
-    quotient, each degree's change of basis M built once.
+def mismatched_products(table: MultiplicationTable, quotient: GradedQuotient,
+                        giambelli: dict[str, MultiPolynomial]):
+    """The (a, b, result) of the 120 unordered products of dictionary
+    entries through the quotient, in table order, whose result is the
+    exception its expansion raised or differs from the table entry c,
+    compared on terms; result is then a SchubertElement.
 
-    Each entry is scaled to integers once, with its monomials as keys; a
-    product and every column are formed from these terms.  Yields
-    (a, b, result) in table order; result is the terms of the product in
-    the Schubert basis, or the exception its expansion raised.  With a
-    table, a product is not yielded when M has full column rank and
-    M c = NF(p), c its table entry; E is factored only for the others.
+    Each entry is scaled to integers once, with its monomials as keys and
+    its degree; a product p and every column are formed from these, and
+    each degree's change of basis M is built once.  p is decided as
+    M c = NF(p), on integers, where M has full column rank; only a product
+    that fails this, or one of a degree whose M is rank-deficient, is
+    solved for by _solve.
     """
     # per degree, built on first use: its columns and whether M has full
-    # column rank, and its E; nothing is kept for a degree whose columns
-    # raise, so its failure repeats
-    bases, expanders = {}, {}
+    # column rank; nothing is kept for a degree whose columns raise, so
+    # its failure repeats
+    bases = {}
     # a missing entry still raises KeyError at its first pair
-    integral = {label: _integral(giambelli[label], quotient._key)
-                for label in LABELS if label in giambelli}
-    # a non-homogeneous entry has no degree here, and raises at each pair
-    degrees = {label: giambelli[label].degree() for label in integral
-               if giambelli[label].is_homogeneous()}
+    entries = {label: _entry(giambelli[label], quotient._key)
+               for label in LABELS if label in giambelli}
     for i, a in enumerate(LABELS):
         for b in LABELS[i:]:
             pa, pb = giambelli[a], giambelli[b]
+            want = table.tensor[LABEL_INDEX[a]][LABEL_INDEX[b]]
             try:
                 # the ring is a domain: the product is zero only when a
                 # factor is, and homogeneous only when both factors are
                 if pa.is_zero() or pb.is_zero():
                     result = {}
                 else:
-                    degree = ((degrees.get(a) or pa.degree())
-                              + (degrees.get(b) or pb.degree()))
-                    terms_a, den_a = integral[a]
-                    terms_b, den_b = integral[b]
+                    degree_a, terms_a, den_a = entries[a]
+                    degree_b, terms_b, den_b = entries[b]
+                    # a non-homogeneous entry has no degree, and raises here
+                    degree = ((pa.degree() if degree_a is None else degree_a)
+                              + (pb.degree() if degree_b is None else degree_b))
                     terms = {}
                     for ka, ca in terms_a:
                         for kb, cb in terms_b:
@@ -444,21 +437,21 @@ def _product_terms(quotient: GradedQuotient,
                     den = den_a * den_b
                     if degree not in bases:
                         basis = _change_of_basis(quotient, giambelli, degree,
-                                                 integral.__getitem__)
+                                                 entries.__getitem__)
                         bases[degree] = basis, len(basis[0]) == len(
                             rref_int(list(basis[3]))[1])
                     basis, full = bases[degree]
                     nf = quotient._reduced(basis[1], terms.items())
-                    if full and table is not None and _is_expansion(
-                            *basis, nf, den,
-                            table.tensor[LABEL_INDEX[a]][LABEL_INDEX[b]]):
+                    if full and _is_expansion(*basis, nf, den, want):
                         continue
-                    if degree not in expanders:
-                        expanders[degree] = _expander(*basis)
-                    result = expanders[degree](nf, den)
+                    result = _solve(*basis, nf, den)
             except Exception as exc:
                 result = exc
-            yield a, b, result
+            if isinstance(result, Exception):
+                yield a, b, result
+            elif result != want and result != {t: c for t, c in want.items()
+                                                if c}:
+                yield a, b, SchubertElement.from_terms(result)
 
 
 def products_key(quotient: GradedQuotient,
@@ -477,30 +470,6 @@ def products_key(quotient: GradedQuotient,
             [rel.terms for rel in quotient.relations], entries)
 
 
-def products_via_presentation(quotient: GradedQuotient,
-                              giambelli: dict[str, MultiPolynomial]):
-    """_product_terms with each expansion as a SchubertElement."""
-    for a, b, r in _product_terms(quotient, giambelli):
-        yield a, b, r if isinstance(r, Exception) else \
-            SchubertElement.from_terms(r)
-
-
-def mismatched_products(table: MultiplicationTable, quotient: GradedQuotient,
-                        giambelli: dict[str, MultiPolynomial]):
-    """The (a, b, result) of products_via_presentation whose result is an
-    exception or differs from the table entry c, compared on terms.  A
-    product p is decided as M c = NF(p), on integers, where the change of
-    basis M of its degree has full column rank; only a product that fails
-    this, or one of a degree whose M is rank-deficient, is expanded as
-    E NF(p)."""
-    for a, b, r in _product_terms(quotient, giambelli, table):
-        want = table.tensor[LABEL_INDEX[a]][LABEL_INDEX[b]]
-        if isinstance(r, Exception):
-            yield a, b, r
-        elif r != want and r != {t: c for t, c in want.items() if c}:
-            yield a, b, SchubertElement.from_terms(r)
-
-
 def cross_check_presentation(table: MultiplicationTable,
                              quotient: GradedQuotient,
                              giambelli: dict[str, MultiPolynomial],
@@ -510,9 +479,8 @@ def cross_check_presentation(table: MultiplicationTable,
     (i) the table kills both relations; (ii) each Giambelli polynomial
     evaluates to its own class; (iii) every unordered product through the
     quotient matches the table entry c: M c = NF(p), and only the products
-    that fail it are expanded as E NF(p) (mismatched_products).
-    mismatches, if given, is the list of mismatched_products for these
-    arguments.
+    that fail it are solved for (mismatched_products).  mismatches, if
+    given, is the list of mismatched_products for these arguments.
     Returns a VerificationReport.
     """
     report = VerificationReport()
@@ -531,11 +499,11 @@ def cross_check_presentation(table: MultiplicationTable,
                "" if not bad_g else f"mismatches: {bad_g[:3]}")
 
     if mismatches is None:
-        mismatches = mismatched_products(table, quotient, giambelli)
-    bad_prod = [(a, b, f"expansion failed: {result}"
-                 if isinstance(result, Exception) else str(result))
-                for a, b, result in mismatches]
-    report.add("products_match", not bad_prod,
-               "" if not bad_prod else f"{len(bad_prod)} mismatches, "
-               f"first: {bad_prod[:3]}")
+        mismatches = list(mismatched_products(table, quotient, giambelli))
+    first = [(a, b, f"expansion failed: {result}"
+              if isinstance(result, Exception) else str(result))
+             for a, b, result in mismatches[:3]]
+    report.add("products_match", not mismatches,
+               "" if not mismatches else f"{len(mismatches)} mismatches, "
+               f"first: {first}")
     return report

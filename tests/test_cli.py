@@ -10,8 +10,8 @@ import pytest
 
 import cgquantum
 from cgquantum.cli import main
-from cgquantum.schubert import (DEGREES, MultiplicationTable,
-                                default_data_dir, load_default_table)
+from cgquantum.schubert import (MultiplicationTable, default_data_dir,
+                                load_default_table)
 
 
 def run_cli(capsys, *argv):
@@ -420,31 +420,27 @@ def test_verify_computes_shared_inputs_once(capsys, monkeypatch, suite,
 
 
 def _count_calls(monkeypatch, name):
-    """The degree of each call of presentation's name, in call order: the
-    column build of a change of basis (_change_of_basis), which is given
-    the degree, or its factoring (_expander), which is given the slice."""
+    """The arguments of each call of presentation's name, in call order."""
     from cgquantum import presentation
-    degrees = []
-    built = getattr(presentation, name)
-    ring = presentation.generator_ring()
+    calls = []
+    called = getattr(presentation, name)
 
     def counted(*args):
-        degrees.append(args[2] if name == "_change_of_basis" else
-                       ring.monomial_degree(args[1].monomials[0]))
-        return built(*args)
+        calls.append(args)
+        return called(*args)
 
     monkeypatch.setattr(presentation, name, counted)
-    return degrees
+    return calls
 
 
 def test_verify_all_computes_the_products_once(capsys, monkeypatch):
     # the derived presentation is the shipped one, so the pipeline reuses
     # the presentation suite's products: one column build for each degree
     # 0-16
-    degrees = _count_calls(monkeypatch, "_change_of_basis")
+    calls = _count_calls(monkeypatch, "_change_of_basis")
     code, _, _ = run_cli(capsys, "verify", "--suite", "all")
     assert code == 0
-    assert sorted(degrees) == list(range(17))
+    assert sorted(args[2] for args in calls) == list(range(17))
 
 
 def _report_lines(suite, report):
@@ -475,14 +471,14 @@ def test_verify_all_recomputes_the_products_of_another_dictionary(
         term["coeff"] = str(Fraction(term["coeff"]) + 1)
 
     path = _write_shipped_giambelli(tmp_path, mutate)
-    degrees = _count_calls(monkeypatch, "_change_of_basis")
+    calls = _count_calls(monkeypatch, "_change_of_basis")
     code, out, err = run_cli(capsys, "--giambelli-file", path,
                              "verify", "--suite", "all")
     report = _presentation_fault("giambelli", "s4p term 1 +1")
     assert (code, err) == (1, "")
     assert out.splitlines() == _golden_verify_all_with(
         "presentation", _report_lines("presentation", report))
-    assert sorted(degrees) == sorted(list(range(17)) * 2)
+    assert sorted(args[2] for args in calls) == sorted(list(range(17)) * 2)
 
 
 def test_verify_all_reuses_the_products_on_a_table_fault(
@@ -495,7 +491,7 @@ def test_verify_all_reuses_the_products_on_a_table_fault(
         next(t for t in rec["terms"] if t["label"] == "s1")["coeff"] += 1
 
     path = _write_shipped_table(tmp_path, mutate)
-    degrees = _count_calls(monkeypatch, "_change_of_basis")
+    calls = _count_calls(monkeypatch, "_change_of_basis")
     code, out, err = run_cli(capsys, "--table-file", path,
                              "verify", "--suite", "all")
     result = _presentation_fault("table", "s4*s1 term s1 +1")
@@ -505,14 +501,13 @@ def test_verify_all_reuses_the_products_on_a_table_fault(
         "[pass] pipeline:top_q2_coefficient_zero",
         f"[fail] pipeline:loop_closed -- {result['diff_count']} differing "
         f"products, first: {result['diffs'][:3]}"]
-    assert sorted(degrees) == list(range(17))
+    assert sorted(args[2] for args in calls) == list(range(17))
 
 
-def test_only_the_degrees_of_failing_products_are_factored(
-        capsys, monkeypatch, tmp_path):
-    # a product that satisfies M c = NF(p) needs no E: the clean data
-    # factors none, and with +1 on a Giambelli coefficient each degree
-    # with a failing product is factored once, and no other degree
+def test_only_the_failing_products_are_solved(capsys, monkeypatch, tmp_path):
+    # a product that satisfies M c = NF(p) is not solved for: the clean
+    # data solves none, and with +1 on a Giambelli coefficient each product
+    # that mismatched_products yields is solved once, and no other
     from cgquantum.presentation import (build_graded_basis, load_giambelli,
                                         mismatched_products)
 
@@ -522,16 +517,17 @@ def test_only_the_degrees_of_failing_products_are_factored(
 
     path = _write_shipped_giambelli(tmp_path, mutate)
     quotient = build_graded_basis()
-    failing = {DEGREES[a] + DEGREES[b] for a, b, _ in mismatched_products(
-        load_default_table(), quotient, load_giambelli(path, quotient.ring))}
-    assert 0 < len(failing) < 17
-    degrees = _count_calls(monkeypatch, "_expander")
+    failing = list(mismatched_products(load_default_table(), quotient,
+                                       load_giambelli(path, quotient.ring)))
+    assert 0 < len(failing) < 120
+    assert not any(isinstance(r, Exception) for _, _, r in failing)
+    calls = _count_calls(monkeypatch, "_solve")
     code, _, _ = run_cli(capsys, "verify", "--suite", "all")
-    assert (code, degrees) == (0, [])
+    assert (code, calls) == (0, [])
     code, _, err = run_cli(capsys, "--giambelli-file", path,
                            "verify", "--suite", "all")
     assert (code, err) == (1, "")
-    assert sorted(degrees) == sorted(failing)
+    assert len(calls) == len(failing)
 
 
 def test_a_huge_coefficient_fails_without_slices_past_the_top_row(

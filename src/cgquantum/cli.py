@@ -22,6 +22,20 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_PIPE = 141  # 128 + SIGPIPE: stdout was closed by its reader
 
+# main lifts Python's int-string digit limit (4300 by default) for output
+_get_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_digits = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+_DIGITS = _get_digits()
+
+
+def _parse(parse, *args):
+    """parse(*args) under the interpreter's own int-string digit limit."""
+    _set_digits(_DIGITS)
+    try:
+        return parse(*args)
+    finally:
+        _set_digits(0)
+
 
 def _resolve(path: str) -> str:
     if os.path.isabs(path) or os.path.exists(path):
@@ -30,7 +44,7 @@ def _resolve(path: str) -> str:
 
 
 def _load_table(path: str) -> MultiplicationTable:
-    return MultiplicationTable.load(_resolve(path))
+    return _parse(MultiplicationTable.load, _resolve(path))
 
 
 def _print_report(name: str, report, as_json: bool) -> int:
@@ -77,8 +91,8 @@ def _suite_presentation(args, inputs: _Inputs) -> int:
                                mismatched_products, products_key)
     try:
         quotient = build_graded_basis()
-        giambelli = load_giambelli(_resolve(args.giambelli_file),
-                                   ring=quotient.ring)
+        giambelli = _parse(load_giambelli, _resolve(args.giambelli_file),
+                           quotient.ring)
     except DimensionMismatch as exc:
         report = VerificationReport()
         report.add("graded_dimensions", False, str(exc))
@@ -230,7 +244,7 @@ def cmd_charpoly(args) -> int:
     from .spectral import sigma1_charpoly
     table = _load_table(args.table_file)
     try:
-        qv = parse_rational(args.q)
+        qv = _parse(parse_rational, args.q)
     except (ValueError, ZeroDivisionError):
         print(f"bad q value: {args.q}", file=sys.stderr)
         return EXIT_USAGE
@@ -319,6 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    digits = _get_digits()
+    _set_digits(0)  # results print in full, however long
     try:
         code = args.func(args)
         sys.stdout.flush()  # so that a closed pipe shows here, not at exit
@@ -330,6 +346,8 @@ def main(argv=None) -> int:
     except (DataFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        _set_digits(digits)
 
 
 if __name__ == "__main__":

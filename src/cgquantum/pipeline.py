@@ -279,11 +279,11 @@ class LoopReport:
 def close_loop(table: MultiplicationTable, derived: DerivedPresentation,
                products: tuple | None = None) -> LoopReport:
     """Check all 120 unordered products through the derived presentation
-    against the shipped table, each as M c = NF(p), and diff the E NF(p)
-    expansion of each one that fails (mismatched_products).  products, if
-    given, is (products_key, mismatched_products list) of another quotient
-    and dictionary on this table; the list is reused when its key is the
-    derived presentation's."""
+    against the shipped table, each as M c = NF(p), and diff the expansion
+    that presentation._solve finds for each one that fails
+    (mismatched_products).  products, if given, is (products_key,
+    mismatched_products list) of another quotient and dictionary on this
+    table; the list is reused when its key is the derived presentation's."""
     if products and products[0] == products_key(derived.quotient,
                                                 derived.giambelli):
         found = products[1]

@@ -13,8 +13,7 @@ from math import inf
 
 from .exactmath import (Matrix, QPolynomial, charpoly, clear_denominators,
                         determinant, mat_mul, rat)
-from .schubert import (DEGREES, LABEL_INDEX, LABELS, MultiplicationTable,
-                       SchubertElement)
+from .schubert import DEGREES, LABELS, MultiplicationTable, SchubertElement
 
 # V_r holds the classes of degree r mod 4.  On a graded table the s1 matrix
 # is zero at (k, j) with deg k != deg j + 1, and the Gram matrix at (i, j)
@@ -24,6 +23,7 @@ _V = [[i for i, g in enumerate(_GRADE) if g == r] for r in range(4)]
 _PAIRS = [(i, j) for i in range(len(LABELS)) for j in range(len(LABELS))]
 _OFF_S1 = [(k, j) for k, j in _PAIRS if (_GRADE[k] - _GRADE[j] - 1) % 4]
 _OFF_GRAM = [(i, j) for i, j in _PAIRS if (_GRADE[i] + _GRADE[j]) % 4]
+_S1 = SchubertElement.basis("s1")
 
 
 def _block(m: Matrix, r: int, s: int) -> Matrix:
@@ -35,10 +35,11 @@ def multiplication_matrix(table: MultiplicationTable, x: SchubertElement,
                           q_value) -> Matrix:
     """15x15 matrix of quantum multiplication by x with q specialized,
     columns indexed by the basis in label order: entry (k, j) is the
-    coefficient of basis k in x * basis j."""
-    qv = rat(q_value)
+    coefficient of basis k in x * basis j; ints at an int q_value on an
+    integer table and x; any other q_value goes through rat."""
+    qv = q_value if isinstance(q_value, int) else rat(q_value)
     n = len(LABELS)
-    m = [[rat(0)] * n for _ in range(n)]
+    m = [[0] * n for _ in range(n)]
     for (i, ex), cx in x.terms().items():
         for j in range(n):
             for (k, e), c in table.tensor[i][j].items():
@@ -78,24 +79,13 @@ def check_semisimple(table: MultiplicationTable, q_value) -> tuple[bool, Fractio
     return det != 0, det
 
 
-def _sigma1_rows(table: MultiplicationTable, q_value) -> Matrix:
-    """M, the s1 matrix at q_value: ints at integral q on an integer table,
-    Fractions otherwise."""
-    qv, n = _exact_q(q_value), len(LABELS)
-    m = [[0] * n for _ in range(n)]
-    for j, terms in enumerate(table.tensor[LABEL_INDEX["s1"]]):
-        for (k, e), c in terms.items():
-            m[k][j] += c * qv ** e
-    return m
-
-
 def sigma1_charpoly(table: MultiplicationTable, q_value) -> QPolynomial:
     """Characteristic polynomial of multiplication by s1 at q_value.  Where
     its matrix M is zero at every deg k != deg j + 1 mod 4, as on a graded
     table, M maps V_r into V_(r+1), and det(t - M) = t^3 det(t^4 - P) for
     the 3x3 P = M^4 on V1, the product of M's blocks around the cycle;
     elsewhere the 15x15 charpoly of M is taken."""
-    m = _sigma1_rows(table, q_value)
+    m = multiplication_matrix(table, _S1, _exact_q(q_value))
     if any(m[k][j] for k, j in _OFF_S1):
         return charpoly(m)
     p = _block(m, 1, 0)
@@ -278,7 +268,7 @@ def galkin_bound_check(table: MultiplicationTable) -> tuple[float, bool, Spectra
 def nilpotency_index(table: MultiplicationTable, q_value=0) -> int:
     """Smallest k with the k-th power of hyperplane multiplication zero;
     returns 0 if no power up to the algebra dimension vanishes."""
-    m = _sigma1_rows(table, q_value)
+    m = multiplication_matrix(table, _S1, _exact_q(q_value))
     n = len(m)
     power = m
     for k in range(1, n + 1):

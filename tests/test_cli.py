@@ -872,3 +872,65 @@ def test_spectral_suite_work_is_bounded_in_a_huge_q_exponent(tmp_path):
     failed = [line for line in proc.stdout.splitlines()
               if not line.startswith("[pass] ")]
     assert failed == ["[fail] spectral:charpoly_covariance"]
+
+
+def _s1_row_coefficients_at_10_to_2200(raw):
+    # 2201 digits each, within the loader's 4300-digit limit on parsing an
+    # int; the charpoly at q = 1 then has a coefficient of 4403 digits
+    _s1_s1_coefficient_of_s2(10**2200)(raw)
+    _coefficient("s2", "s1", "s3", 0, 10**2200)(raw)
+
+
+def test_results_past_the_int_string_digit_limit_print_in_full(capsys,
+                                                               tmp_path):
+    path = _write_shipped_table(tmp_path, _s1_row_coefficients_at_10_to_2200)
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "--table-file", path,
+                             "charpoly", "--q", "1")
+    assert (code, err) == (0, "")
+    assert max(len(word) for word in out.split()) == 4403
+    for argv in (["conjecture-o"], ["--json", "conjecture-o"]):
+        code, out, err = run_cli(capsys, "--table-file", path, *argv)
+        assert (code, err) == (1, ""), argv
+    code, out, err = run_cli(capsys, "--table-file", path,
+                             "verify", "--suite", "spectral")
+    assert (code, err) == (1, "")
+    assert [line for line in out.splitlines() if line.startswith("[fail]")] \
+        == ["[fail] spectral:dominant_real_simple -- y_max = 0.0",
+            "[fail] spectral:modulus_set_fourth_roots",
+            "[fail] spectral:spectral_radius_bound -- T = 0.0 > 9"]
+    assert sys.get_int_max_str_digits() == limit
+    # main puts back whatever limit it found
+    sys.set_int_max_str_digits(5000)
+    try:
+        assert run_cli(capsys, "--table-file", path, "charpoly")[0] == 0
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+_LONG_LITERAL = "1" + "0" * 4300  # one digit past the default limit
+
+
+@pytest.mark.parametrize("option, write, suite", [
+    ("--table-file", lambda tmp: _write_shipped_table(
+        tmp, _first_table_coeff("LITERAL")), "table"),
+    ("--giambelli-file", lambda tmp: _write_shipped_giambelli(
+        tmp, _first_giambelli_coeff("LITERAL")), "presentation"),
+], ids=["table", "giambelli"])
+def test_a_literal_past_the_int_string_digit_limit_is_a_data_error(
+        capsys, tmp_path, option, write, suite):
+    path = write(tmp_path)
+    with open(path) as fh:
+        text = fh.read().replace('"LITERAL"', _LONG_LITERAL)
+    with open(path, "w") as fh:
+        fh.write(text)
+    code, out, err = run_cli(capsys, option, path, "verify", "--suite", suite)
+    assert (code, out) == (2, "")
+    assert err.startswith("data error: ")
+    assert "4301 digits" in err and len(err.splitlines()) == 1
+
+
+def test_a_q_past_the_int_string_digit_limit_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "charpoly", "--q", _LONG_LITERAL)
+    assert (code, out, err) == (2, "", f"bad q value: {_LONG_LITERAL}\n")

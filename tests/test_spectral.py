@@ -35,6 +35,14 @@ def report(table):
 def test_identity_multiplication_matrix(table):
     m = multiplication_matrix(table, SchubertElement.basis("s0"), 1)
     assert m == [[int(i == j) for j in range(15)] for i in range(15)]
+    # an int q keeps the integer table's entries ints; a Fraction q, even
+    # an integral one, gives Fractions
+    s1 = SchubertElement.basis("s1")
+    m = multiplication_matrix(table, s1, 1)
+    assert all(type(x) is int for row in m for x in row)
+    m = multiplication_matrix(table, s1, Fraction(2, 1))
+    nonzero = [x for row in m for x in row if x]
+    assert nonzero and all(type(x) is Fraction for x in nonzero)
 
 
 def test_charpoly_exact(table):
@@ -440,7 +448,8 @@ def test_rounded_root_is_the_one_in_the_bracket():
 
 
 def _reference_nilpotency_index(table, q_value):
-    """Powers of the Fraction matrix itself."""
+    """Powers of the s1 matrix itself, as multiplication_matrix builds it
+    at q_value."""
     m = multiplication_matrix(table, SchubertElement.basis("s1"), q_value)
     power = m
     for k in range(1, 16):

@@ -22,19 +22,19 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_PIPE = 141  # 128 + SIGPIPE: stdout was closed by its reader
 
-# main lifts Python's int-string digit limit (4300 by default) for output
 _get_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 _set_digits = getattr(sys, "set_int_max_str_digits", lambda digits: None)
-_DIGITS = _get_digits()
+_DIGITS = _get_digits()  # Python's int-string digit limit, 4300 by default
 
 
 def _parse(parse, *args):
     """parse(*args) under the interpreter's own int-string digit limit."""
+    digits = _get_digits()
     _set_digits(_DIGITS)
     try:
         return parse(*args)
     finally:
-        _set_digits(0)
+        _set_digits(digits)
 
 
 def _resolve(path: str) -> str:
@@ -334,7 +334,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     digits = _get_digits()
-    _set_digits(0)  # results print in full, however long
+    _set_digits(0)  # lifted: results print in full, however long
     try:
         code = args.func(args)
         sys.stdout.flush()  # so that a closed pipe shows here, not at exit

@@ -293,30 +293,6 @@ class MultiPolynomial:
         return f"MultiPolynomial({self})"
 
 
-def series_inverse(p: MultiPolynomial, max_degree: int) -> MultiPolynomial:
-    """Inverse of a polynomial with unit constant term, as a power series
-    truncated at the given weighted degree."""
-    ring = p.ring
-    zero_exp = (0,) * len(ring.names)
-    c0 = p.coeff(zero_exp)
-    if c0 == 0:
-        raise ValueError("constant term must be a unit")
-    # inv accumulated degree by degree: inv_d = -(sum_{k<d} inv_k * p_{d-k}) / c0
-    comps = p.homogeneous_components()
-    inv: dict[int, MultiPolynomial] = {0: ring.constant(1 / c0)}
-    for d in range(1, max_degree + 1):
-        acc = ring.zero()
-        for k in range(d):
-            pk = comps.get(d - k)
-            if pk is not None and k in inv:
-                acc = acc + inv[k] * pk
-        inv[d] = acc.scale(-1 / c0)
-    total = ring.zero()
-    for part in inv.values():
-        total = total + part
-    return total
-
-
 # ---------------------------------------------------------------------------
 # dense exact linear algebra
 

@@ -223,7 +223,8 @@ def load_giambelli(path: str | os.PathLike | None = None,
         try:
             raw = json.load(fh)
         except ValueError as exc:  # bad JSON or UTF-8
-            raise GiambelliFormatError(str(exc)) from exc
+            raise GiambelliFormatError(
+                f"cannot read dictionary file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise GiambelliFormatError("dictionary must be a JSON object")
     out: dict[str, MultiPolynomial] = {}

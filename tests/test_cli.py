@@ -928,6 +928,7 @@ def test_a_literal_past_the_int_string_digit_limit_is_a_data_error(
     code, out, err = run_cli(capsys, option, path, "verify", "--suite", suite)
     assert (code, out) == (2, "")
     assert err.startswith("data error: ")
+    assert str(path) in err
     assert "4301 digits" in err and len(err.splitlines()) == 1
 
 

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from cgquantum.exactmath import GradedRing
 from cgquantum.intersection import (EXPECTED, SCENARIO_IDS, FormalBundle,
                                     UnknownScenario, UnsupportedRank,
                                     product_of_lines, projective_space,
-                                    run_all_scenarios, run_scenario,
-                                    verify_scenarios)
+                                    quotient_chern, run_all_scenarios,
+                                    run_scenario, verify_scenarios)
 
 
 def test_exterior_square_of_split_rank_3():
@@ -17,8 +18,7 @@ def test_exterior_square_of_split_rank_3():
     space = product_of_lines(("h", "hp"))
     h, hp = space.gen("h"), space.gen("hp")
     one = space.constant(1)
-    b = FormalBundle.from_total_chern(space, 3,
-                                      ((one + h) * (one + hp)).truncate(2))
+    b = FormalBundle(space, 3, ((one + h) * (one + hp)).truncate(2))
     got = b.exterior_square()
     want = ((one + h) * (one + hp) * (one + h + hp)).truncate(2)
     assert got.chern == want
@@ -34,7 +34,7 @@ def test_exterior_square_of_trivial():
 def test_exterior_square_with_only_c1():
     space = projective_space(3)
     h = space.gen("h")
-    b = FormalBundle.from_total_chern(space, 3, space.constant(1) + h)
+    b = FormalBundle(space, 3, space.constant(1) + h)
     got = b.exterior_square()
     assert got.chern_class(1) == 2 * h
     assert got.chern_class(2) == h * h  # c1^2 + c2 with c2 = 0
@@ -43,8 +43,7 @@ def test_exterior_square_with_only_c1():
 def test_exterior_square_of_rank_2_is_determinant():
     space = projective_space(2)
     h = space.gen("h")
-    b = FormalBundle.from_total_chern(space, 2,
-                                      space.constant(1) + h + 3 * h * h)
+    b = FormalBundle(space, 2, space.constant(1) + h + 3 * h * h)
     sq = b.exterior_square()
     assert sq.rank == 1
     assert sq.chern_class(1) == h
@@ -61,8 +60,7 @@ def test_twist_shifts_roots():
     h1, h2 = space.gen("h1"), space.gen("h2")
     one = space.constant(1)
     # roots 0, h2, h2 (rank 3, c = (1 + h2)^2 truncated)
-    b = FormalBundle.from_total_chern(space, 3,
-                                      ((one + h2) * (one + h2)).truncate(2))
+    b = FormalBundle(space, 3, ((one + h2) * (one + h2)).truncate(2))
     got = b.twist_by_line(h1)
     want = ((one + h1) * (one + h1 + h2) * (one + h1 + h2)).truncate(2)
     assert got.chern == want
@@ -71,15 +69,14 @@ def test_twist_shifts_roots():
 def test_twist_by_zero_is_identity():
     space = projective_space(2)
     h = space.gen("h")
-    b = FormalBundle.from_total_chern(space, 2,
-                                      space.constant(1) + h + h * h)
+    b = FormalBundle(space, 2, space.constant(1) + h + h * h)
     assert b.twist_by_line(space.ring.zero()).chern == b.chern
 
 
 def test_twist_line_bundle():
     space = product_of_lines(("x", "y"))
     x, y = space.gen("x"), space.gen("y")
-    b = FormalBundle.from_total_chern(space, 1, space.constant(1) + x)
+    b = FormalBundle(space, 1, space.constant(1) + x)
     assert b.twist_by_line(y).chern_class(1) == x + y
 
 
@@ -94,10 +91,28 @@ def test_whitney_sum_and_difference():
         for g in gens:
             a = a * (one + rng.randint(-2, 2) * g)
             b = b * (one + rng.randint(-2, 2) * g)
-        ba = FormalBundle.from_total_chern(space, 3, a.truncate(3))
-        bb = FormalBundle.from_total_chern(space, 3, b.truncate(3))
-        total = FormalBundle.from_total_chern(space, 6, ba.chern * bb.chern)
+        ba = FormalBundle(space, 3, a.truncate(3))
+        bb = FormalBundle(space, 3, b.truncate(3))
+        total = FormalBundle(space, 6, ba.chern * bb.chern)
         assert total.minus(bb).chern == ba.chern
+
+
+def test_quotient_chern_inverts_the_denominator_up_to_max_degree():
+    def check(numerator, denominator, max_degree):
+        got = quotient_chern(numerator, denominator, max_degree)
+        assert got.truncate(max_degree) == got
+        assert ((got * denominator).truncate(max_degree)
+                == numerator.truncate(max_degree))
+
+    # the shape of 4.1.8: a2 has degree 2, c(F) = 1 - a1 + a2, c(E) = 1 + h
+    ring = GradedRing(("h", "a1", "a2"), (1, 1, 2))
+    h, a1, a2 = (ring.gen(n) for n in ring.names)
+    for max_degree in range(6):
+        check(ring.one() + h, ring.one() - a1 + a2, max_degree)
+    # the shape of 4.1.9: c(F) = (1 - h)(1 - l), c(E) = 1
+    ring = GradedRing(("h", "l", "m"), (1, 1, 1))
+    h, l = ring.gen("h"), ring.gen("l")
+    check(ring.one(), (ring.one() - h) * (ring.one() - l), 6)
 
 
 def test_projective_space_integration():

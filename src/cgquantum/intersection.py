@@ -69,8 +69,7 @@ class FormalBundle:
     """A virtual bundle: rank plus truncated total Chern class."""
 
     def __init__(self, space: SpaceModel, rank: int, chern: MultiPolynomial):
-        # chern has unit constant term; it is kept truncated at
-        # space.top_degree
+        # chern has unit constant term; classes above space.top_degree vanish
         self.space, self.rank = space, rank
         self.chern = chern.truncate(space.top_degree)
 

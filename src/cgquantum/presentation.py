@@ -1,17 +1,19 @@
 """The ring Q[s1, s2, q]/(R5, R6) handled degree by degree.
 
 Instead of Groebner bases, each graded slice is treated as a finite
-dimensional vector space: enumerate the monomials of that weighted degree,
-row-reduce the span of all relation multiples landing there, and keep the
-non-pivot monomials as the normal-form basis.  With only two relations in
-tiny degrees this is exact, fast, and order independent.
+dimensional vector space, built from the slice one first-generator degree
+below: only the relation multiples that generator does not divide are
+row-reduced, the non-pivot monomials are the basis, and each monomial's
+normal form is kept as a short integer row over it.  With only two
+relations in tiny degrees this is exact, fast, and order independent.
 """
 from __future__ import annotations
 
 import json
 import os
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from operator import lshift
 
 from .exactmath import (GradedRing, InconsistentSystem,
@@ -58,14 +60,33 @@ def standard_relations(ring: GradedRing) -> list[MultiPolynomial]:
 
 
 class DegreeSlice:
-    """One degree of a quotient: its monomials, graded-lex descending, and
-    the index of each monomial's key; the non-pivot monomials as basis, and
-    their indices as free; the reduced integer rows; and each pivot column
-    with its row's nonzero non-pivot entries over den as reducers."""
+    """One degree of a quotient: its non-pivot monomials, graded-lex
+    descending, as basis, and for each monomial's key, in monomial order,
+    den times its normal form as (basis position, nonzero int) pairs.  A
+    pivot monomial less its normal form is its reduced relation row."""
 
-    def __init__(self, monomials, index, basis, free, rows, reducers, den):
-        self.monomials, self.index, self.basis = monomials, index, basis
-        self.free, self.rows, self.reducers, self.den = free, rows, reducers, den
+    def __init__(self, basis, nf, den):
+        self.basis, self.nf, self.den = basis, nf, den
+
+
+def _eliminate(rows: list[list[int]]) -> dict[int, list[int]]:
+    """The reduced echelon form of integer rows, as {pivot column: row},
+    each row zero at every other pivot column; zero rows drop out."""
+    pivots: dict[int, list[int]] = {}
+    for row in rows:
+        for p, prow in pivots.items():
+            if f := row[p]:
+                row = [prow[p] * x - f * y for x, y in zip(row, prow)]
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is not None:
+            g = gcd(*row)
+            row = [x // g for x in row]
+            for p, prow in pivots.items():
+                if f := prow[lead]:
+                    pivots[p] = [row[lead] * x - f * y
+                                 for x, y in zip(prow, row)]
+            pivots[lead] = row
+    return pivots
 
 
 class GradedQuotient:
@@ -88,36 +109,51 @@ class GradedQuotient:
         self._relation_terms = [(rel.degree(), _integral(rel, self._key)[0])
                                 for rel in self.relations]
         self._slices: dict[int, DegreeSlice] = {}
+        self._rest = (GradedRing(ring.names[1:], ring.degrees[1:])
+                      if ring.names[1:] else None)
 
     def _build_slice(self, degree: int, integral, below) -> DegreeSlice:
-        """Row-reduce the span of the relation multiples of one degree.  The
-        monomials x0*m come first, in the order of the m one x0-degree
-        below, so the multiples by x0 span the reduced rows below, padded
-        with zeros; only the x0-free multiples are written out."""
-        monomials = self.ring.monomials(degree)
-        n = len(monomials)
-        # x0 has key 1, so the key of x0*m is the key of m plus 1
-        keys = [key + 1 for key in below.index] if below else []
-        keys += map(self._key, monomials[len(keys):])
-        index = dict(zip(keys, range(n)))
-        rows = [row + [0] * (n - len(row)) for row in below.rows] if below else []
+        """The normal forms of one degree from the slice one x0-degree
+        below.  x0*m, for m below, reduces to x0 times m's normal form, so
+        over W (x0 times the basis below, then the x0-free monomials) only
+        the x0-free relation multiples are reduced; their pivots are new."""
+        basis, den = below.basis, below.den
+        # each monomial's key and den times its row over W; x0 has key 1, so
+        # the key of x0*m is the key of m plus 1
+        rows = {key + 1: row for key, row in below.nf.items()}
+        tail = self._x0_free(degree)
+        rows.update((self._key(m), ((j, den),))
+                    for j, m in enumerate(tail, len(basis)))
+        basis = [(b[0] + 1, *b[1:]) for b in basis] + tail
+        multiples = []
         for rel_degree, terms in integral:
-            for mono in self.ring.monomials(degree - rel_degree):
-                if not mono[0]:
-                    row = [0] * n
-                    shift = self._key(mono)
-                    for key, c in terms:
-                        row[index[key + shift]] = c
-                    rows.append(row)
-        rows, pivots = rref_int(rows)
-        pivot_set = set(pivots)
-        free = [i for i in range(n) if i not in pivot_set]
-        den = lcm(*[row[col] for row, col in zip(rows, pivots)])
-        reducers = [(col, [(j, c * (den // row[col]))
-                           for j, c in enumerate(row) if c and j != col])
-                    for row, col in zip(rows, pivots)]
-        return DegreeSlice(monomials, index, [monomials[i] for i in free],
-                           free, rows, reducers, den)
+            for mono in self._x0_free(degree - rel_degree):
+                vec, shift = [0] * len(basis), self._key(mono)
+                for key, c in terms:
+                    for j, x in rows[key + shift]:
+                        vec[j] += c * x
+                multiples.append(vec)
+        pivots = _eliminate(multiples)
+        free = [j for j in range(len(basis)) if j not in pivots]
+        scale = lcm(*[row[p] for p, row in pivots.items()])
+        # W as a slice keyed by its columns: scale times their normal forms
+        w = DegreeSlice([basis[j] for j in free], {
+            j: ((t, scale),) for t, j in enumerate(free)}, scale)
+        w.nf.update((p, [(t, -row[j] * (scale // row[p]))
+                         for t, j in enumerate(free) if row[j]])
+                    for p, row in pivots.items())
+        rows = {key: self._reduced(w, row) for key, row in rows.items()}
+        den *= scale
+        g = gcd(den, *chain.from_iterable(rows.values()))
+        return DegreeSlice(w.basis, {
+            key: tuple([(t, x // g) for t, x in enumerate(out) if x])
+            for key, out in rows.items()}, den // g)
+
+    def _x0_free(self, degree: int) -> list[tuple[int, ...]]:
+        """The monomials of one degree without x0, graded-lex descending."""
+        if self._rest:
+            return [(0, *m) for m in self._rest.monomials(degree)]
+        return [(0,)] * (degree == 0)  # x0 is the only generator
 
     def dimension(self, degree: int) -> int:
         return len(self._slice(degree).basis)
@@ -130,7 +166,8 @@ class GradedQuotient:
                 raise DegreeOutOfRange(f"degree {degree} beyond built maximum "
                                        f"{self.max_degree}")
             step = self.ring.degrees[0]
-            below = self._slice(degree - step) if degree >= step else None
+            below = self._slice(degree - step) if degree >= step \
+                else DegreeSlice([], {}, 1)
             self._slices[degree] = self._build_slice(
                 degree, self._relation_terms, below)
         return self._slices[degree]
@@ -143,18 +180,13 @@ class GradedQuotient:
     def _reduced(self, sl: DegreeSlice, terms) -> list[int]:
         """sl.den times the normal form of sum(c * m), for pairs (k, c) of
         the key k of a monomial m of sl's degree and an integer, as its
-        coefficients on sl.basis."""
-        vec = [0] * len(sl.monomials)
+        coefficients on sl.basis: the sum of the c times m's row."""
+        out = [0] * len(sl.basis)
+        nf = sl.nf
         for key, c in terms:
-            vec[sl.index[key]] = c
-        # eliminate pivot coordinates using the reduced relation rows
-        out = [sl.den * x for x in vec]
-        for col, row in sl.reducers:
-            f = vec[col]
-            if f:
-                for j, c in row:
-                    out[j] -= f * c
-        return [out[i] for i in sl.free]
+            for j, x in nf[key]:
+                out[j] += c * x
+        return out
 
     def normal_form(self, p: MultiPolynomial) -> MultiPolynomial:
         """Reduce a homogeneous polynomial onto the non-pivot monomial basis
@@ -165,8 +197,7 @@ class GradedQuotient:
             raise ValueError("normal_form expects a homogeneous polynomial")
         sl = self._slice(p.degree())
         terms, den = _integral(p, self._key)
-        out = self._reduced(sl, terms)
-        den *= sl.den
+        out, den = self._reduced(sl, terms), den * sl.den
         return MultiPolynomial(self.ring, {
             m: Fraction(x, den) for m, x in zip(sl.basis, out) if x})
 
@@ -288,19 +319,18 @@ def _change_of_basis(quotient: GradedQuotient,
     q^c * G(label), reduced from entry(label), the entry's degree (None if
     it is not homogeneous) and its integer terms and denominator as
     _entry gives them, their keys shifted by the key of q^c, with the slice
-    of the entry's degree plus 4c.  Returns (keys, sl, m_den, columns):
-    each column's (label index, c), the slice, and the columns of the
-    integer matrix m_den * M at sl.free.  A missing entry raises KeyError,
+    of the entry's degree plus 4c.  Returns (sl, m_den, columns): the
+    slice, and for each column's (label index, c), in label order, its
+    integers in m_den * M at sl.basis.  A missing entry raises KeyError,
     a non-homogeneous one ValueError, a column past max_degree
     DegreeOutOfRange, and an entry of another degree KeyError of its first
     basis monomial with a nonzero coefficient."""
-    cols = _columns(degree)
     sl = quotient._slice(degree)
     (q_exps,) = quotient.ring.gen("q").terms
     q_key = quotient._key(q_exps)
-    columns = []  # per column: its integers at sl.free, and their den
-    for label, qexp in cols:
-        p, column, den = giambelli[label], [0] * len(sl.free), 1
+    columns = {}  # per column: its integers at sl.basis, and their den
+    for label, qexp in _columns(degree):
+        p, column, den = giambelli[label], [0] * len(sl.basis), 1
         if not p.is_zero():
             entry_degree, terms, den = entry(label)
             if entry_degree is None:
@@ -316,13 +346,13 @@ def _change_of_basis(quotient: GradedQuotient,
                     if x:
                         raise KeyError(m)
             den *= entry_sl.den
-        columns.append((column, den))
-    m_den = lcm(*[d for _, d in columns])
-    return ([(LABEL_INDEX[label], c) for label, c in cols], sl, m_den,
-            [[x * (m_den // d) for x in column] for column, d in columns])
+        columns[LABEL_INDEX[label], qexp] = column, den
+    m_den = lcm(*[d for _, d in columns.values()])
+    return sl, m_den, {t: [x * (m_den // d) for x in column]
+                       for t, (column, d) in columns.items()}
 
 
-def _solve(keys, sl: DegreeSlice, m_den: int, columns, nf: list[int],
+def _solve(sl: DegreeSlice, m_den: int, columns, nf: list[int],
            den: int) -> Terms:
     """The Terms of the solution x of M x = NF(p), for a change of basis
     from _change_of_basis and p = sum(c * m) / den, for pairs (k, c) of the
@@ -335,16 +365,16 @@ def _solve(keys, sl: DegreeSlice, m_den: int, columns, nf: list[int],
     columns.  An empty slice gives no rows, so any column leaves the rank
     short; there solve_linear, which reads such an M as having no columns,
     differs."""
-    k = len(keys)
-    reduced, pivots = rref_int([[column[i] for column in columns] + [x]
-                                for i, x in enumerate(nf)])
+    k = len(columns)
+    reduced, pivots = rref_int([[column[i] for column in columns.values()]
+                                + [x] for i, x in enumerate(nf)])
     if k in pivots:
         raise InconsistentSystem("no solution")
     if len(pivots) < k:
         raise UnderdeterminedSystem("solution not unique")
     # m_den * M x = nf * m_den / (sl.den * den), and every column is a pivot
     out: Terms = {}
-    for t, row, col in zip(keys, reduced, pivots):
+    for t, row, col in zip(columns, reduced, pivots):
         x, d = row[k] * m_den, row[col] * sl.den * den
         if x:
             out[t] = Fraction(x, d) if x % d else x // d
@@ -376,21 +406,21 @@ def expand_in_schubert(quotient: GradedQuotient,
     terms, den = _integral(p, quotient._key)
     basis = _change_of_basis(quotient, giambelli, degree, lambda label:
                              _entry(giambelli[label], quotient._key))
-    nf = quotient._reduced(basis[1], terms)
+    nf = quotient._reduced(basis[0], terms)
     return SchubertElement.from_terms(_solve(*basis, nf, den))
 
 
-def _is_expansion(keys, sl: DegreeSlice, m_den: int, columns, nf: list[int],
+def _is_expansion(sl: DegreeSlice, m_den: int, columns, nf: list[int],
                   den: int, want: Terms) -> bool:
     """Whether want is the expansion of p, given nf and den as for _solve,
     where the change of basis M has full column rank: M want = NF(p), both
     sides times m_den * sl.den * den, so on integers where want is."""
-    lhs = [0] * len(sl.free)  # m_den * M want
+    lhs = [0] * len(nf)  # m_den * M want
     for t, c in want.items():
         if c:
-            if t not in keys:  # no column of this degree
+            if (column := columns.get(t)) is None:  # no column of this degree
                 return False
-            lhs = [y + c * x for y, x in zip(lhs, columns[keys.index(t)])]
+            lhs = [y + c * x for y, x in zip(lhs, column)]
     scale = sl.den * den
     return [x * scale for x in lhs] == [y * m_den for y in nf]
 
@@ -403,15 +433,16 @@ def mismatched_products(table: MultiplicationTable, quotient: GradedQuotient,
     compared on terms; result is then a SchubertElement.
 
     Each entry is scaled to integers once, with its monomials as keys and
-    its degree; a product p and every column are formed from these, and
-    each degree's change of basis M is built once.  p is decided as
-    M c = NF(p), on integers, where M has full column rank; only a product
-    that fails this, or one of a degree whose M is rank-deficient, is
-    solved for by _solve.
+    its degree; a product's normal form is summed from its term pairs'
+    rows, every column is formed from the entries, and each degree's
+    change of basis M is built once.  p is decided as M c = NF(p), on
+    integers, where M has full column rank; only a product that fails
+    this, or one of a degree whose M is rank-deficient, is solved for by
+    _solve.
     """
-    # per degree, built on first use: its columns and whether M has full
-    # column rank; nothing is kept for a degree whose columns raise, so
-    # its failure repeats
+    # per degree, built on first use: its change of basis and whether M has
+    # full column rank; nothing is kept for a degree whose columns raise,
+    # so its failure repeats
     bases = {}
     # a missing entry still raises KeyError at its first pair
     entries = {label: _entry(giambelli[label], quotient._key)
@@ -431,18 +462,16 @@ def mismatched_products(table: MultiplicationTable, quotient: GradedQuotient,
                     # a non-homogeneous entry has no degree, and raises here
                     degree = ((pa.degree() if degree_a is None else degree_a)
                               + (pb.degree() if degree_b is None else degree_b))
-                    terms = {}
-                    for ka, ca in terms_a:
-                        for kb, cb in terms_b:
-                            terms[ka + kb] = terms.get(ka + kb, 0) + ca * cb
-                    den = den_a * den_b
                     if degree not in bases:
                         basis = _change_of_basis(quotient, giambelli, degree,
                                                  entries.__getitem__)
-                        bases[degree] = basis, len(basis[0]) == len(
-                            rref_int(list(basis[3]))[1])
+                        bases[degree] = basis, len(basis[2]) == len(
+                            rref_int(list(basis[2].values()))[1])
                     basis, full = bases[degree]
-                    nf = quotient._reduced(basis[1], terms.items())
+                    nf = quotient._reduced(basis[0], [
+                        (ka + kb, ca * cb)
+                        for ka, ca in terms_a for kb, cb in terms_b])
+                    den = den_a * den_b
                     if full and _is_expansion(*basis, nf, den, want):
                         continue
                     result = _solve(*basis, nf, den)

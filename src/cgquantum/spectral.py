@@ -62,15 +62,21 @@ def check_semisimple(table: MultiplicationTable, q_value) -> tuple[bool, Fractio
     = -det(B_00) det(B_22) det(B_13)^2; elsewhere B is taken whole."""
     qv, n = _exact_q(q_value), len(LABELS)
     qpow = {e: qv ** e for terms in table.constants.values() for _, e in terms}
-    # trace of multiplication by each basis class
-    trace = [sum(c * qpow[e] for j in range(n)
-                 for (k, e), c in table.tensor[i][j].items() if k == j)
-             for i in range(n)]
+    # trace of multiplication by each basis class, in one pass: s_k in
+    # s_i s_j adds to the trace of s_i if k = j, and of s_j if k = i != j
+    trace = [0] * n
+    for (i, j), terms in table.constants.items():
+        for (k, e), c in terms.items():
+            if k == j or k == i:
+                trace[i if k == j else j] += c * qpow[e]
     # B is symmetric: one entry per product s_i s_j
     gram = [[0] * n for _ in range(n)]
     for (i, j), terms in table.constants.items():
-        gram[i][j] = gram[j][i] = sum([c * qpow[e] * trace[k]
-                                       for (k, e), c in terms.items()])
+        b = 0
+        for (k, e), c in terms.items():
+            if trace[k]:
+                b += c * qpow[e] * trace[k]
+        gram[i][j] = gram[j][i] = b
     if any(gram[i][j] for i, j in _OFF_GRAM):
         det = determinant(gram)
     else:

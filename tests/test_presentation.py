@@ -616,35 +616,109 @@ def _relation_sets(monkeypatch):
     return sets
 
 
+def _slice_rows(quotient, d):
+    """(basis, pivots, reducers as Fractions) of a slice, as
+    _slices_by_full_build gives them: a pivot monomial less its normal
+    form is its reduced row over its pivot entry."""
+    monomials = quotient.ring.monomials(d)
+    sl = quotient._slice(d)
+    free = [i for i, m in enumerate(monomials) if m in sl.basis]
+    pivots = [i for i in range(len(monomials)) if i not in free]
+    reducers = [(col, [(free[t], Fraction(-x, sl.den))
+                       for t, x in sl.nf[quotient._key(monomials[col])]])
+                for col in pivots]
+    return sl.basis, pivots, reducers
+
+
 def test_slices_built_from_the_slice_below_match_a_full_build(monkeypatch):
     rows_reduced = []
-    rref_int = presentation.rref_int
+    eliminate = presentation._eliminate
 
     def counted(rows):
         rows_reduced.append(len(rows))
-        return rref_int(rows)
+        return eliminate(rows)
 
     sets = _relation_sets(monkeypatch)
     assert len([name for name in sets if name.startswith("space-model")]) \
         >= 12
-    monkeypatch.setattr(presentation, "rref_int", counted)
+    monkeypatch.setattr(presentation, "_eliminate", counted)
     for name, (ring, relations, max_degree) in sets.items():
         rows_reduced.clear()
         quotient = GradedQuotient(ring, relations, max_degree)
         want = _slices_by_full_build(ring, relations, max_degree)
-        step = ring.degrees[0]
         for d, (basis, pivots, reducers) in want.items():
+            assert _slice_rows(quotient, d) == (basis, pivots, reducers), \
+                (name, d)
             sl = quotient._slice(d)
-            got = [(col, [(j, Fraction(c, sl.den)) for j, c in row])
-                   for col, row in sl.reducers]
-            assert (sl.basis, [col for col, _ in got], got) == \
-                (basis, pivots, reducers), (name, d)
-            # the slice reduces the rank below plus the x0-free multiples
-            # only: 17 + 3 rows at degree 16 of the standard relations
-            below = len(want[d - step][1]) if d >= step else 0
+            # a basis monomial is its own normal form
+            for t, m in enumerate(basis):
+                assert sl.nf[quotient._key(m)] == ((t, sl.den),), (name, d)
+            # only the x0-free multiples are reduced: 3 rows at degree 16
+            # of the standard relations
             free = sum(1 for rel in relations
                        for m in ring.monomials(d - rel.degree()) if not m[0])
-            assert rows_reduced[d] == below + free, (name, d)
+            assert rows_reduced[d] == free, (name, d)
+
+
+def _fraction_reducer(ring, relations, degree):
+    """The monomials of one degree and the rows, each 1 at its pivot, of a
+    Gauss-Jordan elimination over Fractions of every relation multiple of
+    that degree."""
+    monomials = ring.monomials(degree)
+    index = {m: i for i, m in enumerate(monomials)}
+    rows = []
+    for rel in relations:
+        for mono in ring.monomials(degree - rel.degree()):
+            row = [Fraction(0)] * len(monomials)
+            for exps, c in (rel * ring.monomial(mono)).terms.items():
+                row[index[exps]] = Fraction(c)
+            rows.append(row)
+    reduced = []
+    for col in range(len(monomials)):
+        piv = next((row for row in rows if row[col]), None)
+        if piv is None:
+            continue
+        piv = [x / piv[col] for x in piv]
+        rows = [[x - row[col] * y for x, y in zip(row, piv)] for row in rows]
+        reduced = [[x - row[col] * y for x, y in zip(row, piv)]
+                   for row in reduced] + [piv]
+    return monomials, reduced
+
+
+def test_normal_form_matches_a_dense_fraction_reduction(monkeypatch):
+    rng = random.Random(67)
+    for name, (ring, relations, max_degree) in \
+            _relation_sets(monkeypatch).items():
+        quotient = GradedQuotient(ring, relations, max_degree)
+        for d in range(max_degree + 1):
+            monomials, reduced = _fraction_reducer(ring, relations, d)
+            for _ in range(3):
+                p = _random_polynomial(rng, ring, d)
+                vec = [Fraction(p.coeff(m)) for m in monomials]
+                for row in reduced:
+                    f = vec[next(i for i, x in enumerate(row) if x)]
+                    vec = [x - f * y for x, y in zip(vec, row)]
+                want = {m: x for m, x in zip(monomials, vec) if x}
+                assert quotient.normal_form(p).terms == want, (name, d, p)
+
+
+def test_building_a_slice_leaves_the_slice_below_unchanged(monkeypatch):
+    # a slice is built from the normal forms of the slice below, which
+    # must therefore never be changed in place
+    for name, (ring, relations, max_degree) in \
+            _relation_sets(monkeypatch).items():
+        quotient = GradedQuotient(ring, relations, max_degree)
+        step = ring.degrees[0]
+        for d in range(max_degree + 1):
+            below = quotient._slice(d - step) if d >= step else None
+            before = below and (list(below.basis), dict(below.nf),
+                                [list(row) for row in below.nf.values()],
+                                below.den)
+            quotient._slice(d)
+            assert before == (below and (
+                below.basis, below.nf, [list(row)
+                                        for row in below.nf.values()],
+                below.den)), (name, d)
 
 
 @pytest.mark.parametrize("relations, expected", [

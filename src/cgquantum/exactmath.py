@@ -5,6 +5,9 @@ Everything here is pure and immutable-by-convention; no floating point is
 used anywhere.  Rational numbers are ``fractions.Fraction`` (arbitrary
 precision, always in lowest terms, positive denominator).  Matrices hold
 ints or Fractions; `mat_mul` and `charpoly` keep an integer matrix on ints.
+`rref_int` is the one reduced-echelon routine, and `solve_rows` the one
+place that decides whether a system [A | B] has no solution or no unique
+one; `solve_linear` is its Fraction front end.
 `QPolynomial` is an output type: the result of `charpoly`, and each
 class's coefficient in `SchubertElement.coeffs`.  It has no arithmetic;
 the spectral certificate runs on integer coefficient lists instead.
@@ -353,27 +356,39 @@ def rref_int(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return rows[:lead], pivots
 
 
-def solve_linear(a: Matrix, b: Sequence) -> list[Fraction]:
-    """Exact unique solution of a x = b.
+def solve_rows(rows: list[list[int]], n: int) -> list[list[int]]:
+    """The unique solution X of A X = B, from integer rows of [A | B] with
+    A's n columns first, by one rref_int: row i of the result has its
+    pivot at column i, and row[n + j] / row[i] is X at column j of B.
 
-    Fraction-free: rref_int of the rows of [a | b], each scaled to integers
-    by the lcm of its denominators; Fractions are formed only for the
-    solution.  Raises InconsistentSystem when no solution exists and
-    UnderdeterminedSystem when the solution is not unique; both are
-    expected outcomes for callers, not failures.
+    Raises InconsistentSystem when B's first column holds a pivot, then
+    UnderdeterminedSystem when A's rank is short of n (always, with no
+    rows and n > 0), then InconsistentSystem when any other column of B
+    holds one; both are expected outcomes for callers, not failures.
+    """
+    reduced, pivots = rref_int(rows)
+    rank = sum(col < n for col in pivots)
+    if n in pivots or rank == n < len(pivots):
+        raise InconsistentSystem("no solution")
+    if rank < n:
+        raise UnderdeterminedSystem("solution not unique")
+    return reduced
+
+
+def solve_linear(a: Matrix, b: Sequence) -> list[Fraction]:
+    """Exact unique solution of a x = b, raising as solve_rows does.
+
+    Fraction-free: solve_rows of the rows of [a | b], each scaled to
+    integers by the lcm of its denominators; Fractions are formed only for
+    the solution.  A matrix with no rows has no columns.
     """
     ncols = len(a[0]) if a else 0
     bb = [rat(x) for x in b]
     if len(bb) != len(a):
         raise ValueError("dimension mismatch")
-    reduced, pivots = rref_int([clear_denominators([*row, x])[0]
-                                for row, x in zip(a, bb)])
-    if ncols in pivots:
-        raise InconsistentSystem("no solution")
-    if len(pivots) < ncols:
-        raise UnderdeterminedSystem("solution not unique")
-    # every column is a pivot, in order
-    return [Fraction(row[ncols], row[col]) for row, col in zip(reduced, pivots)]
+    rows = solve_rows([clear_denominators([*row, x])[0]
+                       for row, x in zip(a, bb)], ncols)
+    return [Fraction(row[ncols], row[i]) for i, row in enumerate(rows)]
 
 
 def determinant(m: Matrix) -> Fraction:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .exactmath import (InconsistentSystem, MultiPolynomial,
                         UnderdeterminedSystem, clear_denominators, rat,
-                        rref_int, solve_linear)
+                        solve_linear, solve_rows)
 from .presentation import (GradedQuotient, generator_ring,
                            mismatched_products, products_key)
 from .schubert import (DEGREES, DUALS, LABEL_INDEX, LABELS,
@@ -177,25 +177,15 @@ def derive_presentation(table: MultiplicationTable,
 
     def solve(sources, targets, *extra) -> None:
         """G of the targets from the hyperplane row of each source, and
-        any extra (row, right-hand side) equations, by one reduction of
-        [rows | one column per monomial].  As with one solve_linear per
-        monomial, the first monomial that fails decides what is raised."""
+        any extra (row, right-hand side) equations, by one solve_rows of
+        [rows | one column per monomial]."""
         eqs = [(row(s, targets), lowered(s)) for s in sources] + list(extra)
         monos, n = ring.monomials(DEGREES[targets[0]]), len(targets)
-        reduced, pivots = rref_int([clear_denominators(
-            [*r, *map(rhs.coeff, monos)])[0] for r, rhs in eqs])
-        rank = sum(col < n for col in pivots)
-        for j in range(n, n + len(monos)):
-            # the monomials before it have solutions, so a pivot in its
-            # column is one outside the span of the rows
-            if j in pivots:
-                raise InconsistentSystem("no solution")
-            if rank < n:
-                raise UnderdeterminedSystem("solution not unique")
-        # every target column is a pivot, in order
+        rows = solve_rows([clear_denominators(
+            [*r, *map(rhs.coeff, monos)])[0] for r, rhs in eqs], n)
         g.update((t, MultiPolynomial(ring, {
             mono: Fraction(r[j], r[i]) for j, mono in enumerate(monos, n)}))
-            for i, (t, r) in enumerate(zip(targets, reduced)))
+            for i, (t, r) in enumerate(zip(targets, rows)))
 
     def terms_to_poly(terms, degree: int) -> MultiPolynomial:
         total = ring.zero()

@@ -16,9 +16,8 @@ from itertools import chain
 from math import gcd, lcm
 from operator import lshift
 
-from .exactmath import (GradedRing, InconsistentSystem,
-                        MultiPolynomial, UnderdeterminedSystem,
-                        clear_denominators, parse_rational, rref_int)
+from .exactmath import (GradedRing, MultiPolynomial, clear_denominators,
+                        parse_rational, rref_int, solve_rows)
 from .schubert import (DEGREES, LABEL_INDEX, LABELS, DataFormatError,
                        MultiplicationTable, SchubertElement, Terms,
                        VerificationReport, default_data_dir)
@@ -69,26 +68,6 @@ class DegreeSlice:
         self.basis, self.nf, self.den = basis, nf, den
 
 
-def _eliminate(rows: list[list[int]]) -> dict[int, list[int]]:
-    """The reduced echelon form of integer rows, as {pivot column: row},
-    each row zero at every other pivot column; zero rows drop out."""
-    pivots: dict[int, list[int]] = {}
-    for row in rows:
-        for p, prow in pivots.items():
-            if f := row[p]:
-                row = [prow[p] * x - f * y for x, y in zip(row, prow)]
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if lead is not None:
-            g = gcd(*row)
-            row = [x // g for x in row]
-            for p, prow in pivots.items():
-                if f := prow[lead]:
-                    pivots[p] = [row[lead] * x - f * y
-                                 for x, y in zip(prow, row)]
-            pivots[lead] = row
-    return pivots
-
-
 class GradedQuotient:
     """A graded polynomial ring modulo homogeneous relations, with
     per-degree normal forms.  Each slice is built on first use."""
@@ -133,7 +112,8 @@ class GradedQuotient:
                     for j, x in rows[key + shift]:
                         vec[j] += c * x
                 multiples.append(vec)
-        pivots = _eliminate(multiples)
+        reduced, cols = rref_int(multiples)
+        pivots = dict(zip(cols, reduced))
         free = [j for j in range(len(basis)) if j not in pivots]
         scale = lcm(*[row[p] for p, row in pivots.items()])
         # W as a slice keyed by its columns: scale times their normal forms
@@ -311,32 +291,30 @@ def evaluate_in_schubert(table: MultiplicationTable,
     return SchubertElement.from_terms(_evaluate(table, p, {}))
 
 
-def _change_of_basis(quotient: GradedQuotient,
-                     giambelli: dict[str, MultiPolynomial], degree: int,
-                     entry):
+def _change_of_basis(quotient: GradedQuotient, entries, degree: int):
     """One degree's change of basis M: column (label, c), for each
     q^c * G(label) with deg(label) + 4c = degree, is the normal form of
-    q^c * G(label), reduced from entry(label), the entry's degree (None if
-    it is not homogeneous) and its integer terms and denominator as
-    _entry gives them, their keys shifted by the key of q^c, with the slice
-    of the entry's degree plus 4c.  Returns (sl, m_den, columns): the
-    slice, and for each column's (label index, c), in label order, its
-    integers in m_den * M at sl.basis.  A missing entry raises KeyError,
-    a non-homogeneous one ValueError, a column past max_degree
-    DegreeOutOfRange, and an entry of another degree KeyError of its first
-    basis monomial with a nonzero coefficient."""
+    q^c * G(label), reduced from entries[label], the entry's degree (None
+    if it is zero or not homogeneous) and its integer terms and
+    denominator as _entry gives them, their keys shifted by the key of
+    q^c, with the slice of the entry's degree plus 4c.  Returns (sl,
+    m_den, columns): the slice, and for each column's (label index, c), in
+    label order, its integers in m_den * M at sl.basis.  A missing entry
+    raises KeyError, a non-homogeneous one ValueError, a column past
+    max_degree DegreeOutOfRange, and an entry of another degree KeyError
+    of its first basis monomial with a nonzero coefficient."""
     sl = quotient._slice(degree)
-    (q_exps,) = quotient.ring.gen("q").terms
-    q_key = quotient._key(q_exps)
+    ring = quotient.ring
+    (q_exps,) = ring.gen("q").terms
+    q_key, q_degree = quotient._key(q_exps), ring.monomial_degree(q_exps)
     columns = {}  # per column: its integers at sl.basis, and their den
     for label, qexp in _columns(degree):
-        p, column, den = giambelli[label], [0] * len(sl.basis), 1
-        if not p.is_zero():
-            entry_degree, terms, den = entry(label)
+        entry_degree, terms, den = entries[label]
+        column = [0] * len(sl.basis)
+        if terms:
             if entry_degree is None:
                 raise ValueError("normal_form expects a homogeneous polynomial")
-            entry_sl = quotient._slice(
-                entry_degree + qexp * p.ring.monomial_degree(q_exps))
+            entry_sl = quotient._slice(entry_degree + qexp * q_degree)
             out = quotient._reduced(entry_sl, [(key + qexp * q_key, c)
                                                for key, c in terms])
             if entry_sl is sl:
@@ -358,24 +336,16 @@ def _solve(sl: DegreeSlice, m_den: int, columns, nf: list[int],
     from _change_of_basis and p = sum(c * m) / den, for pairs (k, c) of the
     key k of a monomial m of the degree and an integer c, and a positive
     integer den.  nf = quotient._reduced(sl, pairs) is NF(p) times
-    den * sl.den, as normal_form reduces it.  One rref_int of the rows
-    [m_den * M | nf], one per entry of nf, raises what solve_linear(M, b)
-    raises, in the same order: InconsistentSystem for a pivot in the last
-    column, then UnderdeterminedSystem when the rank is short of the
-    columns.  An empty slice gives no rows, so any column leaves the rank
-    short; there solve_linear, which reads such an M as having no columns,
-    differs."""
+    den * sl.den, as normal_form reduces it.  solve_rows decides on the
+    rows [m_den * M | nf], one per entry of nf, so with an empty slice any
+    column is free."""
     k = len(columns)
-    reduced, pivots = rref_int([[column[i] for column in columns.values()]
-                                + [x] for i, x in enumerate(nf)])
-    if k in pivots:
-        raise InconsistentSystem("no solution")
-    if len(pivots) < k:
-        raise UnderdeterminedSystem("solution not unique")
-    # m_den * M x = nf * m_den / (sl.den * den), and every column is a pivot
+    rows = solve_rows([[column[i] for column in columns.values()] + [x]
+                       for i, x in enumerate(nf)], k)
+    # m_den * M x = nf * m_den / (sl.den * den)
     out: Terms = {}
-    for t, row, col in zip(columns, reduced, pivots):
-        x, d = row[k] * m_den, row[col] * sl.den * den
+    for i, (t, row) in enumerate(zip(columns, rows)):
+        x, d = row[k] * m_den, row[i] * sl.den * den
         if x:
             out[t] = Fraction(x, d) if x % d else x // d
     return out
@@ -404,8 +374,10 @@ def expand_in_schubert(quotient: GradedQuotient,
         return SchubertElement.zero()
     degree = p.degree()
     terms, den = _integral(p, quotient._key)
-    basis = _change_of_basis(quotient, giambelli, degree, lambda label:
-                             _entry(giambelli[label], quotient._key))
+    # _change_of_basis raises KeyError at the first missing entry
+    basis = _change_of_basis(quotient, {
+        label: _entry(giambelli[label], quotient._key)
+        for label, _ in _columns(degree) if label in giambelli}, degree)
     nf = quotient._reduced(basis[0], terms)
     return SchubertElement.from_terms(_solve(*basis, nf, den))
 
@@ -463,8 +435,7 @@ def mismatched_products(table: MultiplicationTable, quotient: GradedQuotient,
                     degree = ((pa.degree() if degree_a is None else degree_a)
                               + (pb.degree() if degree_b is None else degree_b))
                     if degree not in bases:
-                        basis = _change_of_basis(quotient, giambelli, degree,
-                                                 entries.__getitem__)
+                        basis = _change_of_basis(quotient, entries, degree)
                         bases[degree] = basis, len(basis[2]) == len(
                             rref_int(list(basis[2].values()))[1])
                     basis, full = bases[degree]

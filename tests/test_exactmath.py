@@ -11,7 +11,8 @@ from cgquantum.exactmath import (GradedRing, InconsistentSystem,
                                  NonSquareMatrixError, QPolynomial,
                                  UnderdeterminedSystem, charpoly,
                                  clear_denominators, determinant, mat_mul,
-                                 parse_rational, rat, rref_int, solve_linear)
+                                 parse_rational, rat, rref_int, solve_linear,
+                                 solve_rows)
 from cgquantum.presentation import generator_ring
 
 
@@ -59,6 +60,39 @@ def test_solve_underdetermined():
 def test_solve_inconsistent():
     with pytest.raises(InconsistentSystem):
         solve_linear([[1, 1], [1, 1]], [0, 1])
+
+
+def test_solve_rows_unique_with_two_right_hand_sides():
+    # x + y = (3, 1), x - y = (1, 5): x = (2, 3), y = (1, -2)
+    rows = solve_rows([[1, 1, 3, 1], [1, -1, 1, 5]], 2)
+    assert [[Fraction(x, row[i]) for x in row[2:]]
+            for i, row in enumerate(rows)] == [[2, 3], [1, -2]]
+    # row i holds A's pivot i, and no other column of A
+    assert [[bool(x) for x in row[:2]] for row in rows] == [[True, False],
+                                                            [False, True]]
+
+
+@pytest.mark.parametrize("rows, n, error, message", [
+    # B's first column has a pivot, though A's rank is short
+    ([[1, 1, 0, 0], [1, 1, 1, 0]], 2, InconsistentSystem, "no solution"),
+    # A's rank is short and B's first column free: a pivot in a later
+    # column of B does not decide
+    ([[1, 1, 0, 0], [1, 1, 0, 1]], 2, UnderdeterminedSystem,
+     "solution not unique"),
+    # A has full rank, and a later column of B has a pivot
+    ([[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 2, 1]], 2, InconsistentSystem,
+     "no solution"),
+    # no rows
+    ([], 2, UnderdeterminedSystem, "solution not unique"),
+])
+def test_solve_rows_failures(rows, n, error, message):
+    with pytest.raises(error) as info:
+        solve_rows(rows, n)
+    assert str(info.value) == message
+
+
+def test_solve_rows_with_no_rows_and_no_unknowns():
+    assert solve_rows([], 0) == []
 
 
 def test_charpoly_identity_2x2():

@@ -158,22 +158,22 @@ def test_derive_presentation_leaves_unknowns_unchanged(table,
 
 def test_derivation_reduces_each_degree_once(table, scenario_values,
                                              monkeypatch):
-    # one reduction of [rows | one column per monomial] for each of the
+    # one solve_rows of [rows | one column per monomial] for each of the
     # degrees 3, 4, 5 and 6, and no solve per monomial
     from cgquantum import pipeline
     sizes = []
-    rref_int = pipeline.rref_int
+    solve_rows = pipeline.solve_rows
 
-    def counted(rows):
+    def counted(rows, n):
         sizes.append((len(rows), len(rows[0])))
-        return rref_int(rows)
+        return solve_rows(rows, n)
 
     def no_solve(a, b):
         raise AssertionError("solve_linear called")
 
     unknowns = solve_chevalley(scenario_values)
     missing = derive_missing_products(table, scenario_values)
-    monkeypatch.setattr(pipeline, "rref_int", counted)
+    monkeypatch.setattr(pipeline, "solve_rows", counted)
     monkeypatch.setattr(pipeline, "solve_linear", no_solve)
     derive_presentation(table, unknowns, missing)
     # (equations, targets + monomials) at degrees 3, 4, 5 and 6

@@ -632,16 +632,16 @@ def _slice_rows(quotient, d):
 
 def test_slices_built_from_the_slice_below_match_a_full_build(monkeypatch):
     rows_reduced = []
-    eliminate = presentation._eliminate
+    rref_int = presentation.rref_int
 
     def counted(rows):
         rows_reduced.append(len(rows))
-        return eliminate(rows)
+        return rref_int(rows)
 
     sets = _relation_sets(monkeypatch)
     assert len([name for name in sets if name.startswith("space-model")]) \
         >= 12
-    monkeypatch.setattr(presentation, "_eliminate", counted)
+    monkeypatch.setattr(presentation, "rref_int", counted)
     for name, (ring, relations, max_degree) in sets.items():
         rows_reduced.clear()
         quotient = GradedQuotient(ring, relations, max_degree)

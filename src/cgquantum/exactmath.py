@@ -208,12 +208,6 @@ class MultiPolynomial:
             raise ValueError("polynomial is not homogeneous")
         return degs.pop()
 
-    def homogeneous_components(self) -> dict[int, "MultiPolynomial"]:
-        buckets: dict[int, dict] = {}
-        for exps, c in self.terms.items():
-            buckets.setdefault(self.ring.monomial_degree(exps), {})[exps] = c
-        return {d: MultiPolynomial(self.ring, t) for d, t in buckets.items()}
-
     def component(self, degree: int) -> "MultiPolynomial":
         return MultiPolynomial(self.ring, {
             e: c for e, c in self.terms.items()

@@ -123,12 +123,12 @@ def quotient_chern(numerator: MultiPolynomial, denominator: MultiPolynomial,
     """Total Chern class of a quotient bundle E/F from c(E) and c(F),
     truncated at the given degree.  c(F) has constant term 1, so degree by
     degree q_d = c_d(E) - sum_{k>=1} c_k(F) q_{d-k}."""
-    f = denominator.homogeneous_components()
+    f = [denominator.component(k) for k in range(max_degree + 1)]
     parts: list[MultiPolynomial] = []
     for d in range(max_degree + 1):
         qd = numerator.component(d)
         for k in range(1, d + 1):
-            if k in f:
+            if not f[k].is_zero():
                 qd = qd - f[k] * parts[d - k]
         parts.append(qd)
     return sum(parts[1:], parts[0])

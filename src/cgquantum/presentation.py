@@ -294,37 +294,20 @@ def evaluate_in_schubert(table: MultiplicationTable,
 def _change_of_basis(quotient: GradedQuotient, entries, degree: int):
     """One degree's change of basis M: column (label, c), for each
     q^c * G(label) with deg(label) + 4c = degree, is the normal form of
-    q^c * G(label), reduced from entries[label], the entry's degree (None
-    if it is zero or not homogeneous) and its integer terms and
-    denominator as _entry gives them, their keys shifted by the key of
-    q^c, with the slice of the entry's degree plus 4c.  Returns (sl,
-    m_den, columns): the slice, and for each column's (label index, c), in
-    label order, its integers in m_den * M at sl.basis.  A missing entry
-    raises KeyError, a non-homogeneous one ValueError, a column past
-    max_degree DegreeOutOfRange, and an entry of another degree KeyError
-    of its first basis monomial with a nonzero coefficient."""
+    q^c * G(label), reduced in the degree's slice from entries[label], the
+    entry's integer terms and denominator as _entry gives them, their keys
+    shifted by the key of q^c.  Returns (sl, m_den, columns): the slice,
+    and for each column's (label index, c), in label order, its integers
+    in m_den * M at sl.basis.  A degree past max_degree raises
+    DegreeOutOfRange."""
     sl = quotient._slice(degree)
-    ring = quotient.ring
-    (q_exps,) = ring.gen("q").terms
-    q_key, q_degree = quotient._key(q_exps), ring.monomial_degree(q_exps)
+    (q_exps,) = quotient.ring.gen("q").terms
+    q_key = quotient._key(q_exps)
     columns = {}  # per column: its integers at sl.basis, and their den
     for label, qexp in _columns(degree):
-        entry_degree, terms, den = entries[label]
-        column = [0] * len(sl.basis)
-        if terms:
-            if entry_degree is None:
-                raise ValueError("normal_form expects a homogeneous polynomial")
-            entry_sl = quotient._slice(entry_degree + qexp * q_degree)
-            out = quotient._reduced(entry_sl, [(key + qexp * q_key, c)
-                                               for key, c in terms])
-            if entry_sl is sl:
-                column = out
-            else:  # an entry of another degree has no place in this slice
-                for m, x in zip(entry_sl.basis, out):
-                    if x:
-                        raise KeyError(m)
-            den *= entry_sl.den
-        columns[LABEL_INDEX[label], qexp] = column, den
+        terms, den = entries[label]
+        columns[LABEL_INDEX[label], qexp] = quotient._reduced(sl, [
+            (key + qexp * q_key, c) for key, c in terms]), den * sl.den
     m_den = lcm(*[d for _, d in columns.values()])
     return sl, m_den, {t: [x * (m_den // d) for x in column]
                        for t, (column, d) in columns.items()}
@@ -358,11 +341,16 @@ def _integral(p: MultiPolynomial, key):
     return list(zip(map(key, p.terms), ints)), den
 
 
-def _entry(p: MultiPolynomial, key):
-    """p's degree, None if p is zero or not homogeneous, then the terms and
-    denominator of _integral(p, key)."""
-    degs = {p.ring.monomial_degree(m) for m in p.terms}
-    return (degs.pop() if len(degs) == 1 else None, *_integral(p, key))
+def _entry(label: str, p: MultiPolynomial, key):
+    """The terms and denominator of _integral(p, key) for the dictionary
+    entry p of label, the one check of the products pass's input: p is zero
+    or homogeneous of label's degree, as load_giambelli and the derivation
+    make it, or GiambelliFormatError is raised with the loader's message."""
+    if {p.ring.monomial_degree(m) for m in p.terms} - {DEGREES[label]}:
+        raise GiambelliFormatError(
+            f"dictionary entry for {label} is not homogeneous of "
+            f"degree {DEGREES[label]}")
+    return _integral(p, key)
 
 
 def expand_in_schubert(quotient: GradedQuotient,
@@ -374,10 +362,9 @@ def expand_in_schubert(quotient: GradedQuotient,
         return SchubertElement.zero()
     degree = p.degree()
     terms, den = _integral(p, quotient._key)
-    # _change_of_basis raises KeyError at the first missing entry
     basis = _change_of_basis(quotient, {
-        label: _entry(giambelli[label], quotient._key)
-        for label, _ in _columns(degree) if label in giambelli}, degree)
+        label: _entry(label, giambelli[label], quotient._key)
+        for label, _ in _columns(degree)}, degree)
     nf = quotient._reduced(basis[0], terms)
     return SchubertElement.from_terms(_solve(*basis, nf, den))
 
@@ -389,10 +376,9 @@ def _is_expansion(sl: DegreeSlice, m_den: int, columns, nf: list[int],
     sides times m_den * sl.den * den, so on integers where want is."""
     lhs = [0] * len(nf)  # m_den * M want
     for t, c in want.items():
-        if c:
-            if (column := columns.get(t)) is None:  # no column of this degree
-                return False
-            lhs = [y + c * x for y, x in zip(lhs, column)]
+        if (column := columns.get(t)) is None:  # no column of this degree
+            return False
+        lhs = [y + c * x for y, x in zip(lhs, column)]
     scale = sl.den * den
     return [x * scale for x in lhs] == [y * m_den for y in nf]
 
@@ -404,36 +390,34 @@ def mismatched_products(table: MultiplicationTable, quotient: GradedQuotient,
     exception its expansion raised or differs from the table entry c,
     compared on terms; result is then a SchubertElement.
 
-    Each entry is scaled to integers once, with its monomials as keys and
-    its degree; a product's normal form is summed from its term pairs'
-    rows, every column is formed from the entries, and each degree's
-    change of basis M is built once.  p is decided as M c = NF(p), on
-    integers, where M has full column rank; only a product that fails
-    this, or one of a degree whose M is rank-deficient, is solved for by
-    _solve.
+    Each entry is checked and scaled to integers once, with its monomials
+    as keys (_entry), before the first product: a missing one raises
+    KeyError, and one that is neither zero nor homogeneous of its label's
+    degree GiambelliFormatError.  A product's degree is then the sum of
+    its labels' degrees, its normal form is summed from its term pairs'
+    rows, and each degree's change of basis M is built once.  p is decided
+    as M c = NF(p), on integers, where M has full column rank; only a
+    product that fails this, or one of a degree whose M is rank-deficient,
+    is solved for by _solve.
     """
     # per degree, built on first use: its change of basis and whether M has
     # full column rank; nothing is kept for a degree whose columns raise,
     # so its failure repeats
     bases = {}
-    # a missing entry still raises KeyError at its first pair
-    entries = {label: _entry(giambelli[label], quotient._key)
-               for label in LABELS if label in giambelli}
+    entries = {label: _entry(label, giambelli[label], quotient._key)
+               for label in LABELS}
     for i, a in enumerate(LABELS):
+        terms_a, den_a = entries[a]
         for b in LABELS[i:]:
-            pa, pb = giambelli[a], giambelli[b]
+            terms_b, den_b = entries[b]
             want = table.tensor[LABEL_INDEX[a]][LABEL_INDEX[b]]
             try:
                 # the ring is a domain: the product is zero only when a
-                # factor is, and homogeneous only when both factors are
-                if pa.is_zero() or pb.is_zero():
+                # factor is
+                if not (terms_a and terms_b):
                     result = {}
                 else:
-                    degree_a, terms_a, den_a = entries[a]
-                    degree_b, terms_b, den_b = entries[b]
-                    # a non-homogeneous entry has no degree, and raises here
-                    degree = ((pa.degree() if degree_a is None else degree_a)
-                              + (pb.degree() if degree_b is None else degree_b))
+                    degree = DEGREES[a] + DEGREES[b]
                     if degree not in bases:
                         basis = _change_of_basis(quotient, entries, degree)
                         bases[degree] = basis, len(basis[2]) == len(
@@ -450,22 +434,18 @@ def mismatched_products(table: MultiplicationTable, quotient: GradedQuotient,
                 result = exc
             if isinstance(result, Exception):
                 yield a, b, result
-            elif result != want and result != {t: c for t, c in want.items()
-                                                if c}:
+            elif result != want:  # no table holds a zero coefficient
                 yield a, b, SchubertElement.from_terms(result)
 
 
 def products_key(quotient: GradedQuotient,
                  giambelli: dict[str, MultiPolynomial]):
     """What the products through the quotient depend on: its ring,
-    max_degree and relations, and each entry's zero-ness, degree and normal
-    form.  Equal keys give equal products and exceptions; a missing entry
-    or one without a normal form makes a key equal to no other."""
-    try:
-        entries = [(p.is_zero(), p.degree(), quotient.normal_form(p).terms)
-                   for p in [giambelli[label] for label in LABELS]]
-    except (KeyError, ValueError, DegreeOutOfRange):
-        return object()
+    max_degree and relations, and each entry's zero-ness and normal form.
+    Equal keys give equal products and exceptions for dictionaries that
+    keep _entry's contract, as loaded and derived ones do."""
+    entries = [(p.is_zero(), quotient.normal_form(p).terms)
+               for p in [giambelli[label] for label in LABELS]]
     ring = quotient.ring
     return (ring.names, ring.degrees, quotient.max_degree,
             [rel.terms for rel in quotient.relations], entries)

@@ -356,6 +356,7 @@ def test_charpoly_json_is_the_conjecture_o_char_poly(capsys):
      "verify_presentation.json"),
     (["--json", "verify", "--suite", "pipeline"], "verify_pipeline.json"),
     (["--json", "derive"], "derive.json"),
+    (["derive"], "derive.txt"),
 ])
 def test_presentation_output_is_pinned(capsys, argv, golden):
     code, out, err = run_cli(capsys, *argv)

@@ -187,8 +187,9 @@ def test_miscopied_relation_detected(table, monkeypatch):
 def products_via_presentation(quotient, giambelli):
     """(a, b, result) for each of the 120 unordered products of dictionary
     entries, in table order: result is expand_in_schubert of the product,
-    or the exception it raised; a missing entry raises KeyError at its
-    first pair."""
+    or the exception it raised, as mismatched_products reports it for
+    entries that are zero or homogeneous of their label's degree; a
+    missing entry raises KeyError at its first pair."""
     for i, a in enumerate(LABELS):
         for b in LABELS[i:]:
             p = giambelli[a] * giambelli[b]
@@ -212,7 +213,8 @@ def _change_of_basis_matrix(quotient, giambelli, degree):
     with deg(label) + 4c = degree, the coefficients of
     normal_form(q^c * giambelli[label]) at quotient.basis(degree).
     Returns (columns, matrix), matrix[i][j] of basis monomial i and
-    column j; a normal form of another degree raises KeyError."""
+    column j.  Each entry is zero or homogeneous of its label's degree, so
+    each normal form lies in the degree's basis."""
     cols = [(label, (degree - DEGREES[label]) // 4) for label in LABELS
             if degree >= DEGREES[label]
             and (degree - DEGREES[label]) % 4 == 0]
@@ -379,8 +381,6 @@ def expansion_cases(quotient, giambelli):
         "empty-slices": (GradedQuotient(ring, [s1, s2]), giambelli),
         "degree-10-quotient": (
             GradedQuotient(ring, standard_relations(ring), 10), giambelli),
-        "non-homogeneous-entry": (quotient,
-                                  dict(giambelli, s3=giambelli["s3"] + s1)),
     }
     for replaced, by in (("s4", "s4p"), ("s2", "s2p"), ("s6", "s6p")):
         cases[f"singular-{replaced}"] = (
@@ -399,8 +399,7 @@ def expansion_cases(quotient, giambelli):
 
 
 CASES = (["shipped", "derived", "zero-entry", "empty-slices",
-          "degree-10-quotient", "non-homogeneous-entry", "singular-s4",
-          "singular-s2", "singular-s6"]
+          "degree-10-quotient", "singular-s4", "singular-s2", "singular-s6"]
          + [f"fault-{i}" for i in range(12)])
 
 
@@ -517,6 +516,25 @@ def test_expansion_failures_repeat_for_every_product(table, giambelli):
         if "s8" in (a, b):
             assert isinstance(r, ValueError)
             assert str(r) == "polynomial is not homogeneous"
+
+
+@pytest.mark.parametrize("s3", [lambda g, s1: g["s3"] + s1,
+                                lambda g, s1: g["s2"]],
+                         ids=["non-homogeneous", "wrong-degree"])
+def test_an_entry_outside_the_contract_raises_the_loaders_error(
+        table, quotient, giambelli, s3):
+    # the products pass takes each entry to be zero or homogeneous of its
+    # label's degree, as load_giambelli and the derivation make it; any
+    # other entry fails the whole pass with the loader's message
+    s1 = quotient.ring.gen("s1")
+    broken = dict(giambelli, s3=s3(giambelli, s1))
+    for run in (lambda: list(mismatched_products(table, quotient, broken)),
+                lambda: cross_check_presentation(table, quotient, broken),
+                lambda: expand_in_schubert(quotient, broken, s1 ** 3)):
+        with pytest.raises(GiambelliFormatError) as info:
+            run()
+        assert str(info.value) == \
+            "dictionary entry for s3 is not homogeneous of degree 3"
 
 
 GIAMBELLI_CONTENT_ERRORS = {

@@ -221,10 +221,12 @@ def cmd_scenario(args) -> int:
 
 def cmd_derive(args) -> int:
     from .exactmath import InconsistentSystem, UnderdeterminedSystem
+    from .intersection import run_all_scenarios
     from .pipeline import run_pipeline
     table = _load_table(args.table_file)
+    values = {sid: res.value for sid, res in run_all_scenarios().items()}
     try:
-        result = run_pipeline(table)
+        result = run_pipeline(table, values)
     except (InconsistentSystem, UnderdeterminedSystem) as exc:
         print(f"derivation failed: {type(exc).__name__}: {exc}",
               file=sys.stderr)

@@ -75,7 +75,6 @@ SCENARIO_PAIRS = {
 }
 
 CHEVALLEY_SCENARIOS = tuple(sorted(SCENARIO_PAIRS))
-ALL_SCENARIOS = CHEVALLEY_SCENARIOS + ("4.2.1", "4.2.2", "4.2.3")
 
 
 def _expand(side: str) -> dict[str, int]:
@@ -270,37 +269,27 @@ def close_loop(table: MultiplicationTable, derived: DerivedPresentation,
                products: tuple | None = None) -> LoopReport:
     """Check all 120 unordered products through the derived presentation
     against the shipped table, each as M c = NF(p), and diff the expansion
-    that presentation._solve finds for each one that fails
-    (mismatched_products).  products, if given, is (products_key,
-    mismatched_products list) of another quotient and dictionary on this
-    table; the list is reused when its key is the derived presentation's."""
+    that presentation._solve finds for each one that fails, or <the
+    exception> it raised (mismatched_products).  products, if given, is
+    (products_key, mismatched_products list) of another quotient and
+    dictionary on this table; the list is reused when its key is the
+    derived presentation's."""
     if products and products[0] == products_key(derived.quotient,
                                                 derived.giambelli):
         found = products[1]
     else:
         found = mismatched_products(table, derived.quotient, derived.giambelli)
-    diffs = []
-    for a, b, got in found:
-        want = table.basis_product(a, b)
-        if isinstance(got, (InconsistentSystem, UnderdeterminedSystem)):
-            diffs.append((a, b, f"<{got}>", str(want)))
-        elif isinstance(got, Exception):
-            raise got
-        else:
-            diffs.append((a, b, str(got), str(want)))
-    return LoopReport(diffs)
+    return LoopReport([
+        (a, b, f"<{got}>" if isinstance(got, Exception) else str(got),
+         str(table.basis_product(a, b))) for a, b, got in found])
 
 
 def run_pipeline(table: MultiplicationTable,
-                 scenario_values: dict[str, Fraction] | None = None,
+                 scenario_values: dict[str, Fraction],
                  products: tuple | None = None) -> dict:
-    """Full derivation: scenarios -> unknowns -> products -> presentation
-    -> closed loop, which may reuse products as close_loop says.  Returns a
-    JSON-ready report."""
-    if scenario_values is None:
-        from .intersection import run_all_scenarios
-        scenario_values = {sid: res.value
-                           for sid, res in run_all_scenarios().items()}
+    """Full derivation from the scenario values (each scenario's value, by
+    id): unknowns -> products -> presentation -> closed loop, which may
+    reuse products as close_loop says.  Returns a JSON-ready report."""
     unknowns = solve_chevalley(scenario_values)
     missing = derive_missing_products(table, scenario_values)
     derived = derive_presentation(table, unknowns, missing)

@@ -16,7 +16,8 @@ from itertools import chain
 from math import gcd, lcm
 from operator import lshift
 
-from .exactmath import (GradedRing, MultiPolynomial, clear_denominators,
+from .exactmath import (GradedRing, InconsistentSystem, MultiPolynomial,
+                        UnderdeterminedSystem, clear_denominators,
                         parse_rational, rref_int, solve_rows)
 from .schubert import (DEGREES, LABEL_INDEX, LABELS, DataFormatError,
                        MultiplicationTable, SchubertElement, Terms,
@@ -91,7 +92,7 @@ class GradedQuotient:
         self._rest = (GradedRing(ring.names[1:], ring.degrees[1:])
                       if ring.names[1:] else None)
 
-    def _build_slice(self, degree: int, integral, below) -> DegreeSlice:
+    def _build_slice(self, degree: int, below) -> DegreeSlice:
         """The normal forms of one degree from the slice one x0-degree
         below.  x0*m, for m below, reduces to x0 times m's normal form, so
         over W (x0 times the basis below, then the x0-free monomials) only
@@ -105,7 +106,7 @@ class GradedQuotient:
                     for j, m in enumerate(tail, len(basis)))
         basis = [(b[0] + 1, *b[1:]) for b in basis] + tail
         multiples = []
-        for rel_degree, terms in integral:
+        for rel_degree, terms in self._relation_terms:
             for mono in self._x0_free(degree - rel_degree):
                 vec, shift = [0] * len(basis), self._key(mono)
                 for key, c in terms:
@@ -148,8 +149,7 @@ class GradedQuotient:
             step = self.ring.degrees[0]
             below = self._slice(degree - step) if degree >= step \
                 else DegreeSlice([], {}, 1)
-            self._slices[degree] = self._build_slice(
-                degree, self._relation_terms, below)
+            self._slices[degree] = self._build_slice(degree, below)
         return self._slices[degree]
 
     def _key(self, exps) -> int:
@@ -387,8 +387,10 @@ def mismatched_products(table: MultiplicationTable, quotient: GradedQuotient,
                         giambelli: dict[str, MultiPolynomial]):
     """The (a, b, result) of the 120 unordered products of dictionary
     entries through the quotient, in table order, whose result is the
-    exception its expansion raised or differs from the table entry c,
-    compared on terms; result is then a SchubertElement.
+    exception its expansion raised (InconsistentSystem or
+    UnderdeterminedSystem from _solve, DegreeOutOfRange past max_degree)
+    or differs from the table entry c, compared on terms; result is then
+    a SchubertElement.  Any other exception propagates.
 
     Each entry is checked and scaled to integers once, with its monomials
     as keys (_entry), before the first product: a missing one raises
@@ -430,7 +432,8 @@ def mismatched_products(table: MultiplicationTable, quotient: GradedQuotient,
                     if full and _is_expansion(*basis, nf, den, want):
                         continue
                     result = _solve(*basis, nf, den)
-            except Exception as exc:
+            except (InconsistentSystem, UnderdeterminedSystem,
+                    DegreeOutOfRange) as exc:
                 result = exc
             if isinstance(result, Exception):
                 yield a, b, result

@@ -50,6 +50,11 @@ def test_gw_value(capsys):
     assert out.strip() == "2"
 
 
+def test_gw_unknown_label(capsys):
+    code, out, err = run_cli(capsys, "gw", "1", "s9", "s1", "s8")
+    assert (code, out, err) == (2, "", "unknown label: s9\n")
+
+
 def test_gw_degree_out_of_range(capsys):
     code, _, err = run_cli(capsys, "gw", "5", "s1", "s1", "s1")
     assert code == 2
@@ -115,6 +120,11 @@ def test_scenario_all_json(capsys):
 def test_scenario_unknown(capsys):
     code, _, err = run_cli(capsys, "scenario", "1.2.3")
     assert code == 2
+
+
+def test_scenario_without_an_id(capsys):
+    code, out, err = run_cli(capsys, "scenario")
+    assert (code, out, err) == (2, "", "scenario id required (or --all)\n")
 
 
 def test_charpoly_format(capsys):
@@ -552,9 +562,9 @@ def test_a_huge_coefficient_fails_without_slices_past_the_top_row(
     built = []
     build_slice = GradedQuotient._build_slice
 
-    def counted(self, degree, integral, below):
+    def counted(self, degree, below):
         built.append(degree)
-        return build_slice(self, degree, integral, below)
+        return build_slice(self, degree, below)
 
     monkeypatch.setattr(GradedQuotient, "_build_slice", counted)
     code, out, err = run_cli(capsys, "--table-file", path,

@@ -9,10 +9,10 @@ import pytest
 
 from cgquantum.exactmath import (InconsistentSystem, UnderdeterminedSystem,
                                  rat)
-from cgquantum.pipeline import (ALL_SCENARIOS, CHEVALLEY_SCENARIOS,
-                                close_loop, derive_missing_products,
-                                derive_presentation, run_pipeline,
-                                solve_chevalley)
+from cgquantum.intersection import SCENARIO_IDS, run_all_scenarios
+from cgquantum.pipeline import (CHEVALLEY_SCENARIOS, close_loop,
+                                derive_missing_products, derive_presentation,
+                                run_pipeline, solve_chevalley)
 from cgquantum.presentation import GradedQuotient, standard_relations
 from cgquantum.schubert import (MultiplicationTable, SchubertElement,
                                 default_data_dir, load_default_table)
@@ -25,7 +25,6 @@ def table():
 
 @pytest.fixture(scope="module")
 def scenario_values():
-    from cgquantum.intersection import run_all_scenarios
     return {sid: res.value for sid, res in run_all_scenarios().items()}
 
 
@@ -50,7 +49,7 @@ def test_perturbed_count_detected(scenario_values):
 
 
 def test_all_zero_counts_are_consistent():
-    zeros = {sid: rat(0) for sid in ALL_SCENARIOS}
+    zeros = {sid: rat(0) for sid in SCENARIO_IDS}
     unknowns = solve_chevalley(zeros)
     assert tuple(unknowns.values()) == (rat(0),) * 9
 
@@ -91,7 +90,7 @@ def test_loop_closes(table, derived):
 
 
 def test_classical_only_inputs_diff_in_q_terms(table, scenario_values):
-    zeros = {sid: rat(0) for sid in ALL_SCENARIOS}
+    zeros = {sid: rat(0) for sid in SCENARIO_IDS}
     unknowns = solve_chevalley(zeros)
     missing = derive_missing_products(table, zeros)
     presentation = derive_presentation(table, unknowns, missing)
@@ -120,15 +119,15 @@ def test_forced_unknown_breaks_loop(table, scenario_values):
     assert not report.ok
 
 
-def test_run_pipeline_report(table):
-    result = run_pipeline(table)
+def test_run_pipeline_report(table, scenario_values):
+    result = run_pipeline(table, scenario_values)
     assert result["ok"] is True
     assert result["diff_count"] == 0
     assert result["unknowns"]["a3"] == "2"
     assert result["unknowns"]["a7"] == "0"
     assert len(result["relations"]) == 2
     assert len(result["giambelli"]) == 15
-    assert set(result["scenario_values"]) == set(ALL_SCENARIOS)
+    assert set(result["scenario_values"]) == set(SCENARIO_IDS)
 
 
 def test_run_pipeline_builds_each_slice_once(table, scenario_values,
@@ -137,9 +136,9 @@ def test_run_pipeline_builds_each_slice_once(table, scenario_values,
     built = []
     build_slice = GradedQuotient._build_slice
 
-    def counted(self, degree, integral, below):
+    def counted(self, degree, below):
         built.append(degree)
-        return build_slice(self, degree, integral, below)
+        return build_slice(self, degree, below)
 
     monkeypatch.setattr(GradedQuotient, "_build_slice", counted)
     assert run_pipeline(table, scenario_values)["ok"] is True

@@ -537,6 +537,19 @@ def test_an_entry_outside_the_contract_raises_the_loaders_error(
             "dictionary entry for s3 is not homogeneous of degree 3"
 
 
+def test_a_program_fault_in_the_products_pass_propagates(
+        table, quotient, giambelli, monkeypatch):
+    # the pass yields only the exceptions of a product with no unique
+    # expansion; any other exception is a fault of the program, not a
+    # failed products_match
+    def broken(*args):
+        raise TypeError("boom")
+
+    monkeypatch.setattr(presentation, "_is_expansion", broken)
+    with pytest.raises(TypeError, match="^boom$"):
+        cross_check_presentation(table, quotient, giambelli)
+
+
 GIAMBELLI_CONTENT_ERRORS = {
     "unknown-label": (lambda raw: raw.update(s9=[]),
                       "unknown label 's9' in dictionary"),

@@ -3,6 +3,7 @@ extraction, and the built-in consistency suite."""
 import json
 import os
 import random
+import shutil
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -209,6 +210,37 @@ def test_each_table_check_catches_its_fault(check, a, b, label, q):
     _record(raw, a, b)["terms"].append({"label": label, "q": q, "coeff": 1})
     report = verify_table(MultiplicationTable.from_dict(raw))
     assert check in {c.check_id for c in report.failures()}
+
+
+def _quantum_term_in_low_row(raw):
+    # s1 * s2p sits below the first quantum term of the hyperplane rows
+    _record(raw, "s1", "s2p")["terms"].append({"label": "s3", "q": 1,
+                                               "coeff": 1})
+
+
+def test_a_quantum_term_in_a_low_hyperplane_row_is_named():
+    raw = _shipped_raw()
+    _quantum_term_in_low_row(raw)
+    report = verify_table(MultiplicationTable.from_dict(raw))
+    (check,) = [c for c in report.failures() if c.check_id == "chevalley_rows"]
+    assert check.detail == \
+        "hyperplane row mismatches: [('s2p', 'unexpected quantum term')]"
+
+
+def test_cg_data_dir_sets_the_default_table(tmp_path, capsys, monkeypatch):
+    # a copy of the data directory whose table has the fault above
+    data = tmp_path / "data"
+    shutil.copytree(default_data_dir(), data)
+    raw = _shipped_raw()
+    _quantum_term_in_low_row(raw)
+    (data / "cg_table.json").write_text(json.dumps(raw))
+    monkeypatch.setenv("CG_DATA_DIR", str(data))
+    assert default_data_dir() == str(data)
+    code = main(["verify", "--suite", "table"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "[fail] table:chevalley_rows -- hyperplane row mismatches: " \
+        "[('s2p', 'unexpected quantum term')]" in out.splitlines()
 
 
 def test_off_grade_term_is_a_verification_failure(tmp_path, capsys):

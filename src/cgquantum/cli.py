@@ -37,14 +37,19 @@ def _parse(parse, *args):
         _set_digits(digits)
 
 
-def _resolve(path: str) -> str:
+def _resolve(path: str | None, name: str) -> str:
+    """The file a data flag names: with no flag, name in the data
+    directory; a relative path from the working directory if it exists
+    there, else from the data directory."""
+    if path is None:
+        return os.path.join(default_data_dir(), name)
     if os.path.isabs(path) or os.path.exists(path):
         return path
     return os.path.join(default_data_dir(), path)
 
 
-def _load_table(path: str) -> MultiplicationTable:
-    return _parse(MultiplicationTable.load, _resolve(path))
+def _load_table(path: str | None) -> MultiplicationTable:
+    return _parse(MultiplicationTable.load, _resolve(path, "cg_table.json"))
 
 
 def _print_report(name: str, report, as_json: bool) -> int:
@@ -91,8 +96,8 @@ def _suite_presentation(args, inputs: _Inputs) -> int:
                                mismatched_products, products_key)
     try:
         quotient = build_graded_basis()
-        giambelli = _parse(load_giambelli, _resolve(args.giambelli_file),
-                           quotient.ring)
+        giambelli = _parse(load_giambelli, _resolve(
+            args.giambelli_file, "cg_giambelli.json"), quotient.ring)
     except DimensionMismatch as exc:
         report = VerificationReport()
         report.add("graded_dimensions", False, str(exc))
@@ -195,10 +200,13 @@ def cmd_gw(args) -> int:
 
 def cmd_scenario(args) -> int:
     from .intersection import SCENARIO_IDS, UnknownScenario, run_scenario
-    ids = SCENARIO_IDS if args.all else [args.id]
+    if args.all and args.id is not None:
+        print("give a scenario id or --all, not both", file=sys.stderr)
+        return EXIT_USAGE
     if not args.all and args.id is None:
         print("scenario id required (or --all)", file=sys.stderr)
         return EXIT_USAGE
+    ids = SCENARIO_IDS if args.all else [args.id]
     results = []
     for sid in ids:
         try:
@@ -287,10 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cgq",
         description="Exact quantum cohomology engine for the Cayley "
                     "Grassmannian")
-    parser.add_argument("--table-file", default="cg_table.json",
-                        help="multiplication table (JSON)")
-    parser.add_argument("--giambelli-file", default="cg_giambelli.json",
-                        help="generator dictionary (JSON)")
+    parser.add_argument("--table-file",
+                        help="multiplication table (JSON; default "
+                             "cg_table.json in the data directory)")
+    parser.add_argument("--giambelli-file",
+                        help="generator dictionary (JSON; default "
+                             "cg_giambelli.json in the data directory)")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)

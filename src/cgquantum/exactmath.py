@@ -5,9 +5,10 @@ Everything here is pure and immutable-by-convention; no floating point is
 used anywhere.  Rational numbers are ``fractions.Fraction`` (arbitrary
 precision, always in lowest terms, positive denominator).  Matrices hold
 ints or Fractions; `mat_mul` and `charpoly` keep an integer matrix on ints.
-`rref_int` is the one reduced-echelon routine, and `solve_rows` the one
-place that decides whether a system [A | B] has no solution or no unique
-one; `solve_linear` is its Fraction front end.
+`rref_int` is the one reduced-echelon routine, and `solve_columns` the one
+place that decides, column by column of B, whether a system [A | B] has
+no solution or no unique one; `solve_rows` raises its first failure and
+`solve_linear` is the Fraction front end of that.
 `QPolynomial` is an output type: the result of `charpoly`, and each
 class's coefficient in `SchubertElement.coeffs`.  It has no arithmetic;
 the spectral certificate runs on integer coefficient lists instead.
@@ -350,22 +351,40 @@ def rref_int(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return rows[:lead], pivots
 
 
-def solve_rows(rows: list[list[int]], n: int) -> list[list[int]]:
-    """The unique solution X of A X = B, from integer rows of [A | B] with
-    A's n columns first, by one rref_int: row i of the result has its
-    pivot at column i, and row[n + j] / row[i] is X at column j of B.
-
-    Raises InconsistentSystem when B's first column holds a pivot, then
+def solve_columns(rows: list[list[int]], n: int, m: int):
+    """Decide A x = b for each column b of B, from integer rows of [A | B]
+    with A's n columns first and B's m after, by one rref_int.  Returns the
+    reduced rows and, per column j of B, None when its solution is unique,
+    each x_i then row[n + j] / row[i] of the row i whose pivot is column
+    i; else the exception that decides it: InconsistentSystem when column j
+    is nonzero in a row whose pivot lies past A's columns, otherwise
     UnderdeterminedSystem when A's rank is short of n (always, with no
-    rows and n > 0), then InconsistentSystem when any other column of B
-    holds one; both are expected outcomes for callers, not failures.
+    rows and n > 0).  Both are expected outcomes for callers, not failures.
     """
     reduced, pivots = rref_int(rows)
     rank = sum(col < n for col in pivots)
-    if n in pivots or rank == n < len(pivots):
-        raise InconsistentSystem("no solution")
-    if rank < n:
-        raise UnderdeterminedSystem("solution not unique")
+    past = reduced[rank:]
+    return reduced, [
+        InconsistentSystem("no solution") if any(row[j] for row in past)
+        else UnderdeterminedSystem("solution not unique") if rank < n
+        else None for j in range(n, n + m)]
+
+
+def solve_rows(rows: list[list[int]], n: int) -> list[list[int]]:
+    """The unique solution X of A X = B, from integer rows of [A | B] with
+    A's n columns first, by solve_columns: row i of the result has its
+    pivot at column i, and row[n + j] / row[i] is X at column j of B.
+
+    Raises the exception of the first column of B that solve_columns
+    finds without a unique solution, so B's first column decides when A's
+    rank is short.  B with no columns, or no rows, reads as one zero
+    column: A's rank alone decides it.
+    """
+    m = len(rows[0]) - n if rows else 0
+    reduced, failures = solve_columns(rows, n, max(m, 1))
+    for failure in failures:
+        if failure:
+            raise failure
     return reduced
 
 

@@ -269,7 +269,7 @@ def close_loop(table: MultiplicationTable, derived: DerivedPresentation,
                products: tuple | None = None) -> LoopReport:
     """Check all 120 unordered products through the derived presentation
     against the shipped table, each as M c = NF(p), and diff the expansion
-    that presentation._solve finds for each one that fails, or <the
+    that one solve per degree finds for each one that fails, or <the
     exception> it raised (mismatched_products).  products, if given, is
     (products_key, mismatched_products list) of another quotient and
     dictionary on this table; the list is reused when its key is the

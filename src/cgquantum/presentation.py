@@ -13,12 +13,11 @@ import json
 import os
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import ceil, gcd, lcm
 from operator import lshift
 
-from .exactmath import (GradedRing, InconsistentSystem, MultiPolynomial,
-                        UnderdeterminedSystem, clear_denominators,
-                        parse_rational, rref_int, solve_rows)
+from .exactmath import (GradedRing, MultiPolynomial, clear_denominators,
+                        parse_rational, rref_int, solve_columns)
 from .schubert import (DEGREES, LABEL_INDEX, LABELS, DataFormatError,
                        MultiplicationTable, SchubertElement, Terms,
                        VerificationReport, default_data_dir)
@@ -313,24 +312,30 @@ def _change_of_basis(quotient: GradedQuotient, entries, degree: int):
                        for t, (column, d) in columns.items()}
 
 
-def _solve(sl: DegreeSlice, m_den: int, columns, nf: list[int],
-           den: int) -> Terms:
-    """The Terms of the solution x of M x = NF(p), for a change of basis
-    from _change_of_basis and p = sum(c * m) / den, for pairs (k, c) of the
-    key k of a monomial m of the degree and an integer c, and a positive
-    integer den.  nf = quotient._reduced(sl, pairs) is NF(p) times
-    den * sl.den, as normal_form reduces it.  solve_rows decides on the
-    rows [m_den * M | nf], one per entry of nf, so with an empty slice any
-    column is free."""
+def _expansions(sl: DegreeSlice, m_den: int, columns, products) -> list:
+    """For each (nf, den) of products, the Terms of the solution x of
+    M x = NF(p), or the exception that decides it has none or no unique
+    one, for a change of basis from _change_of_basis and p = sum(c * m) /
+    den, for pairs (k, c) of the key k of a monomial m of the degree and
+    an integer c, and a positive integer den.  nf = quotient._reduced(sl,
+    pairs) is NF(p) times den * sl.den, as normal_form reduces it.  One
+    solve_columns of the rows [m_den * M | nf ...], one per entry of nf,
+    decides them all, so with an empty slice any column is free."""
     k = len(columns)
-    rows = solve_rows([[column[i] for column in columns.values()] + [x]
-                       for i, x in enumerate(nf)], k)
-    # m_den * M x = nf * m_den / (sl.den * den)
-    out: Terms = {}
-    for i, (t, row) in enumerate(zip(columns, rows)):
-        x, d = row[k] * m_den, row[i] * sl.den * den
-        if x:
-            out[t] = Fraction(x, d) if x % d else x // d
+    reduced, failures = solve_columns([list(row) for row in zip(
+        *columns.values(), *[nf for nf, _ in products])], k, len(products))
+    out = []
+    for j, ((_, den), failure) in enumerate(zip(products, failures), k):
+        if failure:
+            out.append(failure)
+            continue
+        # m_den * M x = nf * m_den / (sl.den * den)
+        terms: Terms = {}
+        for i, (t, row) in enumerate(zip(columns, reduced)):
+            x, d = row[j] * m_den, row[i] * sl.den * den
+            if x:
+                terms[t] = Fraction(x, d) if x % d else x // d
+        out.append(terms)
     return out
 
 
@@ -365,22 +370,60 @@ def expand_in_schubert(quotient: GradedQuotient,
     basis = _change_of_basis(quotient, {
         label: _entry(label, giambelli[label], quotient._key)
         for label, _ in _columns(degree)}, degree)
-    nf = quotient._reduced(basis[0], terms)
-    return SchubertElement.from_terms(_solve(*basis, nf, den))
+    (result,) = _expansions(*basis, [(quotient._reduced(basis[0], terms),
+                                      den)])
+    if isinstance(result, Exception):
+        raise result
+    return SchubertElement.from_terms(result)
 
 
-def _is_expansion(sl: DegreeSlice, m_den: int, columns, nf: list[int],
-                  den: int, want: Terms) -> bool:
-    """Whether want is the expansion of p, given nf and den as for _solve,
-    where the change of basis M has full column rank: M want = NF(p), both
-    sides times m_den * sl.den * den, so on integers where want is."""
-    lhs = [0] * len(nf)  # m_den * M want
-    for t, c in want.items():
-        if (column := columns.get(t)) is None:  # no column of this degree
-            return False
-        lhs = [y + c * x for y, x in zip(lhs, column)]
-    scale = sl.den * den
-    return [x * scale for x in lhs] == [y * m_den for y in nf]
+class _PackedDegree:
+    """One degree's change of basis in one products pass, packed so that a
+    product is checked by one integer compare.  Each column of m_den * M
+    and each normal-form row of the slice is one int, with field i, width
+    bits wide, its entry at basis position i.  With most = (the largest
+    entry denominator squared times the largest table-entry L1 norm, the
+    largest entry L1 norm squared), known before the first product, and
+    the largest column and row entries, the width bounds each field of a
+    compare's difference below 2^(width - 1): each field is a balanced
+    digit, so the difference is zero iff every field is."""
+
+    def __init__(self, quotient: GradedQuotient, entries, degree: int,
+                 most: tuple[int, int]):
+        self.basis = sl, m_den, columns = _change_of_basis(
+            quotient, entries, degree)
+        self.full = len(columns) == len(
+            rref_int(list(columns.values()))[1])
+        col_max = max([abs(x) for column in columns.values()
+                       for x in column], default=0)
+        row_max = max([abs(x) for row in sl.nf.values() for _, x in row],
+                      default=0)
+        self.width = width = (sl.den * most[0] * col_max
+                              + m_den * most[1] * row_max).bit_length() + 1
+        shifts = range(0, width * len(sl.basis), width)
+        self.columns = {t: sum(map(lshift, column, shifts))
+                        for t, column in columns.items()}
+        self.rows = {key: sum([x << width * j for j, x in row])
+                     for key, row in sl.nf.items()}
+
+    def matches(self, terms_a, terms_b, den: int, want: Terms) -> bool:
+        """Whether want is the expansion of the product p of two entries'
+        integer terms over den, where M has full column rank: M want =
+        NF(p), both sides times m_den * sl.den * den, packed.  False also
+        for a want with a Fraction coefficient or a class of no column of
+        this degree, whose fields the width does not bound."""
+        lhs = 0  # m_den * M want, packed
+        for t, c in want.items():
+            column = self.columns.get(t)
+            if column is None or type(c) is not int:
+                return False
+            lhs += c * column
+        sl, m_den, _ = self.basis
+        rows, rhs = self.rows, 0  # den * sl.den * NF(p), packed
+        for ka, ca in terms_a:
+            for kb, cb in terms_b:
+                rhs += ca * cb * rows[ka + kb]
+        return lhs * sl.den * den == rhs * m_den
 
 
 def mismatched_products(table: MultiplicationTable, quotient: GradedQuotient,
@@ -388,57 +431,72 @@ def mismatched_products(table: MultiplicationTable, quotient: GradedQuotient,
     """The (a, b, result) of the 120 unordered products of dictionary
     entries through the quotient, in table order, whose result is the
     exception its expansion raised (InconsistentSystem or
-    UnderdeterminedSystem from _solve, DegreeOutOfRange past max_degree)
-    or differs from the table entry c, compared on terms; result is then
-    a SchubertElement.  Any other exception propagates.
+    UnderdeterminedSystem from _expansions, DegreeOutOfRange past
+    max_degree) or differs from the table entry c, compared on terms;
+    result is then a SchubertElement.  Any other exception propagates.
 
     Each entry is checked and scaled to integers once, with its monomials
     as keys (_entry), before the first product: a missing one raises
     KeyError, and one that is neither zero nor homogeneous of its label's
     degree GiambelliFormatError.  A product's degree is then the sum of
-    its labels' degrees, its normal form is summed from its term pairs'
-    rows, and each degree's change of basis M is built once.  p is decided
-    as M c = NF(p), on integers, where M has full column rank; only a
-    product that fails this, or one of a degree whose M is rank-deficient,
-    is solved for by _solve.
+    its labels' degrees, and each degree's change of basis M is built and
+    packed once (_PackedDegree).  p is decided as M c = NF(p), one packed
+    integer compare, where M has full column rank; the products that fail
+    it, whose c is not integral or has a class of no column, or whose M is
+    rank-deficient, are decided together, one solve per degree
+    (_expansions), after the last compare.
     """
-    # per degree, built on first use: its change of basis and whether M has
-    # full column rank; nothing is kept for a degree whose columns raise,
-    # so its failure repeats
-    bases = {}
     entries = {label: _entry(label, giambelli[label], quotient._key)
                for label in LABELS}
+    den_max = max([den for _, den in entries.values()])
+    l1_max = max([sum([abs(c) for _, c in terms])
+                  for terms, _ in entries.values()])
+    # a Fraction table entry is never compared; its ceiling only widens
+    # the fields
+    table_max = ceil(max([sum(map(abs, terms.values()))
+                          for terms in table.constants.values()],
+                         default=0))
+    most = den_max * den_max * table_max, l1_max * l1_max
+    # per degree, built on first use; nothing is kept for a degree whose
+    # columns raise, so its failure repeats
+    states: dict[int, _PackedDegree] = {}
+    found = []  # [a, b, want, result] of each product no compare decided
+    unsolved = {}  # per degree: the index in found and (nf, den) of each
     for i, a in enumerate(LABELS):
         terms_a, den_a = entries[a]
         for b in LABELS[i:]:
             terms_b, den_b = entries[b]
             want = table.tensor[LABEL_INDEX[a]][LABEL_INDEX[b]]
-            try:
-                # the ring is a domain: the product is zero only when a
-                # factor is
-                if not (terms_a and terms_b):
-                    result = {}
-                else:
-                    degree = DEGREES[a] + DEGREES[b]
-                    if degree not in bases:
-                        basis = _change_of_basis(quotient, entries, degree)
-                        bases[degree] = basis, len(basis[2]) == len(
-                            rref_int(list(basis[2].values()))[1])
-                    basis, full = bases[degree]
-                    nf = quotient._reduced(basis[0], [
-                        (ka + kb, ca * cb)
-                        for ka, ca in terms_a for kb, cb in terms_b])
-                    den = den_a * den_b
-                    if full and _is_expansion(*basis, nf, den, want):
-                        continue
-                    result = _solve(*basis, nf, den)
-            except (InconsistentSystem, UnderdeterminedSystem,
-                    DegreeOutOfRange) as exc:
-                result = exc
-            if isinstance(result, Exception):
-                yield a, b, result
-            elif result != want:  # no table holds a zero coefficient
-                yield a, b, SchubertElement.from_terms(result)
+            # the ring is a domain: the product is zero only when a factor
+            # is
+            if not (terms_a and terms_b):
+                found.append([a, b, want, {}])
+                continue
+            degree = DEGREES[a] + DEGREES[b]
+            if degree not in states:
+                try:
+                    states[degree] = _PackedDegree(quotient, entries, degree,
+                                                   most)
+                except DegreeOutOfRange as exc:
+                    found.append([a, b, want, exc])
+                    continue
+            state, den = states[degree], den_a * den_b
+            if state.full and state.matches(terms_a, terms_b, den, want):
+                continue
+            at, rhs = unsolved.setdefault(degree, ([], []))
+            at.append(len(found))
+            rhs.append((quotient._reduced(state.basis[0], [
+                (ka + kb, ca * cb)
+                for ka, ca in terms_a for kb, cb in terms_b]), den))
+            found.append([a, b, want, None])
+    for degree, (at, rhs) in unsolved.items():
+        for i, result in zip(at, _expansions(*states[degree].basis, rhs)):
+            found[i][3] = result
+    for a, b, want, result in found:
+        if isinstance(result, Exception):
+            yield a, b, result
+        elif result != want:  # no table holds a zero coefficient
+            yield a, b, SchubertElement.from_terms(result)
 
 
 def products_key(quotient: GradedQuotient,

@@ -10,8 +10,8 @@ import pytest
 
 import cgquantum
 from cgquantum.cli import main
-from cgquantum.schubert import (MultiplicationTable, default_data_dir,
-                                load_default_table)
+from cgquantum.schubert import (DEGREES, LABELS, MultiplicationTable,
+                                default_data_dir, load_default_table)
 
 
 def run_cli(capsys, *argv):
@@ -127,6 +127,13 @@ def test_scenario_without_an_id(capsys):
     assert (code, out, err) == (2, "", "scenario id required (or --all)\n")
 
 
+@pytest.mark.parametrize("sid", ["9.9.9", "4.1.8"])
+def test_scenario_id_with_all_is_refused(capsys, sid):
+    code, out, err = run_cli(capsys, "scenario", sid, "--all")
+    assert (code, out, err) == (
+        2, "", "give a scenario id or --all, not both\n")
+
+
 def test_charpoly_format(capsys):
     code, out, _ = run_cli(capsys, "charpoly", "--q", "1")
     assert code == 0
@@ -170,6 +177,32 @@ def test_malformed_table_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "--table-file", str(bad),
                            "product", "s1", "s1")
     assert code == 2
+
+
+def test_default_data_files_come_from_the_data_directory(
+        capsys, monkeypatch, tmp_path):
+    # q + 1 on the quantum term of s3 * s1 fails the table suite; as
+    # cg_table.json in the working directory it is read only when a flag
+    # names it, and as cg_table.json in CG_DATA_DIR by default
+    def mutate(raw):
+        rec = next(r for r in raw["products"] if {r["a"], r["b"]} ==
+                   {"s1", "s3"})
+        next(t for t in rec["terms"] if t["q"])["q"] += 1
+
+    data = tmp_path / "data"
+    data.mkdir()
+    os.replace(_write_shipped_table(tmp_path, mutate), data / "cg_table.json")
+    monkeypatch.chdir(data)
+    monkeypatch.delenv("CG_DATA_DIR", raising=False)
+    code, _, err = run_cli(capsys, "verify", "--suite", "table")
+    assert (code, err) == (0, "")
+    code, _, err = run_cli(capsys, "--table-file", "cg_table.json",
+                           "verify", "--suite", "table")
+    assert (code, err) == (1, "")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("CG_DATA_DIR", str(data))
+    code, _, err = run_cli(capsys, "verify", "--suite", "table")
+    assert (code, err) == (1, "")
 
 
 def test_derive_reports_closure(capsys):
@@ -517,8 +550,12 @@ def test_verify_all_reuses_the_products_on_a_table_fault(
 
 def test_only_the_failing_products_are_solved(capsys, monkeypatch, tmp_path):
     # a product that satisfies M c = NF(p) is not solved for: the clean
-    # data solves none, and with +1 on a Giambelli coefficient each product
-    # that mismatched_products yields is solved once, and no other
+    # data hands the per-degree solve no right-hand side, and with +1 on a
+    # Giambelli coefficient each product that mismatched_products yields is
+    # one right-hand side, and no other; each solve serves one degree that
+    # has a failure, with every failing product of that degree
+    from collections import Counter
+
     from cgquantum.presentation import (build_graded_basis, load_giambelli,
                                         mismatched_products)
 
@@ -532,13 +569,22 @@ def test_only_the_failing_products_are_solved(capsys, monkeypatch, tmp_path):
                                        load_giambelli(path, quotient.ring)))
     assert 0 < len(failing) < 120
     assert not any(isinstance(r, Exception) for _, _, r in failing)
-    calls = _count_calls(monkeypatch, "_solve")
+    calls = _count_calls(monkeypatch, "_expansions")
     code, _, _ = run_cli(capsys, "verify", "--suite", "all")
     assert (code, calls) == (0, [])
     code, _, err = run_cli(capsys, "--giambelli-file", path,
                            "verify", "--suite", "all")
     assert (code, err) == (1, "")
-    assert len(calls) == len(failing)
+    assert sum(len(args[3]) for args in calls) == len(failing)
+    # (degree, right-hand sides) of each solve, a degree read off its
+    # columns (label index, power of q)
+    solves = []
+    for _, _, columns, products in calls:
+        degrees = {DEGREES[LABELS[k]] + 4 * e for k, e in columns}
+        assert len(degrees) == 1
+        solves.append((degrees.pop(), len(products)))
+    want = Counter(DEGREES[a] + DEGREES[b] for a, b, _ in failing)
+    assert sorted(solves) == sorted(want.items())
 
 
 def test_a_huge_coefficient_fails_without_slices_past_the_top_row(

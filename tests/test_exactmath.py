@@ -11,8 +11,8 @@ from cgquantum.exactmath import (GradedRing, InconsistentSystem,
                                  NonSquareMatrixError, QPolynomial,
                                  UnderdeterminedSystem, charpoly,
                                  clear_denominators, determinant, mat_mul,
-                                 parse_rational, rat, rref_int, solve_linear,
-                                 solve_rows)
+                                 parse_rational, rat, rref_int, solve_columns,
+                                 solve_linear, solve_rows)
 from cgquantum.presentation import generator_ring
 
 
@@ -93,6 +93,70 @@ def test_solve_rows_failures(rows, n, error, message):
 
 def test_solve_rows_with_no_rows_and_no_unknowns():
     assert solve_rows([], 0) == []
+
+
+def _verdicts(failures):
+    return [failure and (type(failure), str(failure)) for failure in failures]
+
+
+def test_solve_columns_second_inconsistent_column_without_a_pivot():
+    # x + y = (1, 2, 3), 2x + 2y = (3, 5, 6): the first column of B takes
+    # the pivot past A, so the second, inconsistent too, holds none; the
+    # third is consistent, but x and y are not determined
+    reduced, failures = solve_columns([[1, 1, 1, 2, 3], [2, 2, 3, 5, 6]],
+                                      2, 3)
+    assert [next(j for j, x in enumerate(row) if x)
+            for row in reduced] == [0, 2]
+    assert _verdicts(failures) == [
+        (InconsistentSystem, "no solution"),
+        (InconsistentSystem, "no solution"),
+        (UnderdeterminedSystem, "solution not unique")]
+
+
+def test_solve_columns_full_rank_inconsistent_column_after_a_free_one():
+    # x = 1, y = 2 and x + y = (3, 4): the first column is solved, and the
+    # second holds the pivot past A
+    reduced, failures = solve_columns(
+        [[1, 0, 1, 1], [0, 1, 2, 2], [1, 1, 3, 4]], 2, 2)
+    assert _verdicts(failures) == [None, (InconsistentSystem,
+                                          "no solution")]
+    assert [Fraction(row[2], row[i]) for i, row in enumerate(reduced[:2])] \
+        == [1, 2]
+
+
+def test_solve_columns_rank_deficient_a():
+    # A = [[1, 2], [2, 4]] has rank 1: a column of B in its span is not
+    # unique, one outside it has no solution; with no rows every column
+    # is free
+    _, failures = solve_columns([[1, 2, 3, 1, 0], [2, 4, 6, 3, 0]], 2, 3)
+    assert _verdicts(failures) == [
+        (UnderdeterminedSystem, "solution not unique"),
+        (InconsistentSystem, "no solution"),
+        (UnderdeterminedSystem, "solution not unique")]
+    assert _verdicts(solve_columns([], 2, 2)[1]) == [
+        (UnderdeterminedSystem, "solution not unique")] * 2
+    assert solve_columns([], 0, 1) == ([], [None])
+
+
+def test_solve_columns_unique_multi_column_solve_equals_solve_rows():
+    rng = random.Random(35)
+    solved = 0
+    for _ in range(200):
+        n, m = rng.randint(1, 5), rng.randint(1, 4)
+        a = [[rng.randint(-9, 9) for _ in range(n)]
+             for _ in range(n + rng.randint(0, 2))]
+        x = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)]
+        rows = [row + [sum(r * x[t][j] for t, r in enumerate(row))
+                       for j in range(m)] for row in a]
+        if len(rref_int([row[:n] for row in a])[1]) < n:
+            continue
+        reduced, failures = solve_columns([row[:] for row in rows], n, m)
+        assert failures == [None] * m
+        assert reduced == solve_rows([row[:] for row in rows], n)
+        assert [[Fraction(row[n + j], row[i]) for j in range(m)]
+                for i, row in enumerate(reduced[:n])] == x
+        solved += 1
+    assert solved > 150
 
 
 def test_charpoly_identity_2x2():

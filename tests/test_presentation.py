@@ -385,6 +385,12 @@ def expansion_cases(quotient, giambelli):
     for replaced, by in (("s4", "s4p"), ("s2", "s2p"), ("s6", "s6p")):
         cases[f"singular-{replaced}"] = (
             quotient, dict(giambelli, **{replaced: giambelli[by]}))
+    # one coefficient far past any other, and one with a new denominator:
+    # s1^3 of s3 at 10^400, and s1*q of s5 at 1/3
+    cases["huge-coefficient"] = (quotient, dict(giambelli, s3=giambelli[
+        "s3"] + ring.monomial((3, 0, 0), 10 ** 400 - Fraction(3, 4))))
+    cases["third-coefficient"] = (quotient, dict(giambelli, s5=giambelli[
+        "s5"] + ring.monomial((1, 0, 1), Fraction(1, 3) + Fraction(3, 2))))
     # a seeded sample of the +-1 faults on one Giambelli coefficient
     sites = [(label, exps) for label in LABELS
              for exps in giambelli[label].terms]
@@ -399,7 +405,8 @@ def expansion_cases(quotient, giambelli):
 
 
 CASES = (["shipped", "derived", "zero-entry", "empty-slices",
-          "degree-10-quotient", "singular-s4", "singular-s2", "singular-s6"]
+          "degree-10-quotient", "singular-s4", "singular-s2", "singular-s6",
+          "huge-coefficient", "third-coefficient"]
          + [f"fault-{i}" for i in range(12)])
 
 
@@ -419,8 +426,9 @@ def test_products_match_solve_linear_reference(expansion_cases, case):
 @pytest.fixture(scope="module")
 def check_tables():
     """The shipped table; 40 seeded +-1 faults on one of its 297 terms; an
-    off-grade term (s1 in s1 * s1); and a Fraction coefficient (1/2 on the
-    s4 term of s2 * s2)."""
+    off-grade term (s1 in s1 * s1); a Fraction coefficient (1/2 on the
+    s4 term of s2 * s2); and a huge one (10^400 on the s3 term of
+    s1 * s2)."""
     with open(os.path.join(default_data_dir(), "cg_table.json")) as fh:
         shipped = json.load(fh)
 
@@ -447,6 +455,9 @@ def check_tables():
         "terms"].append({"label": "s1", "q": 0, "coeff": 1}))
     tables["fraction"] = mutant(record("s2", "s2"), lambda rec: next(
         t for t in rec["terms"] if t["label"] == "s4").update(coeff="1/2"))
+    tables["huge"] = mutant(record("s1", "s2"), lambda rec: next(
+        t for t in rec["terms"] if t["label"] == "s3").update(
+            coeff=10 ** 400))
     return tables
 
 
@@ -464,6 +475,43 @@ def test_mismatched_products_filter_the_full_expansion(expansion_cases,
         got = [(a, b, _outcome(lambda r=r: r))
                for a, b, r in mismatched_products(table, quotient, dictionary)]
         assert got == want, name
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_packed_compare_fields_are_balanced_digits(expansion_cases,
+                                                   check_tables, monkeypatch,
+                                                   case):
+    # each field of a packed compare's difference, m_den * M c * sl.den *
+    # den - m_den * nf, lies below 2^(width - 1), so the compare is the
+    # compare of the unpacked vectors
+    quotient, dictionary = expansion_cases[case]
+    matches = presentation._PackedDegree.matches
+    compared = []
+
+    def unpacked(self, terms_a, terms_b, den, want):
+        sl, m_den, columns = self.basis
+        got = matches(self, terms_a, terms_b, den, want)
+        if all(t in columns and type(c) is int for t, c in want.items()):
+            diff = [0] * len(sl.basis)
+            for t, c in want.items():
+                diff = [y + c * x * sl.den * den
+                        for y, x in zip(diff, columns[t])]
+            for ka, ca in terms_a:
+                for kb, cb in terms_b:
+                    for j, x in sl.nf[ka + kb]:
+                        diff[j] -= ca * cb * x * m_den
+            assert max(map(abs, diff), default=0) < 1 << self.width - 1
+            assert got == (not any(diff))
+            compared.append(got)
+        else:
+            assert not got
+        return got
+
+    monkeypatch.setattr(presentation._PackedDegree, "matches", unpacked)
+    for name in ("shipped", "off-grade", "fraction", "huge",
+                 *list(check_tables)[1:4]):
+        list(mismatched_products(check_tables[name], quotient, dictionary))
+    assert compared or case == "empty-slices"
 
 
 def _random_polynomial(rng, ring, degree):
@@ -545,9 +593,18 @@ def test_a_program_fault_in_the_products_pass_propagates(
     def broken(*args):
         raise TypeError("boom")
 
-    monkeypatch.setattr(presentation, "_is_expansion", broken)
+    # in the packed compare every product of the shipped dictionary takes
+    with monkeypatch.context() as patch:
+        patch.setattr(presentation._PackedDegree, "matches", broken)
+        with pytest.raises(TypeError, match="^boom$"):
+            cross_check_presentation(table, quotient, giambelli)
+    # and in the solve that the failing products of a faulty one reach
+    ring = quotient.ring
+    faulty = dict(giambelli, s4p=giambelli["s4p"] + ring.gen("q"))
+    assert list(mismatched_products(table, quotient, faulty))
+    monkeypatch.setattr(presentation, "_expansions", broken)
     with pytest.raises(TypeError, match="^boom$"):
-        cross_check_presentation(table, quotient, giambelli)
+        cross_check_presentation(table, quotient, faulty)
 
 
 GIAMBELLI_CONTENT_ERRORS = {

@@ -113,7 +113,7 @@ def test_solve_columns_second_inconsistent_column_without_a_pivot():
         (UnderdeterminedSystem, "solution not unique")]
 
 
-def test_solve_columns_full_rank_inconsistent_column_after_a_free_one():
+def test_solve_columns_solves_one_column_and_refuses_the_next():
     # x = 1, y = 2 and x + y = (3, 4): the first column is solved, and the
     # second holds the pivot past A
     reduced, failures = solve_columns(
